@@ -15,9 +15,10 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import braidmon, diffcalc, growth, linr, ncgb, orbits, quadset, verseg
-from .errors import ParseError, YbxError
+from .errors import InvalidArgument, ParseError, YbxError
 
 
 def parse_solution(text):
@@ -286,8 +287,11 @@ def cmd_linear(args):
 def cmd_calculus(args):
     params = [p.strip() for p in args.params.split(",")]
     if len(params) != 4:
-        print("error: --params needs alpha,beta,lambda,mu", file=sys.stderr)
-        return 2
+        raise InvalidArgument("--params needs alpha,beta,lambda,mu")
+    try:
+        params = [Fraction(p) for p in params]
+    except (ValueError, ZeroDivisionError):
+        raise InvalidArgument(f"--params must be rationals, not {args.params!r}")
     gb, rho, relations = diffcalc.make_rho_family(*params)
     D = args.max_deg
     rep = diffcalc.check_rho_map(gb, rho, relations, D)
@@ -338,7 +342,11 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="ybx",
         description="Set-theoretic Yang-Baxter solutions and their quadratic algebras")
-    default_deg = int(os.environ.get("YBX_MAX_DEG", "6"))
+    raw_deg = os.environ.get("YBX_MAX_DEG", "6")
+    try:
+        default_deg = int(raw_deg)
+    except ValueError:
+        raise InvalidArgument(f"YBX_MAX_DEG must be an integer, not {raw_deg!r}")
     sub = parser.add_subparsers(dest="command")
 
     def common(p, solution=True):
@@ -411,20 +419,24 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
+def _run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        raise SystemExit(2 if exc.code not in (0, None) else 0)
+        return 2 if exc.code not in (0, None) else 0
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
-        raise SystemExit(2)
+        return 2
+    return args.fn(args)
+
+
+def main(argv=None):
     try:
-        code = args.fn(args)
+        code = _run(argv)
     except (YbxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        code = 2
     raise SystemExit(code)
 
 

@@ -65,6 +65,10 @@ class PreconditionViolated(YbxError):
     pass
 
 
+class InvalidArgument(YbxError, ValueError):
+    """An argument value outside its domain, e.g. a degree bound below 3."""
+
+
 class ParseError(YbxError):
     def __init__(self, message, line=None):
         if line is not None:

@@ -291,9 +291,16 @@ def koszul_dual_relations(rmat):
     return span_matrix(psi)
 
 
+def _require_idempotent(qs, message):
+    """The set-level twin of check_idempotent(psi): r(r(x, y)) = r(x, y)."""
+    if any(qs.r(*qs.r(i, j)) != qs.r(i, j) for i in range(qs.n) for j in range(qs.n)):
+        raise NotIdempotent(message)
+
+
 def koszul_dual_polynomials(qs):
     """Set-theoretic Koszul dual relations: one per image pair (i, j) of r,
     the sum of y^a y^b over the preimage of (i, j)."""
+    _require_idempotent(qs, "Koszul duality here needs an idempotent r")
     n = qs.n
     pre = {}
     for a in range(n):
@@ -344,6 +351,7 @@ def nichols_relations(rmat):
 def nichols_monomials(qs):
     """The set-theoretic Nichols relations theta_a theta_b = 0, one per
     image pair (a, b) of r, sorted."""
+    _require_idempotent(qs, "quadratic Nichols relations need an idempotent r")
     return sorted({qs.r(i, j) for i in range(qs.n) for j in range(qs.n)})
 
 

@@ -5,15 +5,22 @@ mapping words to nonzero Fractions.  Rules rewrite a leading word to a
 polynomial that is smaller in deg-lex; completion resolves all overlap
 ambiguities whose overlap word has length at most the bound.
 
+One lead index serves every lookup: each lead length k maps to a table
+{lead: first stored position}.  Reduction looks up word[pos:pos+k] for
+each k; normal words of degree d grow from those of degree d-1 by one
+letter, keeping a word when no lead is its suffix; the Hilbert series
+counts normal words per automaton state (the longest suffix that is a
+proper prefix of a lead) instead of listing them.
+
 Homogeneous input only.  All arithmetic is exact rational.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
 
-from .errors import (InsufficientDegree, NonHomogeneousInput, NonQuadraticInput,
-                     NotBinomial)
+from .errors import (InsufficientDegree, InvalidArgument, NonHomogeneousInput,
+                     NonQuadraticInput, NotBinomial)
 
 ONE = Fraction(1)
 
@@ -63,9 +70,41 @@ class GroebnerBasis:
     complete: bool
     binomial: bool
 
-    def rule_pairs(self):
-        """Rules as (lead, rhs dict) pairs."""
-        return [(lead, dict(rhs)) for lead, rhs in self.rules]
+    @cached_property
+    def index(self):
+        """The rules as (lead, rhs dict) pairs, indexed by lead."""
+        return LeadIndex([(lead, dict(rhs)) for lead, rhs in self.rules])
+
+
+class LeadIndex:
+    """Rules whose leads are looked up by length: {k: {lead: first position}}."""
+
+    def __init__(self, rules):
+        self.rules = rules
+        tables = {}
+        for i, (lead, _) in enumerate(rules):
+            tables.setdefault(len(lead), {}).setdefault(lead, i)
+        self.tables = list(tables.items())
+
+    def find(self, word, skip=None):
+        """(pos, i) for the leftmost lead occurrence in word, and there the
+        lowest stored index i; None if word is normal.  Rule skip is left out."""
+        for pos in range(len(word)):
+            best = None
+            for k, table in self.tables:
+                i = table.get(word[pos:pos + k])
+                if i is not None and i == skip:
+                    lead = self.rules[i][0]
+                    i = next((j for j in range(i + 1, len(self.rules))
+                              if self.rules[j][0] == lead), None)
+                if i is not None and (best is None or i < best):
+                    best = i
+            if best is not None:
+                return pos, best
+        return None
+
+    def ends_with_lead(self, word):
+        return any(word[-k:] in table for k, table in self.tables)
 
 
 def _freeze_rules(rules):
@@ -75,29 +114,20 @@ def _freeze_rules(rules):
     return tuple(frozen)
 
 
-def _reduce_once(word, rules):
-    """Leftmost occurrence of any leading word; rules tried in stored order."""
-    for pos in range(len(word)):
-        for lead, rhs in rules:
-            k = len(lead)
-            if word[pos:pos + k] == lead:
-                return pos, lead, rhs
-    return None
-
-
-def _normal_form_dict(p, rules):
+def _normal_form_dict(p, index, skip=None):
     out = {}
     work = dict(p)
     while work:
         w = max(work, key=deglex_key)
         c = work.pop(w)
-        hit = _reduce_once(w, rules)
+        hit = index.find(w, skip)
         if hit is None:
             out[w] = out.get(w, 0) + c
             if not out[w]:
                 del out[w]
             continue
-        pos, lead, rhs = hit
+        pos, i = hit
+        lead, rhs = index.rules[i]
         a, b = w[:pos], w[pos + len(lead):]
         for u, cu in rhs.items():
             nw = a + u + b
@@ -113,7 +143,7 @@ def normal_form(p, gb):
     """The unique normal form of p modulo the rules of gb."""
     if isinstance(p, tuple):
         p = {p: ONE}
-    return _normal_form_dict(p, gb.rule_pairs())
+    return _normal_form_dict(p, gb.index)
 
 
 def normal_form_word(w, gb):
@@ -124,7 +154,8 @@ def normal_form_word(w, gb):
     if not nf:
         raise ValueError("binomial reduction of a word vanished")
     (word, coeff), = nf.items()
-    assert coeff == ONE
+    if coeff != ONE:
+        raise NotBinomial(f"word {w} reduced to {coeff} times a word")
     return word
 
 
@@ -133,12 +164,12 @@ def _interreduce(rules):
     changed = True
     while changed:
         changed = False
+        index = LeadIndex(rules)
         for i in range(len(rules)):
             lead, rhs = rules[i]
-            others = rules[:i] + rules[i + 1:]
             # reduce the full polynomial lead - rhs by the remaining rules
-            nf = _normal_form_dict({lead: ONE}, others)
-            new_p = poly_add(nf, _normal_form_dict(rhs, others), -ONE)
+            nf = _normal_form_dict({lead: ONE}, index, skip=i)
+            new_p = poly_add(nf, _normal_form_dict(rhs, index, skip=i), -ONE)
             if not new_p:
                 del rules[i]
                 changed = True
@@ -175,7 +206,7 @@ def complete(relations, max_degree, alphabet=0):
     every generator (e.g. a free algebra has no relations at all).
     """
     if max_degree < 3:
-        raise ValueError("max_degree must be at least 3")
+        raise InvalidArgument(f"max_degree must be at least 3, not {max_degree}")
     rules = []
     for p in relations:
         p = poly(p)
@@ -191,6 +222,7 @@ def complete(relations, max_degree, alphabet=0):
     changed = True
     while changed:
         rules = _interreduce(rules)
+        index = LeadIndex(rules)
         changed = False
         pending = sorted(_overlaps(rules), key=lambda o: deglex_key(o[0]))
         for overlap, i, j, k in pending:
@@ -204,7 +236,7 @@ def complete(relations, max_degree, alphabet=0):
             left = {w + tail: c for w, c in rhs_u.items()}
             right = {head + w: c for w, c in rhs_v.items()}
             s = poly_add(left, right, -ONE)
-            nf = _normal_form_dict(s, rules)
+            nf = _normal_form_dict(s, index)
             if nf:
                 lm = poly_lm(nf)
                 c = nf.pop(lm)
@@ -224,19 +256,26 @@ def complete(relations, max_degree, alphabet=0):
     )
 
 
-def normal_words(gb, d):
-    """All length-d words avoiding leading words as subwords, deg-lex sorted."""
+def _require_degree(gb, d):
     if not (gb.complete or d + 1 <= gb.max_degree):
         raise InsufficientDegree(
             f"normal words of degree {d} need completion through {d + 1}")
-    n = gb.alphabet_size
-    leads = [lead for lead, _ in gb.rules]
-    out = []
-    for w in product(range(n), repeat=d):
-        if not any(w[p:p + len(l)] == l
-                   for l in leads for p in range(len(w) - len(l) + 1)):
-            out.append(w)
-    return out
+
+
+def normal_words(gb, d):
+    """All length-d words avoiding leading words as subwords, deg-lex sorted.
+
+    Each level extends the last one letter at a time: w + (x,) is normal iff
+    w is and no lead is a suffix, and extending lex-sorted words in letter
+    order keeps them lex-sorted.
+    """
+    _require_degree(gb, d)
+    index, n = gb.index, gb.alphabet_size
+    level = [()]
+    for _ in range(d):
+        level = [w for w in (v + (x,) for v in level for x in range(n))
+                 if not index.ends_with_lead(w)]
+    return level
 
 
 @dataclass(frozen=True)
@@ -246,7 +285,29 @@ class HilbertPrefix:
 
 
 def hilbert_series(gb, D):
-    coeffs = [len(normal_words(gb, d)) for d in range(D + 1)]
+    """Normal-word counts of degrees 0..D, counted without listing words.
+
+    The state of a normal word is its longest suffix that is a proper
+    prefix of a lead.  Whether w + (x,) is normal, and its state, depend
+    only on the state of w and on x, so one pass over the degrees carries
+    a count per state.
+    """
+    # every degree past max_degree fails the check as max_degree itself does
+    _require_degree(gb, min(D, gb.max_degree))
+    index, n = gb.index, gb.alphabet_size
+    prefixes = {()} | {lead[:i] for lead, _ in index.rules for i in range(len(lead))}
+    coeffs = []
+    counts = {(): 1}
+    for _ in range(D + 1):
+        coeffs.append(sum(counts.values()))
+        nxt = {}
+        for state, c in counts.items():
+            for x in range(n):
+                t = state + (x,)
+                if not index.ends_with_lead(t):
+                    t = next(t[i:] for i in range(len(t) + 1) if t[i:] in prefixes)
+                    nxt[t] = nxt.get(t, 0) + c
+        counts = nxt
     exact = gb.complete or D + 1 <= gb.max_degree
     return HilbertPrefix(coefficients=tuple(coeffs), exact=exact)
 

@@ -1,0 +1,165 @@
+"""The brute-force rewriting engine that ybx.ncgb replaced, kept as an oracle.
+
+_reduce_once scans every rule at every position, and normal_words lists
+all n^d words and tests each against every lead.  The rest is the same
+completion loop.  The shared helpers (deg-lex, polynomial arithmetic,
+GroebnerBasis) come from ybx.ncgb unchanged.
+"""
+
+from itertools import product
+
+from ybx.ncgb import (ONE, GroebnerBasis, HilbertPrefix, _freeze_rules,
+                      deglex_key, is_homogeneous, poly, poly_add, poly_lm,
+                      poly_scale)
+from ybx.errors import InsufficientDegree, NonHomogeneousInput
+
+
+def _reduce_once(word, rules):
+    """Leftmost occurrence of any leading word; rules tried in stored order."""
+    for pos in range(len(word)):
+        for lead, rhs in rules:
+            k = len(lead)
+            if word[pos:pos + k] == lead:
+                return pos, lead, rhs
+    return None
+
+
+def _normal_form_dict(p, rules):
+    out = {}
+    work = dict(p)
+    while work:
+        w = max(work, key=deglex_key)
+        c = work.pop(w)
+        hit = _reduce_once(w, rules)
+        if hit is None:
+            out[w] = out.get(w, 0) + c
+            if not out[w]:
+                del out[w]
+            continue
+        pos, lead, rhs = hit
+        a, b = w[:pos], w[pos + len(lead):]
+        for u, cu in rhs.items():
+            nw = a + u + b
+            nc = work.get(nw, 0) + c * cu
+            if nc:
+                work[nw] = nc
+            else:
+                work.pop(nw, None)
+    return out
+
+
+def _interreduce(rules):
+    rules = list(rules)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(rules)):
+            lead, rhs = rules[i]
+            others = rules[:i] + rules[i + 1:]
+            # reduce the full polynomial lead - rhs by the remaining rules
+            nf = _normal_form_dict({lead: ONE}, others)
+            new_p = poly_add(nf, _normal_form_dict(rhs, others), -ONE)
+            if not new_p:
+                del rules[i]
+                changed = True
+                break
+            lm = poly_lm(new_p)
+            c = new_p.pop(lm)
+            new_rhs = poly_scale(new_p, -ONE / c)
+            if (lm, new_rhs) != (lead, dict(rhs)):
+                rules[i] = (lm, new_rhs)
+                changed = True
+                break
+    return rules
+
+
+def _overlaps(rules):
+    """Overlap ambiguities: (overlap word, i, suffix_i, j, prefix_j).
+
+    Rule i's lead ends with w, rule j's lead starts with w; the overlap
+    word is lead_i + lead_j[len(w):].
+    """
+    out = []
+    for i, (u, _) in enumerate(rules):
+        for j, (v, _) in enumerate(rules):
+            for k in range(1, min(len(u), len(v))):
+                if u[len(u) - k:] == v[:k]:
+                    out.append((u + v[k:], i, j, k))
+    return out
+
+
+def complete(relations, max_degree, alphabet=0):
+    """Degree-bounded completion of homogeneous relations to a Groebner basis.
+
+    alphabet may be passed explicitly when the relations do not mention
+    every generator (e.g. a free algebra has no relations at all).
+    """
+    if max_degree < 3:
+        raise ValueError("max_degree must be at least 3")
+    rules = []
+    for p in relations:
+        p = poly(p)
+        if not p:
+            continue
+        if not is_homogeneous(p) or min(len(w) for w in p) < 2:
+            raise NonHomogeneousInput("relations must be homogeneous of degree >= 2")
+        alphabet = max(alphabet, max((max(w) + 1 for w in p), default=0))
+        lm = poly_lm(p)
+        c = p.pop(lm)
+        rules.append((lm, poly_scale(p, -ONE / c)))
+
+    changed = True
+    while changed:
+        rules = _interreduce(rules)
+        changed = False
+        pending = sorted(_overlaps(rules), key=lambda o: deglex_key(o[0]))
+        for overlap, i, j, k in pending:
+            if len(overlap) > max_degree:
+                continue
+            u, rhs_u = rules[i]
+            v, rhs_v = rules[j]
+            tail = v[k:]
+            head = u[:len(u) - k]
+            # two reductions of the overlap word
+            left = {w + tail: c for w, c in rhs_u.items()}
+            right = {head + w: c for w, c in rhs_v.items()}
+            s = poly_add(left, right, -ONE)
+            nf = _normal_form_dict(s, rules)
+            if nf:
+                lm = poly_lm(nf)
+                c = nf.pop(lm)
+                rules.append((lm, poly_scale(nf, -ONE / c)))
+                changed = True
+                break
+
+    skipped = any(len(o[0]) > max_degree for o in _overlaps(rules))
+    binomial = all(len(rhs) == 1 and next(iter(rhs.values())) == ONE
+                   for _, rhs in rules)
+    return GroebnerBasis(
+        alphabet_size=alphabet,
+        rules=_freeze_rules(rules),
+        max_degree=max_degree,
+        complete=not skipped,
+        binomial=binomial,
+    )
+
+
+def normal_words(gb, d):
+    """All length-d words avoiding leading words as subwords, deg-lex sorted."""
+    if not (gb.complete or d + 1 <= gb.max_degree):
+        raise InsufficientDegree(
+            f"normal words of degree {d} need completion through {d + 1}")
+    n = gb.alphabet_size
+    leads = [lead for lead, _ in gb.rules]
+    out = []
+    for w in product(range(n), repeat=d):
+        if not any(w[p:p + len(l)] == l
+                   for l in leads for p in range(len(w) - len(l) + 1)):
+            out.append(w)
+    return out
+
+
+def hilbert_series(gb, D):
+    coeffs = [len(normal_words(gb, d)) for d in range(D + 1)]
+    exact = gb.complete or D + 1 <= gb.max_degree
+    return HilbertPrefix(coefficients=tuple(coeffs), exact=exact)

@@ -24,6 +24,13 @@ def run(capsys, *argv):
     return exc.value.code or 0, out.out
 
 
+def run_error(capsys, *argv):
+    """Exit code and stderr of a command that is expected to fail."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
 @pytest.fixture
 def files(tmp_path):
     paths = {}
@@ -210,3 +217,27 @@ def test_degree_bound_env(monkeypatch, capsys, files):
     code, out = run(capsys, "hilbert", files["cycle3"], "--json")
     assert code == 0
     assert json.loads(out)["coefficients"] == [1, 3, 3, 3]
+
+
+def test_degree_bound_below_three_is_usage_error(capsys, files):
+    code, err = run_error(capsys, "hilbert", files["cycle3"], "--max-deg", "2")
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_calculus_params_must_be_rationals(capsys):
+    code, err = run_error(capsys, "calculus", "--params", "1,0,1,x")
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_degree_bound_env_must_be_integer(monkeypatch, capsys, files):
+    monkeypatch.setenv("YBX_MAX_DEG", "abc")
+    code, err = run_error(capsys, "check", files["cycle3"])
+    assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", ["--nichols", "--koszul"])
+def test_linear_set_level_relations_need_idempotent(capsys, tmp_path, flag):
+    flip3 = tmp_path / "flip3.ybx"
+    flip3.write_text("ybx v1\nsize 3\nflip\n")
+    code, err = run_error(capsys, "linear", str(flip3), flag)
+    assert code == 2 and "idempotent" in err

@@ -1,5 +1,9 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +15,7 @@ from ybx import ncgb, orbits, quadset
 from ybx.errors import (InsufficientDegree, NonHomogeneousInput,
                         NonQuadraticInput, NotBinomial)
 from conftest import mixed3_solution
+import ncgb_oracle
 
 
 def word_classes_oracle(pairs, n, length):
@@ -165,3 +170,89 @@ def test_left_cancellative(mixed3, cycle3):
     x, u, v = result
     assert u != v
     assert ncgb.monoid_multiply((x,), u, gb) == ncgb.monoid_multiply((x,), v, gb)
+
+
+def test_free_algebra_counts_without_listing_words():
+    # 4^12 words cannot be listed in the time the suite allows, so this
+    # passes only if the series is counted
+    gb = ncgb.complete([], 13, alphabet=4)
+    hp = ncgb.hilbert_series(gb, 12)
+    assert hp == ncgb.HilbertPrefix(tuple(4 ** d for d in range(13)), True)
+
+
+COEFFS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-3),
+          Fraction(1, 2), Fraction(-2, 3)]
+
+
+@st.composite
+def relation_sets(draw):
+    """Homogeneous relations of degree 2 or 3 on 2-4 generators, with
+    non-unit coefficients and possibly repeated leading words."""
+    n = draw(st.integers(2, 4))
+    rels = []
+    for _ in range(draw(st.integers(1, 4))):
+        degree = draw(st.sampled_from([2, 3]))
+        words = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * degree),
+                              min_size=1, max_size=3, unique=True))
+        rels.append({w: draw(st.sampled_from(COEFFS)) for w in words})
+    return n, rels, draw(st.integers(3, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(relation_sets())
+def test_engine_matches_brute_force_oracle(case):
+    n, rels, max_degree = case
+    want = ncgb_oracle.complete(rels, max_degree, alphabet=n)
+    got = ncgb.complete(rels, max_degree, alphabet=n)
+    assert (got.rules, got.complete, got.binomial) == \
+        (want.rules, want.complete, want.binomial)
+    for d in range(max_degree):
+        assert ncgb.normal_words(got, d) == ncgb_oracle.normal_words(want, d)
+    top = max_degree + 1 if want.complete else max_degree - 1
+    assert ncgb.hilbert_series(got, top) == ncgb_oracle.hilbert_series(want, top)
+    p = {w: c for w, c in zip(product(range(n), repeat=max_degree), COEFFS)}
+    rules = [(lead, dict(rhs)) for lead, rhs in want.rules]
+    assert ncgb.normal_form(p, got) == ncgb_oracle._normal_form_dict(p, rules)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3),
+                min_size=1, max_size=6),
+       st.lists(st.integers(0, 2), max_size=8), st.data())
+def test_lead_lookup_matches_rule_scan(leads, word, data):
+    # repeated leads are kept: completion input may repeat a leading word
+    rules = [(tuple(lead), {(k,): Fraction(k + 1)}) for k, lead in enumerate(leads)]
+    word = tuple(word)
+    index = ncgb.LeadIndex(rules)
+
+    def as_scan(hit):
+        return None if hit is None else (hit[0], *rules[hit[1]])
+    assert as_scan(index.find(word)) == ncgb_oracle._reduce_once(word, rules)
+    skip = data.draw(st.integers(0, len(rules) - 1))
+    others = rules[:skip] + rules[skip + 1:]
+    assert as_scan(index.find(word, skip)) == ncgb_oracle._reduce_once(word, others)
+
+
+def test_verdicts_survive_optimized_mode():
+    # python -O strips assert statements; word normal forms and Hilbert
+    # series must not depend on them
+    code = (
+        "import json\n"
+        "from ybx import ncgb, orbits\n"
+        "from conftest import mixed3_solution\n"
+        "qs = mixed3_solution()\n"
+        "gb = ncgb.complete(orbits.canonical_relations(qs).to_polynomials(), 6,"
+        " alphabet=3)\n"
+        "words = [w for d in range(4) for w in ncgb.normal_words(gb, d)]\n"
+        "print(json.dumps([[ncgb.normal_form_word(w + w, gb) for w in words],"
+        " ncgb.hilbert_series(gb, 5).coefficients]))\n")
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(ncgb.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, tests_dir]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    gb = solution_gb(mixed3_solution())
+    words = [w for d in range(4) for w in ncgb.normal_words(gb, d)]
+    want = [[list(ncgb.normal_form_word(w + w, gb)) for w in words],
+            list(ncgb.hilbert_series(gb, 5).coefficients)]
+    assert json.loads(out) == want
