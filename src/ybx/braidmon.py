@@ -16,7 +16,7 @@ prolongation).
 
 from dataclasses import dataclass
 
-from .errors import InsufficientDegree, NotBraided, NotIdempotent
+from .errors import InsufficientDegree, InvalidArgument, NotBraided, NotIdempotent
 from .ncgb import complete, normal_form_word, normal_words
 from .orbits import canonical_relations
 from .quadset import QuadraticSet, check_properties
@@ -148,6 +148,8 @@ class VeroneseSolution:
 
 def veronese_solution(qs, d, wa=None):
     """The d-Veronese solution on the normal words of length d."""
+    if d < 1:
+        raise InvalidArgument(f"the Veronese level must be at least 1, not {d}")
     if not check_properties(qs).braided:
         raise NotBraided("Veronese solutions need a braided base set")
     if d == 1:
@@ -175,6 +177,8 @@ class ProlongationData:
 
 def prolongation_sequence(qs, d_max):
     """The prolongations (X, r^(d)) for d = 1..d_max with periodicity data."""
+    if d_max < 1:
+        raise InvalidArgument(f"the prolongation bound must be at least 1, not {d_max}")
     rep = check_properties(qs)
     if not (rep.braided and rep.idempotent and rep.left_nondegenerate):
         raise NotBraided(

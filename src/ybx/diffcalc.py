@@ -15,9 +15,9 @@ One-forms are lists of n polynomial coefficients, kept in normal form.
 
 from fractions import Fraction
 
-from .errors import InsufficientDegree, NotIdempotent
+from .errors import CheckFailed, InsufficientDegree, NotIdempotent
 from .ncgb import normal_form, normal_words, poly_add, poly_scale
-from .linr import (RationalMatrix, check_idempotent, flip_matrix, span_matrix,
+from .linr import (RationalMatrix, check_idempotent, psi_from_r, span_matrix,
                    splus_relations, subspace_equal, _tensor_dim)
 
 F0 = Fraction(0)
@@ -143,11 +143,6 @@ def differential(p, rho, gb):
     return [normal_form(q, gb) for q in total]
 
 
-def partials(p, rho, gb):
-    """The left coefficients of d(p): d(p) = sum partial_i(p) dx_i."""
-    return differential(p, rho, gb)
-
-
 def annihilator_check(rho, gb, D):
     """(dx - dy) . a = 0 for all normal words a of degree 2..D (n = 2)."""
     form = [{(): F1}, {(): -F1}]
@@ -208,18 +203,19 @@ def nichols_exterior(rmat):
 
     Returns a dict with the theta relations (monomial pairs), the wedge
     rewriting rules, the mixed bimodule rules, and the relation space of
-    the d-theta subalgebra (asserted equal to the S_+(R) relations).
+    the d-theta subalgebra, checked to equal the S_+(R) relations
+    (CheckFailed otherwise).
     """
     n = _tensor_dim(rmat)
-    psi = flip_matrix(n).mul(rmat)
+    psi = psi_from_r(rmat)
     if not check_idempotent(psi):
         raise NotIdempotent("the exterior construction needs an idempotent Psi")
 
     def R(up1, lo1, up2, lo2):
         return rmat.data[n * up1 + up2][n * lo1 + lo2]
 
-    theta = sorted({(k, l) for i in range(n) for j in range(n)
-                    for (k, l) in [_psi_image(psi, n, i, j)]})
+    # each pair (i, j) contributes the first output pair of its Psi column
+    theta = sorted({divmod(min(col), n) for col in psi.columns()})
     wedge = {}
     mixed = {}
     for i in range(n):
@@ -242,19 +238,11 @@ def nichols_exterior(rmat):
         for (b, a), c in terms.items():
             delta[n * b + a][col] -= c
     dtheta_rels = span_matrix(RationalMatrix(delta).transpose())
-    assert subspace_equal(dtheta_rels, splus_relations(rmat))
+    if not subspace_equal(dtheta_rels, splus_relations(rmat)):
+        raise CheckFailed("the d-theta relations differ from those of S_+(R)")
 
     return {"theta_relations": theta, "wedge_rules": wedge,
             "mixed_rules": mixed, "dtheta_relations": dtheta_rels}
-
-
-def _psi_image(psi, n, i, j):
-    col = n * i + j
-    for k in range(n):
-        for l in range(n):
-            if psi.data[n * k + l][col]:
-                return (k, l)
-    raise ValueError("psi has a zero column")
 
 
 def make_rho_family(alpha, beta, lam, mu):

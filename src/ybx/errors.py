@@ -65,6 +65,10 @@ class PreconditionViolated(YbxError):
     pass
 
 
+class CheckFailed(YbxError):
+    """An identity the construction guarantees did not hold."""
+
+
 class InvalidArgument(YbxError, ValueError):
     """An argument value outside its domain, e.g. a degree bound below 3."""
 

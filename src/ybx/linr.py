@@ -5,6 +5,10 @@ row n*i + j (0-based).  The braiding Psi sends x_i (x) x_j to
 x_{i|>j} (x) x_{i<|j}; the R-matrix is P Psi with P the flip.  Four-index
 symbols R^a_i{}^b_j are stored as entry (output pair (a,b), input pair
 (i,j)).
+
+Operators are composed as sparse columns ({row: coeff} dicts), so their
+cost follows the nonzeros; every rank, kernel and span question goes
+through one exact elimination on sparse rows, _rref.
 """
 
 from fractions import Fraction
@@ -37,30 +41,32 @@ class RationalMatrix:
                                for i in range(n)])
 
     @staticmethod
-    def zeros(r, c):
-        return RationalMatrix([[F0] * c for _ in range(r)], cols=c)
+    def from_sparse(vecs, width):
+        """The matrix whose rows are the sparse vectors vecs."""
+        return RationalMatrix([[v.get(c, F0) for c in range(width)] for v in vecs],
+                              cols=width)
+
+    @staticmethod
+    def from_columns(cols, rows):
+        return RationalMatrix.from_sparse(_transpose(cols, rows), len(cols))
+
+    def sparse_rows(self):
+        return [{c: x for c, x in enumerate(row) if x} for row in self.data]
+
+    def columns(self):
+        """The columns as sparse {row: coeff} dicts."""
+        return _transpose(self.sparse_rows(), self.cols)
 
     def __eq__(self, other):
         return (isinstance(other, RationalMatrix)
                 and self.rows == other.rows and self.cols == other.cols
                 and self.data == other.data)
 
-    def __getitem__(self, rc):
-        return self.data[rc[0]][rc[1]]
-
     def mul(self, other):
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.cols} != {other.rows}")
-        out = [[F0] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.data):
-            for k, a in enumerate(row):
-                if a:
-                    orow = other.data[k]
-                    trow = out[i]
-                    for j, b in enumerate(orow):
-                        if b:
-                            trow[j] += a * b
-        return RationalMatrix(out, cols=other.cols)
+        return RationalMatrix.from_columns(
+            _compose(self.columns(), other.columns()), self.rows)
 
     def add(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -70,16 +76,8 @@ class RationalMatrix:
                               cols=self.cols)
 
     def sub(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("size mismatch")
-        return RationalMatrix([[a - b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.data, other.data)],
-                              cols=self.cols)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return RationalMatrix([[c * a for a in row] for row in self.data],
-                              cols=self.cols)
+        return self.add(RationalMatrix([[-x for x in row] for row in other.data],
+                                       cols=other.cols))
 
     def transpose(self):
         return RationalMatrix([[self.data[i][j] for i in range(self.rows)]
@@ -94,46 +92,92 @@ class RationalMatrix:
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot columns)."""
-        m = [row[:] for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = F1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(m):
-                break
-        return RationalMatrix(m, cols=self.cols), pivots
+        red, pivots = _rref(self.sparse_rows())
+        red += [{}] * (self.rows - len(red))
+        return RationalMatrix.from_sparse(red, self.cols), pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        return _rank(self.sparse_rows())
 
     def nullspace_basis(self):
         """Basis of the right kernel, as a list of column vectors (lists)."""
-        red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [F0] * self.cols
-            v[fc] = F1
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.data[r][fc]
-            basis.append(v)
-        return basis
+        return RationalMatrix.from_sparse(
+            _kernel(self.sparse_rows(), self.cols), self.cols).data
 
     def row_space_basis(self):
         """Nonzero rows of the reduced row echelon form."""
-        red, pivots = self.rref()
-        return RationalMatrix(red.data[:len(pivots)] or [], cols=self.cols)
+        return RationalMatrix.from_sparse(_rref(self.sparse_rows())[0], self.cols)
+
+
+def _add_to(vec, f, other):
+    """vec += f * other on sparse vectors, in place; f and the entries of
+    other are nonzero, and zero sums are dropped."""
+    for k, x in other.items():
+        y = vec.get(k, F0) + f * x
+        if y:
+            vec[k] = y
+        else:
+            del vec[k]
+
+
+def _transpose(vecs, width):
+    """Rows of the sparse vectors read as columns, and vice versa."""
+    out = [{} for _ in range(width)]
+    for i, vec in enumerate(vecs):
+        for k, x in vec.items():
+            out[k][i] = x
+    return out
+
+
+def _compose(a, b):
+    """Columns of the product a b of two operators given by columns."""
+    out = []
+    for col in b:
+        acc = {}
+        for k, c in col.items():
+            _add_to(acc, c, a[k])
+        out.append(acc)
+    return out
+
+
+def _rref(rows):
+    """Reduced row echelon form of sparse rows, exact: the nonzero reduced
+    rows and their pivot columns, in pivot order.  Each row is reduced by
+    the pivot rows so far, which are kept reduced against one another, so
+    the result is the unique reduced echelon form of the row space."""
+    basis = {}
+    for row in rows:
+        row = {c: x for c, x in row.items() if x}
+        for p in [c for c in row if c in basis]:
+            _add_to(row, -row[p], basis[p])
+        if not row:
+            continue
+        p = min(row)
+        inv = F1 / row[p]
+        row = {c: x * inv for c, x in row.items()}
+        for other in basis.values():
+            if p in other:
+                _add_to(other, -other[p], row)
+        basis[p] = row
+    pivots = sorted(basis)
+    return [basis[p] for p in pivots], pivots
+
+
+def _rank(rows):
+    return len(_rref(rows)[1])
+
+
+def _kernel(rows, width):
+    """Basis of {v : row . v = 0 for every row}, one sparse vector per
+    non-pivot column."""
+    red, pivots = _rref(rows)
+    free = sorted(set(range(width)) - set(pivots))
+    return [{fc: F1, **{p: -row[fc] for p, row in zip(pivots, red) if fc in row}}
+            for fc in free]
+
+
+def _same_span(a, b):
+    return _rank(a) == _rank(b) == _rank(a + b)
 
 
 def span_matrix(mat):
@@ -145,79 +189,63 @@ def subspace_equal(a, b):
     """Row spaces of a and b coincide (exact rank comparison)."""
     if a.cols != b.cols:
         raise ShapeMismatch("ambient dimensions differ")
-    ra, rb = a.rank(), b.rank()
-    stacked = RationalMatrix(a.data + b.data, cols=a.cols)
-    return ra == rb == stacked.rank()
+    return _same_span(a.sparse_rows(), b.sparse_rows())
 
 
 def subspace_contains(a, b):
     """Row space of a contains the row space of b."""
-    stacked = RationalMatrix(a.data + b.data, cols=a.cols)
-    return stacked.rank() == a.rank()
+    if a.cols != b.cols:
+        raise ShapeMismatch("ambient dimensions differ")
+    rows = a.sparse_rows()
+    return _rank(rows + b.sparse_rows()) == _rank(rows)
 
 
 def linearize(qs):
     """The braiding Psi and R-matrix R = P Psi of a quadratic set."""
     n = qs.n
-    dim = n * n
-    psi = [[F0] * dim for _ in range(dim)]
-    rmat = [[F0] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            k, l = qs.r(i, j)
-            col = n * i + j
-            psi[n * k + l][col] = F1
-            rmat[n * l + k][col] = F1
-    return RationalMatrix(psi), RationalMatrix(rmat)
+    images = [qs.r(i, j) for i in range(n) for j in range(n)]
+    return (RationalMatrix.from_columns([{n * k + l: F1} for k, l in images], n * n),
+            RationalMatrix.from_columns([{n * l + k: F1} for k, l in images], n * n))
 
 
-def _lift(mat, n, m, pos):
-    """Embed an operator on V (x) V at tensor positions (pos, pos+1) of
-    V^(x)m, n = dim V."""
-    dim = n ** m
-    out = [[F0] * dim for _ in range(dim)]
-    left = n ** pos
+def _lift(cols, n, m, pos):
+    """The columns of an operator on V (x) V acting at tensor positions
+    (pos, pos+1) of V^(x)m, n = dim V."""
+    nn = n * n
     right = n ** (m - pos - 2)
-    for a in range(left):
-        for b in range(right):
-            for ij in range(n * n):
-                col_base = (a * n * n + ij) * right + b
-                for kl in range(n * n):
-                    v = mat.data[kl][ij]
-                    if v:
-                        row = (a * n * n + kl) * right + b
-                        out[row][col_base] = v
-    return RationalMatrix(out)
+    out = []
+    for col in range(n ** m):
+        a, rest = divmod(col, nn * right)
+        ij, b = divmod(rest, right)
+        base = a * nn * right + b
+        out.append({base + kl * right: v for kl, v in cols[ij].items()})
+    return out
 
 
 def check_braid(psi):
     """Psi_1 Psi_2 Psi_1 = Psi_2 Psi_1 Psi_2 on V^(x)3."""
     n = _tensor_dim(psi)
-    p1 = _lift(psi, n, 3, 0)
-    p2 = _lift(psi, n, 3, 1)
-    return p1.mul(p2).mul(p1) == p2.mul(p1).mul(p2)
+    cols = psi.columns()
+    p1, p2 = _lift(cols, n, 3, 0), _lift(cols, n, 3, 1)
+    return _compose(p1, _compose(p2, p1)) == _compose(p2, _compose(p1, p2))
 
 
 def check_matrix_ybe(rmat):
     """R12 R13 R23 = R23 R13 R12 on V^(x)3."""
     n = _tensor_dim(rmat)
-    r12 = _lift(rmat, n, 3, 0)
-    r23 = _lift(rmat, n, 3, 1)
+    cols = rmat.columns()
+    r12, r23 = _lift(cols, n, 3, 0), _lift(cols, n, 3, 1)
     # R13 acts on positions 0 and 2
-    dim = n ** 3
-    r13 = [[F0] * dim for _ in range(dim)]
-    for i, j in product(range(n), repeat=2):
-        for k, l in product(range(n), repeat=2):
-            v = rmat.data[n * k + l][n * i + j]
-            if v:
-                for y in range(n):
-                    r13[(k * n + y) * n + l][(i * n + y) * n + j] = v
-    r13 = RationalMatrix(r13)
-    return r12.mul(r13).mul(r23) == r23.mul(r13).mul(r12)
+    r13 = [{(kl // n * n + y) * n + kl % n: v for kl, v in cols[n * i + j].items()}
+           for i, y, j in product(range(n), repeat=3)]
+    return _compose(r12, _compose(r13, r23)) == _compose(r23, _compose(r13, r12))
 
 
 def check_idempotent(psi):
-    return psi.mul(psi) == psi
+    if psi.rows != psi.cols:
+        raise ShapeMismatch(f"{psi.cols} != {psi.rows}")
+    cols = psi.columns()
+    return _compose(cols, cols) == cols
 
 
 def _tensor_dim(mat):
@@ -230,18 +258,19 @@ def _tensor_dim(mat):
 
 
 def flip_matrix(n):
-    p = [[F0] * (n * n) for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            p[n * j + i][n * i + j] = F1
-    return RationalMatrix(p)
+    return psi_from_r(RationalMatrix.identity(n * n))
+
+
+def psi_from_r(rmat):
+    """The braiding Psi = P R; the flip P permutes the rows of R."""
+    n = _tensor_dim(rmat)
+    return RationalMatrix([rmat.data[n * (r % n) + r // n] for r in range(n * n)])
 
 
 def splus_relations(rmat):
     """Relation space of S_+(R): image of (id - Psi), Psi = P R."""
-    n = _tensor_dim(rmat)
-    psi = flip_matrix(n).mul(rmat)
-    delta = RationalMatrix.identity(n * n).sub(psi)
+    psi = psi_from_r(rmat)
+    delta = RationalMatrix.identity(psi.rows).sub(psi)
     # image = column space; return as row-space basis of the transpose
     return span_matrix(delta.transpose())
 
@@ -263,28 +292,19 @@ def transpose_yb_relations(rmat):
 
     zero polynomials dropped.  Returned as {(a, b): coeff} dicts."""
     n = _tensor_dim(rmat)
-    psi = flip_matrix(n).mul(rmat)
     rels = []
-    for i in range(n):
-        for j in range(n):
-            row = n * i + j
-            p = {}
-            for a in range(n):
-                for b in range(n):
-                    c = psi.data[row][n * a + b]
-                    if c:
-                        p[(a, b)] = p.get((a, b), F0) + c
-            p[(i, j)] = p.get((i, j), F0) - F1
-            p = {k: v for k, v in p.items() if v}
-            if p:
-                rels.append(p)
+    for row, vec in enumerate(psi_from_r(rmat).sparse_rows()):
+        p = {divmod(c, n): x for c, x in vec.items()}
+        p[divmod(row, n)] = p.get(divmod(row, n), F0) - F1
+        p = {k: v for k, v in p.items() if v}
+        if p:
+            rels.append(p)
     return rels
 
 
 def koszul_dual_relations(rmat):
     """Relation space of the Koszul dual: image(Psi^T) over the dual basis."""
-    n = _tensor_dim(rmat)
-    psi = flip_matrix(n).mul(rmat)
+    psi = psi_from_r(rmat)
     if not check_idempotent(psi):
         raise NotIdempotent("Koszul duality here needs an idempotent Psi")
     # column space of Psi^T = row space of Psi
@@ -301,15 +321,10 @@ def koszul_dual_polynomials(qs):
     """Set-theoretic Koszul dual relations: one per image pair (i, j) of r,
     the sum of y^a y^b over the preimage of (i, j)."""
     _require_idempotent(qs, "Koszul duality here needs an idempotent r")
-    n = qs.n
     pre = {}
-    for a in range(n):
-        for b in range(n):
-            pre.setdefault(qs.r(a, b), []).append((a, b))
-    rels = []
-    for img in sorted(pre):
-        rels.append({p: F1 for p in sorted(pre[img])})
-    return rels
+    for a, b in product(range(qs.n), repeat=2):
+        pre.setdefault(qs.r(a, b), []).append((a, b))
+    return [{p: F1 for p in pre[img]} for img in sorted(pre)]
 
 
 def braided_factorial(psi, m, sign=1):
@@ -318,34 +333,32 @@ def braided_factorial(psi, m, sign=1):
     n = _tensor_dim(psi)
     if n > 4 or m > 4:
         raise SizeTooLarge("tensor powers limited to 4^4")
-    phi = psi if sign > 0 else psi.scale(-1)
+    fact = _factorial(psi.columns(), n, m, sign)
+    return RationalMatrix.from_columns(fact, len(fact))
 
-    def bracket(k):
-        # operator [k, phi] on V^(x)k
-        dim = n ** k
-        total = RationalMatrix.identity(dim)
-        term = RationalMatrix.identity(dim)
-        for i in range(k - 1, 0, -1):
-            term = _lift(phi, n, k, i - 1).mul(term)
-            total = total.add(term)
-        return total
 
-    fact = RationalMatrix.identity(n)
+def _factorial(cols, n, m, sign):
+    """The columns of [m, +-Psi]!, Psi given by its columns."""
+    phi = cols if sign > 0 else [{r: -v for r, v in col.items()} for col in cols]
+    fact = [{c: F1} for c in range(n)]
     for k in range(2, m + 1):
-        prev = fact.kron(RationalMatrix.identity(n))
-        fact = bracket(k).mul(prev)
-    return fact if m > 1 else RationalMatrix.identity(n)
+        # [k, phi] applied to [k-1, phi]! (x) id, one term at a time
+        term = [{r * n + y: v for r, v in col.items()} for col in fact for y in range(n)]
+        fact = [dict(col) for col in term]
+        for pos in range(k - 2, -1, -1):
+            term = _compose(_lift(phi, n, k, pos), term)
+            for total, col in zip(fact, term):
+                _add_to(total, F1, col)
+    return fact
 
 
 def nichols_relations(rmat):
     """Quadratic relations of the Nichols algebra for idempotent Psi: the
     monomials theta_a theta_b over the image pairs of r (= image(Psi))."""
-    n = _tensor_dim(rmat)
-    psi = flip_matrix(n).mul(rmat)
+    psi = psi_from_r(rmat)
     if not check_idempotent(psi):
         raise NotIdempotent("quadratic Nichols relations need an idempotent Psi")
-    image = span_matrix(psi.transpose())
-    return image
+    return span_matrix(psi.transpose())
 
 
 def nichols_monomials(qs):
@@ -363,24 +376,25 @@ def nichols_quadratic_check(psi, m):
         raise SizeTooLarge("tensor powers limited to 4^4")
     if not check_idempotent(psi):
         raise NotIdempotent("quadraticity holds for idempotent Psi")
-    fact = braided_factorial(psi, m, sign=-1)
-    kernel = RationalMatrix(fact.nullspace_basis() or [], cols=n ** m)
+    cols = psi.columns()
+    dim = n ** m
+    kernel = _kernel(_transpose(_factorial(cols, n, m, -1), dim), dim)
+    # V^(x)pos (x) image(Psi) (x) V^(x)(m-pos-2) is the image of Psi at pos
+    ideal = [v for pos in range(m - 1) for v in _lift(cols, n, m, pos)]
+    return _same_span(kernel, ideal)
 
-    image = span_matrix(psi.transpose())  # rows span image(Psi) in V (x) V
-    vecs = []
-    for pos in range(m - 1):
-        left = n ** pos
-        right = n ** (m - pos - 2)
-        for row in image.data:
-            for a in range(left):
-                for b in range(right):
-                    v = [F0] * (n ** m)
-                    for ij, c in enumerate(row):
-                        if c:
-                            v[(a * n * n + ij) * right + b] = c
-                    vecs.append(v)
-    ideal = RationalMatrix(vecs or [], cols=n ** m)
-    return subspace_equal(span_matrix(kernel), span_matrix(ideal))
+
+def _index(rmat, *slots):
+    """The nonzero R^up1_lo1{}^up2_lo2 as (up1, lo1, up2, lo2, value),
+    grouped by their indices at the given slots."""
+    n = _tensor_dim(rmat)
+    out = {}
+    for r, row in enumerate(rmat.data):
+        for c, v in enumerate(row):
+            if v:
+                e = (r // n, c // n, r % n, c % n, v)
+                out.setdefault(tuple(e[s] for s in slots), []).append(e)
+    return out
 
 
 def frt_relations(rmat):
@@ -388,22 +402,16 @@ def frt_relations(rmat):
     sum_ab R^i_a{}^k_b t^a_j t^b_l - sum_ab t^k_b t^i_a R^a_j{}^b_l,
     over all (i, j, k, l); deduplicated and made monic."""
     n = _tensor_dim(rmat)
-
-    def R(up1, lo1, up2, lo2):
-        return rmat.data[n * up1 + up2][n * lo1 + lo2]
-
+    by_up, by_lo = _index(rmat, 0, 2), _index(rmat, 1, 3)
     rels = []
     for i, j, k, l in product(range(n), repeat=4):
         p = {}
-        for a, b in product(range(n), repeat=2):
-            c = R(i, a, k, b)
-            if c:
-                key = ((a, j), (b, l))
-                p[key] = p.get(key, F0) + c
-            c = R(a, j, b, l)
-            if c:
-                key = ((k, b), (i, a))
-                p[key] = p.get(key, F0) - c
+        for _, a, _, b, c in by_up.get((i, k), ()):
+            key = ((a, j), (b, l))
+            p[key] = p.get(key, F0) + c
+        for a, _, b, _, c in by_lo.get((j, l), ()):
+            key = ((k, b), (i, a))
+            p[key] = p.get(key, F0) - c
         p = {key: v for key, v in p.items() if v}
         if p:
             rels.append(p)
@@ -414,22 +422,19 @@ def braided_matrix_relations(rmat):
     """Braided matrix algebra relations on generators u^i_j:
     sum R^k_a{}^i_b u^b_c R^c_j{}^a_d u^d_l - sum u^k_a R^a_b{}^i_c u^c_d R^d_j{}^b_l."""
     n = _tensor_dim(rmat)
-
-    def R(up1, lo1, up2, lo2):
-        return rmat.data[n * up1 + up2][n * lo1 + lo2]
-
+    by_up, by_lo1_up2 = _index(rmat, 0, 2), _index(rmat, 1, 2)
+    by_up2, by_lo1_up2_lo2 = _index(rmat, 2), _index(rmat, 1, 2, 3)
     rels = []
     for i, j, k, l in product(range(n), repeat=4):
         p = {}
-        for a, b, c, d in product(range(n), repeat=4):
-            v = R(k, a, i, b) * R(c, j, a, d)
-            if v:
+        for _, a, _, b, v1 in by_up.get((k, i), ()):
+            for c, _, _, d, v2 in by_lo1_up2.get((j, a), ()):
                 key = ((b, c), (d, l))
-                p[key] = p.get(key, F0) + v
-            v = R(a, b, i, c) * R(d, j, b, l)
-            if v:
+                p[key] = p.get(key, F0) + v1 * v2
+        for a, b, _, c, v1 in by_up2.get((i,), ()):
+            for d, _, _, _, v2 in by_lo1_up2_lo2.get((j, b, l), ()):
                 key = ((k, a), (c, d))
-                p[key] = p.get(key, F0) - v
+                p[key] = p.get(key, F0) - v1 * v2
         p = {key: vv for key, vv in p.items() if vv}
         if p:
             rels.append(p)
@@ -453,21 +458,12 @@ def _dedupe(rels):
 
 def rmatrix_star(phi, psi):
     """The braiding sigma_23 (phi (x) psi) sigma_23 on (V (x) W)^(x)2."""
-    n = _tensor_dim(phi)
-    m = _tensor_dim(psi)
+    n, m = _tensor_dim(phi), _tensor_dim(psi)
     nm = n * m
-    dim = nm * nm
-    out = [[F0] * dim for _ in range(dim)]
-    for i, j in product(range(n), repeat=2):
-        for k, l in product(range(n), repeat=2):
-            c1 = phi.data[n * k + l][n * i + j]
-            if not c1:
-                continue
-            for a, b in product(range(m), repeat=2):
-                for u, v in product(range(m), repeat=2):
-                    c2 = psi.data[m * u + v][m * a + b]
-                    if c2:
-                        row = (k * m + u) * nm + (l * m + v)
-                        col = (i * m + a) * nm + (j * m + b)
-                        out[row][col] = c1 * c2
-    return RationalMatrix(out)
+    phi_cols, psi_cols = phi.columns(), psi.columns()
+    cols = []
+    for i, a, j, b in product(range(n), range(m), range(n), range(m)):
+        cols.append({(kl // n * m + uv // m) * nm + kl % n * m + uv % m: c1 * c2
+                     for kl, c1 in phi_cols[n * i + j].items()
+                     for uv, c2 in psi_cols[m * a + b].items()})
+    return RationalMatrix.from_columns(cols, nm * nm)

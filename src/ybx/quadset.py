@@ -12,7 +12,7 @@ The map r is not assumed bijective.
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .errors import (DuplicatePair, IndexOutOfRange, MissingPair,
+from .errors import (DuplicatePair, IndexOutOfRange, InvalidArgument, MissingPair,
                      NotABijection, SizeTooLarge)
 
 PROPERTY_NAMES = ("involutive", "idempotent", "braided",
@@ -179,12 +179,14 @@ def enumerate_solutions(n, predicate=()):
     search assigns r pair by pair with pruning for the cheap constraints
     and runs the full check on complete tables.
     """
+    if n < 1:
+        raise InvalidArgument(f"enumeration needs n >= 1, not {n}")
     if n > 3:
         raise SizeTooLarge("enumeration is limited to n <= 3")
     mask = frozenset(predicate)
     unknown = mask - set(PROPERTY_NAMES)
     if unknown:
-        raise ValueError(f"unknown properties in mask: {sorted(unknown)}")
+        raise InvalidArgument(f"unknown properties in mask: {sorted(unknown)}")
     want_idem = "idempotent" in mask
     want_invol = "involutive" in mask
     want_lnd = "left_nondegenerate" in mask

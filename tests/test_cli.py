@@ -241,3 +241,14 @@ def test_linear_set_level_relations_need_idempotent(capsys, tmp_path, flag):
     flip3.write_text("ybx v1\nsize 3\nflip\n")
     code, err = run_error(capsys, "linear", str(flip3), flag)
     assert code == 2 and "idempotent" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["veronese", "{mixed3}", "-d", "0"],
+    ["prolong", "{mixed3}", "--max-d", "0"],
+    ["enumerate", "-n", "0"],
+    ["enumerate", "-n", "2", "--mask", "no_such_property"],
+])
+def test_degenerate_arguments_are_usage_errors(capsys, files, argv):
+    code, err = run_error(capsys, *[a.format(**files) for a in argv])
+    assert code == 2 and err.startswith("error: ")

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -141,6 +144,29 @@ def test_nichols_exterior_for_identity_pair(rid2):
             assert out["mixed_rules"][(i, j)] == {(j, j): -F1}
     assert linr.subspace_equal(out["dtheta_relations"],
                                linr.splus_relations(rmat))
+
+
+def test_nichols_exterior_check_survives_optimized_mode():
+    # python -O strips assert statements; a wrong S_+(R) relation space
+    # must still be reported
+    code = (
+        "from ybx import diffcalc, linr, quadset\n"
+        "from ybx.errors import CheckFailed\n"
+        "_, rmat = linr.linearize(quadset.make_permutation_solution([0, 1]))\n"
+        "print(sorted(diffcalc.nichols_exterior(rmat)))\n"
+        "diffcalc.splus_relations = lambda r: linr.RationalMatrix([[1, 0, 0, 0]])\n"
+        "try:\n"
+        "    diffcalc.nichols_exterior(rmat)\n"
+        "except CheckFailed as exc:\n"
+        "    print('CheckFailed', exc)\n")
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(diffcalc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    keys, failure = out.splitlines()
+    assert keys == str(sorted(["theta_relations", "wedge_rules", "mixed_rules",
+                               "dtheta_relations"]))
+    assert failure.startswith("CheckFailed ")
 
 
 def test_nichols_exterior_requires_idempotent():

@@ -3,7 +3,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import linr_oracle
 from ybx import linr, orbits, quadset
 from ybx.errors import NotIdempotent, ShapeMismatch
 
@@ -274,3 +277,117 @@ def test_rmatrix_star_is_product_linearization(rid2, mixed3):
         phi_b, _ = linr.linearize(b)
         prod_psi, _ = linr.linearize(quadset.cartesian_product(a, b))
         assert linr.rmatrix_star(phi_a, phi_b) == prod_psi
+
+
+# ------------------------------------------- differential tests vs the dense oracle
+
+ENTRIES = [Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(2),
+                               Fraction(-3, 2), Fraction(1, 3)]
+
+
+def dense(mat):
+    return linr_oracle.RationalMatrix(mat.data, cols=mat.cols)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """Rectangular matrices, mostly zeros; unless the row count is given,
+    some with a repeated row or a zero row."""
+    extra = rows is None
+    rows = draw(st.integers(0, 6)) if rows is None else rows
+    cols = draw(st.integers(1, 6)) if cols is None else cols
+    data = [draw(st.lists(st.sampled_from(ENTRIES), min_size=cols, max_size=cols))
+            for _ in range(rows)]
+    if extra and data and draw(st.booleans()):
+        data.insert(draw(st.integers(0, len(data))), list(draw(st.sampled_from(data))))
+    if extra and draw(st.booleans()):
+        data.append([Fraction(0)] * cols)
+    return linr.RationalMatrix(data, cols=cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_elimination_matches_dense_oracle(a, data):
+    old = dense(a)
+    red, pivots = a.rref()
+    want_red, want_pivots = old.rref()
+    assert (red.data, red.rows, red.cols, pivots) == \
+        (want_red.data, want_red.rows, want_red.cols, want_pivots)
+    assert a.rank() == old.rank()
+    assert a.nullspace_basis() == old.nullspace_basis()
+    assert a.row_space_basis() == linr.RationalMatrix(
+        old.row_space_basis().data, cols=a.cols)
+    b = data.draw(matrices(cols=a.cols))
+    assert linr.subspace_equal(a, b) == linr_oracle.subspace_equal(old, dense(b))
+    assert linr.subspace_contains(a, b) == \
+        linr_oracle.subspace_contains(old, dense(b))
+    c = data.draw(matrices(rows=a.cols))
+    assert a.mul(c).data == old.mul(dense(c)).data
+
+
+@st.composite
+def tables(draw, max_n=4):
+    """r-tables on n = 2..max_n points; half of them idempotent, some braided."""
+    n = draw(st.integers(2, max_n))
+    pairs = list(product(range(n), repeat=2))
+    if draw(st.booleans()):
+        return n, draw(st.lists(st.sampled_from(pairs), min_size=n * n,
+                                max_size=n * n))
+    image = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return n, [p if p in image else draw(st.sampled_from(image)) for p in pairs]
+
+
+def assert_operators_match(psi, rmat, ms):
+    old_psi, old_rmat = dense(psi), dense(rmat)
+    assert linr.check_braid(psi) == linr_oracle.check_braid(old_psi)
+    assert linr.check_matrix_ybe(rmat) == linr_oracle.check_matrix_ybe(old_rmat)
+    idempotent = linr_oracle.check_idempotent(old_psi)
+    assert linr.check_idempotent(psi) == idempotent
+    assert linr.frt_relations(rmat) == linr_oracle.frt_relations(old_rmat)
+    assert linr.braided_matrix_relations(rmat) == \
+        linr_oracle.braided_matrix_relations(old_rmat)
+    for m in ms:
+        for sign in (1, -1):
+            assert linr.braided_factorial(psi, m, sign).data == \
+                linr_oracle.braided_factorial(old_psi, m, sign).data
+        if idempotent:
+            assert linr.nichols_quadratic_check(psi, m) == \
+                linr_oracle.nichols_quadratic_check(old_psi, m)
+        else:
+            with pytest.raises(NotIdempotent):
+                linr.nichols_quadratic_check(psi, m)
+
+
+@settings(max_examples=20, deadline=None)
+@given(tables())
+def test_linearized_operators_match_dense_oracle(case):
+    n, table = case
+    psi, rmat = linr.linearize(quadset.QuadraticSet(n, table))
+    assert_operators_match(psi, rmat, (1, 2, 3) if n < 4 else (2,))
+
+
+@settings(max_examples=15, deadline=None)
+@given(tables(3), tables(3), st.sampled_from(ENTRIES[4:]), st.data())
+def test_non_monomial_operators_match_dense_oracle(case1, case2, c, data):
+    # 2 Psi, Psi_1 + Psi_2 and a conjugate A Psi A^-1 of Psi by a unipotent
+    # A = I + c E_ij have several entries per column; the conjugate keeps
+    # idempotence, so the Nichols check runs on it too
+    n, table = case1
+    psi1, _ = linr.linearize(quadset.QuadraticSet(n, table))
+    psi2, _ = linr.linearize(quadset.QuadraticSet(
+        n, case2[1] if case2[0] == n else table[::-1]))
+    i, j = data.draw(st.permutations(range(n * n)))[:2]
+    a = linr.RationalMatrix.identity(n * n)
+    a.data[i][j] = c
+    a_inv = linr.RationalMatrix.identity(n * n)
+    a_inv.data[i][j] = -c
+    flip = linr.flip_matrix(n)
+    for psi in (psi1.add(psi1), psi1.add(psi2), a.mul(psi1).mul(a_inv)):
+        assert_operators_match(psi, flip.mul(psi), (2, 3))
+
+
+def test_psi_from_r_is_the_flip_product(cycle3, mixed3):
+    for qs in (cycle3, mixed3, quadset.make_named("flip", 3)):
+        psi, rmat = linr.linearize(qs)
+        assert linr.psi_from_r(rmat) == psi == \
+            linr.RationalMatrix(dense(linr.flip_matrix(qs.n)).mul(dense(rmat)).data)
