@@ -16,7 +16,8 @@ prolongation).
 
 from dataclasses import dataclass
 
-from .errors import InsufficientDegree, InvalidArgument, NotBraided, NotIdempotent
+from .errors import (CheckFailed, InsufficientDegree, InvalidArgument, NotBraided,
+                     NotIdempotent)
 from .ncgb import complete, normal_form_word, normal_words
 from .orbits import canonical_relations
 from .quadset import QuadraticSet, check_properties
@@ -101,7 +102,7 @@ def rho(a, b, wa):
 
 def check_braided_monoid_axioms(wa, max_len):
     """Verify ML1/ML2/MR1/MR2 and braided commutativity M3 on all words
-    of length <= max_len."""
+    of length <= max_len; the first that fails raises CheckFailed."""
     qs = wa.qs
     if not check_properties(qs).braided:
         raise NotBraided("word actions need a braided base set")
@@ -116,26 +117,30 @@ def check_braided_monoid_axioms(wa, max_len):
     for a in short:
         for b in short:
             for u in short:
-                # ML1: (ab) |> u = a |> (b |> u)
-                assert word_left_action(a + b, u, wa) == \
-                    word_left_action(a, word_left_action(b, u, wa), wa)
-                # MR1: a <| (uv) = (a <| u) <| v
-                assert word_right_action(a, u + b, wa) == \
-                    word_right_action(word_right_action(a, u, wa), b, wa)
-                # ML2: c |> (uv) = (c |> u)((c <| u) |> v)
-                assert word_left_action(a, u + b, wa) == \
-                    word_left_action(a, u, wa) + \
-                    word_left_action(word_right_action(a, u, wa), b, wa)
-                # MR2: (ab) <| u = (a <| (b |> u))(b <| u)
-                assert word_right_action(a + b, u, wa) == \
-                    word_right_action(a, word_left_action(b, u, wa), wa) + \
-                    word_right_action(b, u, wa)
+                for axiom, lhs, rhs in (
+                        # ML1: (ab) |> u = a |> (b |> u)
+                        ("ML1", word_left_action(a + b, u, wa),
+                         word_left_action(a, word_left_action(b, u, wa), wa)),
+                        # MR1: a <| (uv) = (a <| u) <| v
+                        ("MR1", word_right_action(a, u + b, wa),
+                         word_right_action(word_right_action(a, u, wa), b, wa)),
+                        # ML2: c |> (uv) = (c |> u)((c <| u) |> v)
+                        ("ML2", word_left_action(a, u + b, wa),
+                         word_left_action(a, u, wa)
+                         + word_left_action(word_right_action(a, u, wa), b, wa)),
+                        # MR2: (ab) <| u = (a <| (b |> u))(b <| u)
+                        ("MR2", word_right_action(a + b, u, wa),
+                         word_right_action(a, word_left_action(b, u, wa), wa)
+                         + word_right_action(b, u, wa))):
+                    if lhs != rhs:
+                        raise CheckFailed(f"{axiom} fails on a={a}, b={b}, u={u}")
     # M3: (a |> b)(a <| b) = ab in the monoid, compared after Nor
     for a in words:
         for b in words:
             if len(a) + len(b) <= wa.gb.max_degree:
                 lhs = wa.nor(word_left_action(a, b, wa) + word_right_action(a, b, wa))
-                assert lhs == wa.nor(a + b)
+                if lhs != wa.nor(a + b):
+                    raise CheckFailed(f"M3 fails on a={a}, b={b}")
     return True
 
 

@@ -10,7 +10,7 @@ the deg-lex least member.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotIdempotent, NotLeftNondegenerate
+from .errors import CheckFailed, NotIdempotent, NotLeftNondegenerate
 from .growth import DirectedGraph
 from .quadset import check_properties
 
@@ -126,5 +126,7 @@ def idempotent_structure(qs):
     dec = r_orbits(qs)
     for i in range(n):
         for j in range(n):
-            assert dec.orbit_of[(0, table[i][j])] == dec.orbit_of[(i, j)]
+            if dec.orbit_of[(0, table[i][j])] != dec.orbit_of[(i, j)]:
+                raise CheckFailed(f"x_1 x_{table[i][j] + 1} and x_{i + 1} x_{j + 1} "
+                                  "lie in different orbits")
     return tuple(tuple(row) for row in table)

@@ -101,37 +101,38 @@ def make_named(kind, n):
     raise ValueError(f"unknown named solution {kind!r}")
 
 
-def _braided(qs):
-    # r12 r23 r12 = r23 r12 r23 on all triples
-    r = qs.r
-    for x, y, z in product(range(qs.n), repeat=3):
-        a, b = r(x, y)
-        c, d = r(b, z)
-        e, f = r(a, c)
-        lhs = (e, f, d)
-        c2, d2 = r(y, z)
-        a2, b2 = r(x, c2)
-        e2, f2 = r(b2, d2)
-        rhs = (a2, e2, f2)
-        if lhs != rhs:
-            return False
-    return True
+def _braid_pending(table, n, triples):
+    """The triples (x, y, z) on which r12 r23 r12 = r23 r12 r23 reads an
+    unassigned (None) entry of table, or None if it fails on one of them."""
+    pending = []
+    for t in triples:
+        x, y, z = t
+        # r(x, y) = ab, r(b, z) = cd, r(a, c) = ef; r(y, z) = cd2, r(x, c2) = ab2,
+        # r(b2, d2) = ef2; a None entry stays None through `and`
+        ab, cd2 = table[x * n + y], table[y * n + z]
+        cd, ab2 = ab and table[ab[1] * n + z], cd2 and table[x * n + cd2[0]]
+        ef, ef2 = cd and table[ab[0] * n + cd[0]], ab2 and table[ab2[1] * n + cd2[1]]
+        if ef is None or ef2 is None:
+            pending.append(t)
+        elif ef[0] != ab2[0] or ef[1] != ef2[0] or cd[1] != ef2[1]:
+            return None
+    return pending
 
 
 def check_properties(qs):
     """Exhaustive property check over all pairs/triples."""
-    n = qs.n
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    idempotent = all(qs.r(*qs.r(i, j)) == qs.r(i, j) for i, j in pairs)
-    involutive = all(qs.r(*qs.r(i, j)) == (i, j) for i, j in pairs)
-    left_nondeg = all(sorted(row) == list(range(n)) for row in qs.left)
-    right_nondeg = all(sorted(qs.right[i][j] for i in range(n)) == list(range(n))
-                       for j in range(n))
-    left_2_cancel = all(len({qs.r(i, j) for j in range(n)}) == n for i in range(n))
+    n, t = qs.n, qs.r_table
+    idempotent = all(t[k * n + l] == (k, l) for k, l in t)
+    involutive = all(t[k * n + l] == ij
+                     for ij, (k, l) in zip(product(range(n), repeat=2), t))
+    left_nondeg = all(len(set(row)) == n for row in qs.left)
+    right_nondeg = all(len(set(col)) == n for col in zip(*qs.right))
+    left_2_cancel = all(len(set(t[i * n:i * n + n])) == n for i in range(n))
+    braided = _braid_pending(t, n, product(range(n), repeat=3)) == []
     return PropertyReport(
         involutive=involutive,
         idempotent=idempotent,
-        braided=_braided(qs),
+        braided=braided,
         left_nondegenerate=left_nondeg,
         right_nondegenerate=right_nondeg,
         left_2_cancellative=left_2_cancel,
@@ -153,31 +154,62 @@ def cartesian_product(a, b):
     return QuadraticSet(n * m, table)
 
 
-def relabel(qs, sigma):
-    """The isomorphic solution with x_i renamed to x_{sigma(i)}."""
-    n = qs.n
+def _sources(sigma):
+    """Entry p of a table relabeled by sigma is sigma applied to entry
+    _sources(sigma)[p] of the table."""
+    n = len(sigma)
     inv = [0] * n
     for i, s in enumerate(sigma):
         inv[s] = i
-    table = []
-    for i in range(n):
-        for j in range(n):
-            k, l = qs.r(inv[i], inv[j])
-            table.append((sigma[k], sigma[l]))
-    return QuadraticSet(n, table)
+    return [inv[i] * n + inv[j] for i in range(n) for j in range(n)]
+
+
+def _relabeled(table, sigma):
+    return tuple((sigma[table[s][0]], sigma[table[s][1]]) for s in _sources(sigma))
+
+
+def relabel(qs, sigma):
+    """The isomorphic solution with x_i renamed to x_{sigma(i)}."""
+    return QuadraticSet(qs.n, _relabeled(qs.r_table, sigma))
 
 
 def canonical_form(qs):
     """Lexicographically least r_table over all Sym(n) relabelings."""
-    return min(relabel(qs, sigma).r_table for sigma in permutations(range(qs.n)))
+    return min(_relabeled(qs.r_table, sigma) for sigma in permutations(range(qs.n)))
+
+
+def _has_smaller_relabeling(table, relabelings):
+    """True if, for some (sigma, sources) in relabelings, the relabeled table
+    is lex-smaller than table on every completion of its assigned (not None)
+    entries; on a full table, if table is not the least of its class."""
+    for sigma, src in relabelings:
+        for mine, s in zip(table, src):
+            kl = table[s]
+            if kl is None:
+                break
+            other = (sigma[kl[0]], sigma[kl[1]])
+            if other != mine:
+                if mine is not None and other < mine:
+                    return True
+                break
+    return False
+
+
+NODE_BUDGET = 200_000
 
 
 def enumerate_solutions(n, predicate=()):
     """All r-tables on [1..n]^2 satisfying the property mask, up to relabeling.
 
     predicate is an iterable of property names that must all hold.  The
-    search assigns r pair by pair with pruning for the cheap constraints
-    and runs the full check on complete tables.
+    result is the lex-least r_table of each class, in lex order.  The search
+    is an orderly generation: pairs get images in lex order, and a partial
+    table is dropped once a relabeling of it is lex-smaller, so only each
+    class's least member is completed.  The mask's cheap constraints are
+    checked cell by cell, a braid triple as soon as its six entries are
+    assigned, and each completed table gets the full check_properties.
+    Visiting more than NODE_BUDGET nodes (partial tables) raises
+    SizeTooLarge.
     """
     if n < 1:
         raise InvalidArgument(f"enumeration needs n >= 1, not {n}")
@@ -191,57 +223,51 @@ def enumerate_solutions(n, predicate=()):
     want_invol = "involutive" in mask
     want_lnd = "left_nondegenerate" in mask
     want_rnd = "right_nondegenerate" in mask
+    want_braid = "braided" in mask
 
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    codomain = pairs
-    table = {}
+    size = n * n
+    pairs = [divmod(p, n) for p in range(size)]
+    relabelings = [(sigma, _sources(sigma)) for sigma in permutations(range(n))][1:]
+    table = [None] * size
+    preimages = [[] for _ in range(size)]  # the assigned cells r maps to q
+    # left_used[i*n+k]: row i has left image k; right_used[j*n+l]: column j has l
+    left_used, right_used = [False] * size, [False] * size
     found = []
+    nodes = 0
 
-    def consistent(p, q):
-        # incremental checks only; full check_properties runs at the leaves
-        if want_idem:
-            # images of r must be fixed points: r(r(p)) = r(p)
-            if q in table and table[q] != q:
-                return False
-            if q != p and any(v == p for v in table.values()):
-                return False
-        if want_invol:
-            if q in table and table[q] != p:
-                return False
-            for p2, q2 in table.items():
-                if q2 == p and p2 != p and q != p2:
-                    return False
-        if want_lnd:
-            i = p[0]
-            row = [table[(i, j)][0] for j in range(n) if (i, j) in table]
-            if row.count(q[0]) > 1:
-                return False
-        if want_rnd:
-            j = p[1]
-            col = [table[(i, j)][1] for i in range(n) if (i, j) in table]
-            if col.count(q[1]) > 1:
-                return False
-        return True
-
-    def extend(idx):
-        if idx == len(pairs):
-            qs = QuadraticSet(n, [table[p] for p in pairs])
+    def extend(p, triples):
+        nonlocal nodes
+        nodes += 1
+        if nodes > NODE_BUDGET:
+            raise SizeTooLarge(f"enumeration at n={n} visited {nodes} nodes, "
+                               f"over its budget of {NODE_BUDGET}")
+        if _has_smaller_relabeling(table, relabelings):
+            return
+        if p == size:
+            qs = QuadraticSet(n, table)
             rep = check_properties(qs).as_dict()
             if all(rep[name] for name in mask):
                 found.append(qs)
             return
-        p = pairs[idx]
-        for q in codomain:
-            table[p] = q
-            if consistent(p, q):
-                extend(idx + 1)
-        del table[p]
+        i, j = pairs[p]
+        for q, (k, l) in enumerate(pairs):
+            if (want_lnd and left_used[i * n + k] or want_rnd and right_used[j * n + l]
+                    # idempotent: r(r(p)) = r(p), every image is a fixed point
+                    or want_idem and (table[q] not in (None, pairs[q])
+                                      or preimages[p] and q != p)
+                    # involutive: r(r(p)) = p, so r is a bijection
+                    or want_invol and (table[q] not in (None, pairs[p]) or preimages[q]
+                                       or preimages[p] and preimages[p][0] != q)):
+                continue
+            table[p] = pairs[q]
+            rest = _braid_pending(table, n, triples) if want_braid else triples
+            if rest is not None:
+                left_used[i * n + k] = right_used[j * n + l] = True
+                preimages[q].append(p)
+                extend(p + 1, rest)
+                preimages[q].pop()
+                left_used[i * n + k] = right_used[j * n + l] = False
+            table[p] = None
 
-    extend(0)
-
-    seen = {}
-    for qs in found:
-        key = canonical_form(qs)
-        if key not in seen:
-            seen[key] = QuadraticSet(n, key)
-    return [seen[key] for key in sorted(seen)]
+    extend(0, list(product(range(n), repeat=3)))
+    return found

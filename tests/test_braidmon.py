@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from itertools import permutations, product
 
 import pytest
@@ -107,3 +110,27 @@ def test_normalized_map_is_a_braiding_on_normal_words(mixed3):
     level = quadset.QuadraticSet(len(words), table)
     rep = quadset.check_properties(level)
     assert rep.braided and rep.idempotent and rep.left_nondegenerate
+
+
+def test_monoid_axioms_check_survives_optimized_mode():
+    # python -O strips assert statements; a broken word action must still
+    # be reported
+    code = (
+        "from ybx import braidmon, quadset\n"
+        "from ybx.errors import CheckFailed\n"
+        "wa = braidmon.WordActions(quadset.make_permutation_solution([1, 2, 0]),\n"
+        "                          max_degree=4)\n"
+        "print(braidmon.check_braided_monoid_axioms(wa, 2))\n"
+        "good = braidmon.word_left_action\n"
+        "braidmon.word_left_action = lambda a, b, wa: good(a, b, wa)[::-1]\n"
+        "try:\n"
+        "    braidmon.check_braided_monoid_axioms(wa, 2)\n"
+        "except CheckFailed as exc:\n"
+        "    print('CheckFailed', exc)\n")
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(braidmon.__file__)))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    verdict, failure = out.splitlines()
+    assert verdict == "True"
+    assert failure.startswith("CheckFailed ")

@@ -252,3 +252,10 @@ def test_linear_set_level_relations_need_idempotent(capsys, tmp_path, flag):
 def test_degenerate_arguments_are_usage_errors(capsys, files, argv):
     code, err = run_error(capsys, *[a.format(**files) for a in argv])
     assert code == 2 and err.startswith("error: ")
+
+
+def test_enumerate_over_node_budget_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(quadset, "NODE_BUDGET", 50)
+    code, err = run_error(capsys, "enumerate", "-n", "3", "--mask", "involutive")
+    assert code == 2
+    assert err.startswith("error: ") and "budget of 50" in err

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 
 from ybx import orbits, quadset
@@ -100,3 +103,26 @@ def test_fixed_points_are_images(mixed3):
     fixed = {p for orb in dec.orbits for p in orb.fixed_points}
     images = {mixed3.r(i, j) for i in range(3) for j in range(3)}
     assert fixed == images
+
+
+def test_idempotent_structure_check_survives_optimized_mode():
+    # python -O strips assert statements; orbits that contradict the
+    # structure table must still be reported
+    code = (
+        "from ybx import orbits, quadset\n"
+        "from ybx.errors import CheckFailed\n"
+        "cycle3 = quadset.make_permutation_solution([1, 2, 0])\n"
+        "print(orbits.idempotent_structure(cycle3))\n"
+        "good = orbits.r_orbits\n"
+        "orbits.r_orbits = lambda qs: good(quadset.make_named('identity', 3))\n"
+        "try:\n"
+        "    orbits.idempotent_structure(cycle3)\n"
+        "except CheckFailed as exc:\n"
+        "    print('CheckFailed', exc)\n")
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(orbits.__file__)))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    table, failure = out.splitlines()
+    assert table == str(((0, 1, 2),) * 3)
+    assert failure.startswith("CheckFailed ")

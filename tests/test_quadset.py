@@ -1,10 +1,11 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadset_oracle
 from ybx import quadset
 from ybx.errors import (DuplicatePair, IndexOutOfRange, MissingPair,
                         NotABijection, SizeTooLarge)
@@ -145,3 +146,60 @@ def test_enumerate_guards():
         quadset.enumerate_solutions(4, [])
     with pytest.raises(ValueError):
         quadset.enumerate_solutions(2, ["shiny"])
+
+
+# --- orderly enumeration against the enumeration it replaced ---------------
+
+ALL_MASKS = [list(m) for k in range(len(quadset.PROPERTY_NAMES) + 1)
+             for m in combinations(quadset.PROPERTY_NAMES, k)]
+
+
+def r_tables(sols):
+    return [qs.r_table for qs in sols]
+
+
+def test_enumerate_matches_oracle_on_all_masks_n2():
+    assert len(ALL_MASKS) == 64
+    for mask in ALL_MASKS:
+        assert (r_tables(quadset.enumerate_solutions(2, mask))
+                == r_tables(quadset_oracle.enumerate_solutions(2, mask))), mask
+
+
+@pytest.mark.parametrize("mask", [
+    ["involutive"],
+    ["idempotent", "left_nondegenerate"],
+    ["braided", "involutive"],
+    ["braided", "idempotent", "left_nondegenerate"],
+])
+def test_enumerate_matches_oracle_n3(mask):
+    assert (r_tables(quadset.enumerate_solutions(3, mask))
+            == r_tables(quadset_oracle.enumerate_solutions(3, mask)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+             min_size=n * n, max_size=n * n),
+    st.permutations(list(range(n))))))
+def test_canonical_form_and_relabel_match_oracle(case):
+    n, table, sigma = case
+    qs = quadset.QuadraticSet(n, table)
+    assert quadset.canonical_form(qs) == quadset_oracle.canonical_form(qs)
+    assert quadset.relabel(qs, sigma) == quadset_oracle.relabel(qs, sigma)
+
+
+def test_braided_filter_agrees_with_braided_mask_n3():
+    # the braided masks that finish at n = 3 agree with one another
+    lnd = quadset.enumerate_solutions(3, ["braided", "left_nondegenerate"])
+    idem = [qs for qs in lnd if quadset.check_properties(qs).idempotent]
+    assert idem == quadset.enumerate_solutions(
+        3, ["braided", "idempotent", "left_nondegenerate"])
+    assert len(idem) == 5
+
+
+def test_enumerate_node_budget(monkeypatch):
+    monkeypatch.setattr(quadset, "NODE_BUDGET", 50)
+    with pytest.raises(SizeTooLarge, match="51 nodes, over its budget of 50"):
+        quadset.enumerate_solutions(3, ["involutive"])
+    assert len(quadset.enumerate_solutions(2, ["braided", "involutive"])) == 3
