@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .errors import CheckFailed, InsufficientDegree, NotIdempotent
 from .ncgb import normal_form, normal_words, poly_add, poly_scale
-from .linr import (RationalMatrix, check_idempotent, psi_from_r, span_matrix,
-                   splus_relations, subspace_equal, _tensor_dim)
+from .linr import (RationalMatrix, check_idempotent, psi_from_r, splus_relations,
+                   subspace_equal, _tensor_dim)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -237,7 +237,7 @@ def nichols_exterior(rmat):
         delta[col][col] += F1
         for (b, a), c in terms.items():
             delta[n * b + a][col] -= c
-    dtheta_rels = span_matrix(RationalMatrix(delta).transpose())
+    dtheta_rels = RationalMatrix(delta).transpose().row_space_basis()
     if not subspace_equal(dtheta_rels, splus_relations(rmat)):
         raise CheckFailed("the d-theta relations differ from those of S_+(R)")
 

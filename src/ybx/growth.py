@@ -11,7 +11,8 @@ and then equals 1 + the longest path length.
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .errors import NotIdempotent, NotLeftNondegenerate, PreconditionViolated
+from .errors import (CheckFailed, NotIdempotent, NotLeftNondegenerate,
+                     PreconditionViolated)
 
 
 @dataclass(frozen=True)
@@ -277,7 +278,8 @@ def tournament_structure(gn, basepoint):
         relabeling = topological_order(plain)
     cond_relabel = relabeling is not None
 
-    assert cond_growth == cond_shape == cond_relabel
+    if not cond_growth == cond_shape == cond_relabel:
+        raise CheckFailed("growth, tournament shape and relabeling disagree")
     return {"matches": cond_shape, "relabeling": relabeling}
 
 
@@ -291,7 +293,8 @@ def extend_to_acyclic_tournament(g):
         if (u, v) not in edges and (v, u) not in edges:
             edges.add((u, v) if pos[u] < pos[v] else (v, u))
     out = DirectedGraph(g.vertex_count, frozenset(edges))
-    assert not has_cycle(out)
+    if has_cycle(out):
+        raise CheckFailed("the completed tournament has a cycle")
     return out
 
 
@@ -324,9 +327,10 @@ def gldiminf_witness(gb):
 def dimA2_bounds_check(qs, max_d=5):
     """Bounds on dim A_2 for left-nondegenerate idempotent sets.
 
-    Asserts n <= dim A_2 always; when the relations are a Groebner basis
+    Checks n <= dim A_2 always; when the relations are a Groebner basis
     and the growth degree is 1, also dim A_2 <= C(n,2)+1; when moreover
-    dim A_2 = n, dim A_d = n for all checked degrees.
+    dim A_2 = n, dim A_d = n for all checked degrees.  A failed bound
+    raises CheckFailed.
     """
     from .ncgb import complete, hilbert_series, is_pbw, normal_words
     from .orbits import canonical_relations, r_orbits
@@ -344,17 +348,21 @@ def dimA2_bounds_check(qs, max_d=5):
     pbw = is_pbw(relations)
     report = {"n": n, "dim_A2": dim_a2, "pbw": pbw,
               "lower_ok": n <= dim_a2, "upper_ok": None, "flat_ok": None}
-    assert report["lower_ok"]
+    if not report["lower_ok"]:
+        raise CheckFailed(f"dim A_2 = {dim_a2} is below n = {n}")
     if pbw:
         gb = complete(relations, max_d + 1, alphabet=n)
         gn = normal_graph(normal_words(gb, 2), n)
         if gk_dimension(gn) == GrowthClass.polynomial(1):
             report["upper_ok"] = dim_a2 <= n * (n - 1) // 2 + 1
-            assert report["upper_ok"]
+            if not report["upper_ok"]:
+                raise CheckFailed(
+                    f"dim A_2 = {dim_a2} exceeds C(n,2)+1 at growth degree 1")
         if dim_a2 == n:
             dims = hilbert_series(gb, max_d).coefficients[2:]
             report["flat_ok"] = all(c == n for c in dims)
-            assert report["flat_ok"]
+            if not report["flat_ok"]:
+                raise CheckFailed(f"dim A_2 = n but dim A_d = {dims}")
     return report
 
 

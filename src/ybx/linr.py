@@ -8,12 +8,13 @@ symbols R^a_i{}^b_j are stored as entry (output pair (a,b), input pair
 
 Operators are composed as sparse columns ({row: coeff} dicts), so their
 cost follows the nonzeros; every rank, kernel and span question goes
-through one exact elimination on sparse rows, _rref.
+through the exact sparse elimination of ybx.elim.
 """
 
 from fractions import Fraction
 from itertools import product
 
+from . import elim
 from .errors import NotIdempotent, ShapeMismatch, SizeTooLarge
 
 F0 = Fraction(0)
@@ -92,7 +93,7 @@ class RationalMatrix:
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot columns)."""
-        red, pivots = _rref(self.sparse_rows())
+        red, pivots = elim.rref(self.sparse_rows())
         red += [{}] * (self.rows - len(red))
         return RationalMatrix.from_sparse(red, self.cols), pivots
 
@@ -106,18 +107,7 @@ class RationalMatrix:
 
     def row_space_basis(self):
         """Nonzero rows of the reduced row echelon form."""
-        return RationalMatrix.from_sparse(_rref(self.sparse_rows())[0], self.cols)
-
-
-def _add_to(vec, f, other):
-    """vec += f * other on sparse vectors, in place; f and the entries of
-    other are nonzero, and zero sums are dropped."""
-    for k, x in other.items():
-        y = vec.get(k, F0) + f * x
-        if y:
-            vec[k] = y
-        else:
-            del vec[k]
+        return RationalMatrix.from_sparse(elim.rref(self.sparse_rows())[0], self.cols)
 
 
 def _transpose(vecs, width):
@@ -135,42 +125,19 @@ def _compose(a, b):
     for col in b:
         acc = {}
         for k, c in col.items():
-            _add_to(acc, c, a[k])
+            elim.add_to(acc, c, a[k])
         out.append(acc)
     return out
 
 
-def _rref(rows):
-    """Reduced row echelon form of sparse rows, exact: the nonzero reduced
-    rows and their pivot columns, in pivot order.  Each row is reduced by
-    the pivot rows so far, which are kept reduced against one another, so
-    the result is the unique reduced echelon form of the row space."""
-    basis = {}
-    for row in rows:
-        row = {c: x for c, x in row.items() if x}
-        for p in [c for c in row if c in basis]:
-            _add_to(row, -row[p], basis[p])
-        if not row:
-            continue
-        p = min(row)
-        inv = F1 / row[p]
-        row = {c: x * inv for c, x in row.items()}
-        for other in basis.values():
-            if p in other:
-                _add_to(other, -other[p], row)
-        basis[p] = row
-    pivots = sorted(basis)
-    return [basis[p] for p in pivots], pivots
-
-
 def _rank(rows):
-    return len(_rref(rows)[1])
+    return len(elim.rref(rows)[1])
 
 
 def _kernel(rows, width):
     """Basis of {v : row . v = 0 for every row}, one sparse vector per
     non-pivot column."""
-    red, pivots = _rref(rows)
+    red, pivots = elim.rref(rows)
     free = sorted(set(range(width)) - set(pivots))
     return [{fc: F1, **{p: -row[fc] for p, row in zip(pivots, red) if fc in row}}
             for fc in free]
@@ -178,11 +145,6 @@ def _kernel(rows, width):
 
 def _same_span(a, b):
     return _rank(a) == _rank(b) == _rank(a + b)
-
-
-def span_matrix(mat):
-    """Row-space basis of a matrix (rows as spanning vectors)."""
-    return mat.row_space_basis()
 
 
 def subspace_equal(a, b):
@@ -272,7 +234,7 @@ def splus_relations(rmat):
     psi = psi_from_r(rmat)
     delta = RationalMatrix.identity(psi.rows).sub(psi)
     # image = column space; return as row-space basis of the transpose
-    return span_matrix(delta.transpose())
+    return delta.transpose().row_space_basis()
 
 
 def sminus_degenerate_check(psi):
@@ -308,7 +270,7 @@ def koszul_dual_relations(rmat):
     if not check_idempotent(psi):
         raise NotIdempotent("Koszul duality here needs an idempotent Psi")
     # column space of Psi^T = row space of Psi
-    return span_matrix(psi)
+    return psi.row_space_basis()
 
 
 def _require_idempotent(qs, message):
@@ -348,7 +310,7 @@ def _factorial(cols, n, m, sign):
         for pos in range(k - 2, -1, -1):
             term = _compose(_lift(phi, n, k, pos), term)
             for total, col in zip(fact, term):
-                _add_to(total, F1, col)
+                elim.add_to(total, F1, col)
     return fact
 
 
@@ -358,7 +320,7 @@ def nichols_relations(rmat):
     psi = psi_from_r(rmat)
     if not check_idempotent(psi):
         raise NotIdempotent("quadratic Nichols relations need an idempotent Psi")
-    return span_matrix(psi.transpose())
+    return psi.transpose().row_space_basis()
 
 
 def nichols_monomials(qs):

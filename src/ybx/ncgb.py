@@ -2,8 +2,16 @@
 
 Words are tuples of 0-based generator indices; polynomials are dicts
 mapping words to nonzero Fractions.  Rules rewrite a leading word to a
-polynomial that is smaller in deg-lex; completion resolves all overlap
-ambiguities whose overlap word has length at most the bound.
+polynomial that is smaller in deg-lex.
+
+Completion runs one degree at a time.  The input is homogeneous, so when
+degree d starts every rule of lower degree is final.  Degree d gathers its
+inputs and, up to the bound, the S-polynomials of all overlaps of length d
+between lower rules, reduces them by the lower rules, and puts them
+through one exact reduced-echelon pass (ybx.elim) with the words as
+columns, largest first: each pivot word becomes a lead and the rest of its
+row the right-hand side.  The result is the reduced Groebner basis
+truncated at the bound (Bergman's diamond lemma).
 
 One lead index serves every lookup: each lead length k maps to a table
 {lead: first stored position}.  Reduction looks up word[pos:pos+k] for
@@ -19,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from . import elim
 from .errors import (InsufficientDegree, InvalidArgument, NonHomogeneousInput,
                      NonQuadraticInput, NotBinomial)
 
@@ -27,12 +36,6 @@ ONE = Fraction(1)
 
 def deglex_key(word):
     return (len(word), word)
-
-
-def deglex_compare(u, v):
-    """-1, 0 or 1 as u <, =, > v in deg-lex."""
-    ku, kv = deglex_key(u), deglex_key(v)
-    return (ku > kv) - (ku < kv)
 
 
 def poly(terms):
@@ -53,9 +56,6 @@ def poly_add(p, q, scale=ONE):
 
 def poly_scale(p, c):
     return {w: a * c for w, a in p.items()} if c else {}
-
-def poly_lm(p):
-    return max(p, key=deglex_key)
 
 
 def is_homogeneous(p):
@@ -114,13 +114,13 @@ def _freeze_rules(rules):
     return tuple(frozen)
 
 
-def _normal_form_dict(p, index, skip=None):
+def _normal_form_dict(p, index):
     out = {}
     work = dict(p)
     while work:
         w = max(work, key=deglex_key)
         c = work.pop(w)
-        hit = index.find(w, skip)
+        hit = index.find(w)
         if hit is None:
             out[w] = out.get(w, 0) + c
             if not out[w]:
@@ -159,44 +159,21 @@ def normal_form_word(w, gb):
     return word
 
 
-def _interreduce(rules):
-    rules = list(rules)
-    changed = True
-    while changed:
-        changed = False
-        index = LeadIndex(rules)
-        for i in range(len(rules)):
-            lead, rhs = rules[i]
-            # reduce the full polynomial lead - rhs by the remaining rules
-            nf = _normal_form_dict({lead: ONE}, index, skip=i)
-            new_p = poly_add(nf, _normal_form_dict(rhs, index, skip=i), -ONE)
-            if not new_p:
-                del rules[i]
-                changed = True
-                break
-            lm = poly_lm(new_p)
-            c = new_p.pop(lm)
-            new_rhs = poly_scale(new_p, -ONE / c)
-            if (lm, new_rhs) != (lead, dict(rhs)):
-                rules[i] = (lm, new_rhs)
-                changed = True
-                break
-    return rules
+def _desc(word):
+    """The column key of a word: among words of one length the least key
+    is the largest word, so elimination pivots on leading words.  The map
+    is its own inverse."""
+    return tuple(-x for x in word)
 
 
-def _overlaps(rules):
-    """Overlap ambiguities: (overlap word, i, suffix_i, j, prefix_j).
-
-    Rule i's lead ends with w, rule j's lead starts with w; the overlap
-    word is lead_i + lead_j[len(w):].
-    """
-    out = []
-    for i, (u, _) in enumerate(rules):
-        for j, (v, _) in enumerate(rules):
-            for k in range(1, min(len(u), len(v))):
-                if u[len(u) - k:] == v[:k]:
-                    out.append((u + v[k:], i, j, k))
-    return out
+def _overlaps(rules, d, starts):
+    """The overlaps of length d between rules of lower degree: rule u's
+    lead ends with the first k letters of rule v's lead, and u + v[k:] has
+    length d.  starts maps (proper prefix, lead length) to the rules."""
+    for u, rhs_u in rules:
+        for k in range(1, len(u)):
+            for v, rhs_v in starts.get((u[len(u) - k:], d - len(u) + k), ()):
+                yield u, rhs_u, v, rhs_v, k
 
 
 def complete(relations, max_degree, alphabet=0):
@@ -204,47 +181,44 @@ def complete(relations, max_degree, alphabet=0):
 
     alphabet may be passed explicitly when the relations do not mention
     every generator (e.g. a free algebra has no relations at all).
+    Relations of degree above max_degree become rules, reduced by the
+    lower rules and by each other, but form no S-polynomials.
     """
     if max_degree < 3:
         raise InvalidArgument(f"max_degree must be at least 3, not {max_degree}")
-    rules = []
+    inputs = {}
     for p in relations:
         p = poly(p)
         if not p:
             continue
         if not is_homogeneous(p) or min(len(w) for w in p) < 2:
             raise NonHomogeneousInput("relations must be homogeneous of degree >= 2")
-        alphabet = max(alphabet, max((max(w) + 1 for w in p), default=0))
-        lm = poly_lm(p)
-        c = p.pop(lm)
-        rules.append((lm, poly_scale(p, -ONE / c)))
+        alphabet = max(alphabet, max(max(w) + 1 for w in p))
+        inputs.setdefault(len(next(iter(p))), []).append(p)
 
-    changed = True
-    while changed:
-        rules = _interreduce(rules)
+    rules, starts = [], {}
+    top = max([max_degree, *inputs])
+    for d in range(2, top + 1):
+        polys = inputs.pop(d, [])
+        if d <= max_degree:
+            # the two reductions of each overlap word u + v[k:]
+            polys += [poly_add({w + v[k:]: c for w, c in rhs_u.items()},
+                               {u[:len(u) - k] + w: c for w, c in rhs_v.items()}, -ONE)
+                      for u, rhs_u, v, rhs_v, k in _overlaps(rules, d, starts)]
         index = LeadIndex(rules)
-        changed = False
-        pending = sorted(_overlaps(rules), key=lambda o: deglex_key(o[0]))
-        for overlap, i, j, k in pending:
-            if len(overlap) > max_degree:
-                continue
-            u, rhs_u = rules[i]
-            v, rhs_v = rules[j]
-            tail = v[k:]
-            head = u[:len(u) - k]
-            # two reductions of the overlap word
-            left = {w + tail: c for w, c in rhs_u.items()}
-            right = {head + w: c for w, c in rhs_v.items()}
-            s = poly_add(left, right, -ONE)
-            nf = _normal_form_dict(s, index)
-            if nf:
-                lm = poly_lm(nf)
-                c = nf.pop(lm)
-                rules.append((lm, poly_scale(nf, -ONE / c)))
-                changed = True
-                break
+        rows = [{_desc(w): c for w, c in _normal_form_dict(p, index).items()}
+                for p in polys]
+        red, pivots = elim.rref(rows)
+        for key, row in zip(pivots, red):
+            lead = _desc(key)
+            rule = (lead, {_desc(w): -c for w, c in row.items() if w != key})
+            rules.append(rule)
+            for k in range(1, d):
+                starts.setdefault((lead[:k], d), []).append(rule)
 
-    skipped = any(len(o[0]) > max_degree for o in _overlaps(rules))
+    # an overlap longer than the bound was left unresolved
+    skipped = any(next(_overlaps(rules, d, starts), None)
+                  for d in range(max_degree + 1, 2 * top))
     binomial = all(len(rhs) == 1 and next(iter(rhs.values())) == ONE
                    for _, rhs in rules)
     return GroebnerBasis(
@@ -290,10 +264,10 @@ def hilbert_series(gb, D):
     The state of a normal word is its longest suffix that is a proper
     prefix of a lead.  Whether w + (x,) is normal, and its state, depend
     only on the state of w and on x, so one pass over the degrees carries
-    a count per state.
+    a count per state.  On a truncated basis exact is False once D
+    reaches max_degree: leads past the bound are missing, so counts there
+    may be too large.
     """
-    # every degree past max_degree fails the check as max_degree itself does
-    _require_degree(gb, min(D, gb.max_degree))
     index, n = gb.index, gb.alphabet_size
     prefixes = {()} | {lead[:i] for lead, _ in index.rules for i in range(len(lead))}
     coeffs = []

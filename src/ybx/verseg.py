@@ -120,7 +120,7 @@ def segre_morphism_check(qsX, qsY, D):
     (c) the degree-2 relation space of the product solution equals
         sigma_23(R_A (x) W (x) W + V (x) V (x) R_B) by exact rank.
     """
-    from .linr import (RationalMatrix, linearize, span_matrix, subspace_equal)
+    from .linr import RationalMatrix, linearize, subspace_equal
 
     n, m = qsX.n, qsY.n
     prod = cartesian_product(qsX, qsY)
@@ -154,10 +154,10 @@ def segre_morphism_check(qsX, qsY, D):
     psiP, _ = linearize(prod)
     nm = n * m
     idP = RationalMatrix.identity(nm * nm)
-    rel_prod = span_matrix(idP.sub(psiP))
+    rel_prod = idP.sub(psiP).row_space_basis()
 
-    relX = span_matrix(RationalMatrix.identity(n * n).sub(psiX))
-    relY = span_matrix(RationalMatrix.identity(m * m).sub(psiY))
+    relX = RationalMatrix.identity(n * n).sub(psiX).row_space_basis()
+    relY = RationalMatrix.identity(m * m).sub(psiY).row_space_basis()
     vecs = []
     # sigma_23 sends (i (x) a) (x) (j (x) b) to component order (i, j, a, b)
     def s23_vector(xij, yab):
@@ -179,7 +179,7 @@ def segre_morphism_check(qsX, qsY, D):
     for w in unitX:
         for row in pair_dicts(relY, m):
             vecs.append(s23_vector(w, row))
-    rel_mixed = span_matrix(RationalMatrix(vecs, cols=nm * nm))
+    rel_mixed = RationalMatrix(vecs, cols=nm * nm).row_space_basis()
     rel_ok = subspace_equal(rel_prod, rel_mixed)
 
     ok = vanish and dims_ok and rel_ok

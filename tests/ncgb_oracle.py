@@ -1,17 +1,22 @@
 """The brute-force rewriting engine that ybx.ncgb replaced, kept as an oracle.
 
 _reduce_once scans every rule at every position, and normal_words lists
-all n^d words and tests each against every lead.  The rest is the same
-completion loop.  The shared helpers (deg-lex, polynomial arithmetic,
-GroebnerBasis) come from ybx.ncgb unchanged.
+all n^d words and tests each against every lead.  complete is the old
+restart loop, now the only copy of it: after every new rule it
+interreduces all rules and rebuilds the overlap list, where ybx.ncgb
+completes one degree at a time.  The shared helpers (deg-lex, polynomial
+arithmetic, GroebnerBasis) come from ybx.ncgb unchanged.
 """
 
 from itertools import product
 
 from ybx.ncgb import (ONE, GroebnerBasis, HilbertPrefix, _freeze_rules,
-                      deglex_key, is_homogeneous, poly, poly_add, poly_lm,
-                      poly_scale)
+                      deglex_key, is_homogeneous, poly, poly_add, poly_scale)
 from ybx.errors import InsufficientDegree, NonHomogeneousInput
+
+
+def poly_lm(p):
+    return max(p, key=deglex_key)
 
 
 def _reduce_once(word, rules):

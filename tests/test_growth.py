@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -189,3 +192,50 @@ def test_dot_output_is_deterministic():
     dot = growth.to_dot(g, name="T")
     assert dot == ('digraph T {\n  "v1";\n  "v2";\n'
                    '  "v1" -> "v2";\n  "v2" -> "v2";\n}\n')
+
+
+# Each case breaks one input of a growth verdict; python -O strips assert
+# statements, so the verdict must still raise.
+BROKEN_VERDICTS = {
+    "tournament": (
+        "growth.gk_dimension = lambda g: growth.GrowthClass.polynomial(2)\n"
+        "g = growth.DirectedGraph(3, frozenset({(0, 1), (0, 2), (1, 2), (2, 2)}))\n"
+        "growth.tournament_structure(g, 2)\n"),
+    "extension": (
+        "good = growth.topological_order\n"
+        "growth.topological_order = lambda g: good(g)[::-1]\n"
+        "growth.extend_to_acyclic_tournament("
+        "growth.DirectedGraph(3, frozenset({(0, 1), (1, 2)})))\n"),
+    # the constant map has a single orbit, so dim A_2 = 1 < n
+    "lower": (
+        "quadset.check_properties = lambda qs: PASS\n"
+        "growth.dimA2_bounds_check(quadset.QuadraticSet(3, [(0, 0)] * 9))\n"),
+    # the identity map has dim A_2 = 9 and free growth, reported as degree 1
+    "upper": (
+        "quadset.check_properties = lambda qs: PASS\n"
+        "growth.gk_dimension = lambda g: growth.GrowthClass.polynomial(1)\n"
+        "table = [(i, j) for i in range(3) for j in range(3)]\n"
+        "growth.dimA2_bounds_check(quadset.QuadraticSet(3, table))\n"),
+    "flat": (
+        "good = ncgb.hilbert_series\n"
+        "ncgb.hilbert_series = lambda gb, D: ncgb.HilbertPrefix(\n"
+        "    tuple(c + 1 for c in good(gb, D).coefficients), True)\n"
+        "growth.dimA2_bounds_check(quadset.make_permutation_solution([1, 2, 0]))\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_VERDICTS))
+def test_verdicts_survive_optimized_mode(case):
+    code = (
+        "from ybx import growth, ncgb, quadset\n"
+        "from ybx.errors import CheckFailed\n"
+        "PASS = quadset.PropertyReport(*[True] * 6)\n"
+        "try:\n"
+        + "".join("    " + line + "\n" for line in BROKEN_VERDICTS[case].splitlines())
+        + "except CheckFailed as exc:\n"
+        "    print('CheckFailed', exc)\n")
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(growth.__file__)))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.startswith("CheckFailed ")

@@ -91,7 +91,7 @@ def test_splus_span_equals_canonical_relation_span(cycle3, mixed3):
             vec[u[0] * n + u[1]] = F1
             vec[v[0] * n + v[1]] = -F1
             rows.append(vec)
-        canonical = linr.span_matrix(linr.RationalMatrix(rows, cols=n * n))
+        canonical = linr.RationalMatrix(rows, cols=n * n).row_space_basis()
         assert linr.subspace_equal(sp, canonical)
 
 
@@ -157,7 +157,7 @@ def test_koszul_dual_relations(cycle3, mixed3):
                 vec[a * n + b] = c
             rows.append(vec)
         assert linr.subspace_equal(
-            kd, linr.span_matrix(linr.RationalMatrix(rows, cols=n * n)))
+            kd, linr.RationalMatrix(rows, cols=n * n).row_space_basis())
 
 
 def test_koszul_complementarity(cycle3, mixed3, rid2):

@@ -124,6 +124,41 @@ def test_incomplete_basis_is_flagged():
     assert set(gb.rules) <= set(deeper.rules)
 
 
+def test_truncated_hilbert_series_is_not_exact():
+    rels = [{(1, 1): Fraction(1), (1, 0): Fraction(-1)}]
+    gb = ncgb.complete(rels, 3, alphabet=2)
+    deeper = ncgb.complete(rels, 8, alphabet=2)
+    hp = ncgb.hilbert_series(gb, 5)
+    assert not hp.exact
+    # leads missing past the bound leave too many normal words
+    true = ncgb.hilbert_series(deeper, 5)
+    assert true.exact and hp.coefficients[:3] == true.coefficients[:3]
+    assert all(a >= b for a, b in zip(hp.coefficients, true.coefficients))
+    assert hp.coefficients != true.coefficients
+
+
+# the fifth involutive nondegenerate braided solution on 3 points
+INVOLUTIVE3_5 = ((1, 2), (2, 2), (0, 2), (1, 0), (2, 0), (0, 0), (1, 1), (2, 1), (0, 1))
+
+
+def test_product_of_involutive_solutions_completes_to_polynomial_ring_dims():
+    qs = quadset.QuadraticSet(3, INVOLUTIVE3_5)
+    rep = quadset.check_properties(qs)
+    assert rep.involutive and rep.braided and rep.left_nondegenerate \
+        and rep.right_nondegenerate
+    rels = orbits.canonical_relations(
+        quadset.cartesian_product(qs, qs)).to_polynomials()
+    gb = ncgb.complete(rels, 4, alphabet=9)
+    assert len(gb.rules) == 345 and gb.binomial
+    # the polynomial ring on 9 generators: C(8 + d, d) = 1, 9, 45, 165
+    assert ncgb.hilbert_series(gb, 3) == ncgb.HilbertPrefix((1, 9, 45, 165), True)
+    got = ncgb.complete(rels, 3, alphabet=9)
+    want = ncgb_oracle.complete(rels, 3, alphabet=9)
+    assert len(got.rules) == 126
+    assert (got.rules, got.complete, got.binomial) == \
+        (want.rules, want.complete, want.binomial)
+
+
 def test_input_validation():
     with pytest.raises(NonHomogeneousInput):
         ncgb.complete([{(0, 0): Fraction(1), (0,): Fraction(1)}], 3)
@@ -186,16 +221,31 @@ COEFFS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-3),
 
 @st.composite
 def relation_sets(draw):
-    """Homogeneous relations of degree 2 or 3 on 2-4 generators, with
-    non-unit coefficients and possibly repeated leading words."""
+    """Homogeneous relations on 2-4 generators, degrees 2-4 mixed in one
+    set and possibly above the bound, with non-unit coefficients, repeated
+    leading words, duplicate relations, sums that reduce to zero and zero
+    relations."""
     n = draw(st.integers(2, 4))
+    max_degree = draw(st.integers(3, 5))
     rels = []
-    for _ in range(draw(st.integers(1, 4))):
-        degree = draw(st.sampled_from([2, 3]))
-        words = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * degree),
-                              min_size=1, max_size=3, unique=True))
-        rels.append({w: draw(st.sampled_from(COEFFS)) for w in words})
-    return n, rels, draw(st.integers(3, 5))
+    for _ in range(draw(st.integers(1, 6))):
+        extra = draw(st.sampled_from(["new", "new", "new", "copy", "sum", "zero"]))
+        live = [p for p in rels if any(p.values())]
+        if extra == "copy" and live:
+            c = draw(st.sampled_from(COEFFS))
+            rels.append({w: c * a for w, a in draw(st.sampled_from(live)).items()})
+        elif extra == "sum" and len(live) > 1:
+            p, q = draw(st.lists(st.sampled_from(live), min_size=2, max_size=2))
+            if len(next(iter(p))) == len(next(iter(q))):
+                rels.append(ncgb.poly_add(p, q))
+        elif extra == "zero":
+            rels.append({(0, 0): Fraction(0)})
+        else:
+            degree = draw(st.integers(2, 4))
+            words = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * degree),
+                                  min_size=1, max_size=3, unique=True))
+            rels.append({w: draw(st.sampled_from(COEFFS)) for w in words})
+    return n, rels, max_degree
 
 
 @settings(max_examples=150, deadline=None)
@@ -204,8 +254,23 @@ def test_engine_matches_brute_force_oracle(case):
     n, rels, max_degree = case
     want = ncgb_oracle.complete(rels, max_degree, alphabet=n)
     got = ncgb.complete(rels, max_degree, alphabet=n)
-    assert (got.rules, got.complete, got.binomial) == \
-        (want.rules, want.complete, want.binomial)
+    highest = max((len(w) for p in rels for w, c in p.items() if c), default=0)
+    if highest <= max_degree:
+        assert (got.rules, got.complete, got.binomial) == \
+            (want.rules, want.complete, want.binomial)
+    else:
+        # Above the bound overlaps stay unresolved, so the reduced rules there
+        # are not unique: the oracle's depend on the order it met them.  Below
+        # the bound they are unique, and both rule sets generate the ideal of
+        # the input, which completion through the highest degree decides.
+        def low(gb):
+            return [rule for rule in gb.rules if len(rule[0]) <= max_degree]
+        assert low(got) == low(want)
+        full = ncgb.complete(rels, highest, alphabet=n).rules
+        for gb in (got, want):
+            polys = [{lead: ncgb.ONE, **{w: -c for w, c in rhs}}
+                     for lead, rhs in gb.rules]
+            assert ncgb.complete(polys, highest, alphabet=n).rules == full
     for d in range(max_degree):
         assert ncgb.normal_words(got, d) == ncgb_oracle.normal_words(want, d)
     top = max_degree + 1 if want.complete else max_degree - 1
