@@ -20,6 +20,9 @@ from fractions import Fraction
 from . import braidmon, diffcalc, growth, linr, ncgb, orbits, quadset, verseg
 from .errors import InvalidArgument, ParseError, YbxError
 
+# a size-n table has n^2 entries; this caps it at 65,536
+MAX_SIZE = 256
+
 
 def parse_solution(text):
     lines = []
@@ -36,6 +39,8 @@ def parse_solution(text):
         n = int(lines[1][1].split()[1])
     except (IndexError, ValueError):
         raise ParseError("bad size line", lines[1][0])
+    if not 1 <= n <= MAX_SIZE:
+        raise ParseError(f"size must be between 1 and {MAX_SIZE}", lines[1][0])
     body = lines[2:]
     if not body:
         raise ParseError("missing solution body", lines[1][0])
@@ -45,7 +50,10 @@ def parse_solution(text):
         parts = first.split()[1:]
         if len(parts) != n:
             raise ParseError(f"permutation needs {n} values", num)
-        f = [int(p) - 1 for p in parts]
+        try:
+            f = [int(p) - 1 for p in parts]
+        except ValueError:
+            raise ParseError("permutation values must be integers", num)
         return quadset.make_permutation_solution(f)
     if kind in ("identity", "flip"):
         return quadset.make_named(kind, n)
@@ -349,11 +357,12 @@ def build_parser():
         raise InvalidArgument(f"YBX_MAX_DEG must be an integer, not {raw_deg!r}")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, solution=True):
-        if solution:
-            p.add_argument("solution", help="solution file")
+    def common(p, files=(("solution", "solution file"),), max_deg=True):
+        for name, text in files:
+            p.add_argument(name, help=text)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--max-deg", type=int, default=default_deg, dest="max_deg")
+        if max_deg:
+            p.add_argument("--max-deg", type=int, default=default_deg, dest="max_deg")
         p.add_argument("-o", "--output", default=None)
 
     for name, fn in [("check", cmd_check), ("orbits", cmd_orbits),
@@ -379,11 +388,7 @@ def build_parser():
     p.set_defaults(fn=cmd_prolong)
 
     p = sub.add_parser("segre")
-    p.add_argument("solution")
-    p.add_argument("solution_b")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--max-deg", type=int, default=default_deg, dest="max_deg")
-    p.add_argument("-o", "--output", default=None)
+    common(p, files=(("solution", None), ("solution_b", None)))
     p.set_defaults(fn=cmd_segre)
 
     p = sub.add_parser("linear")
@@ -395,16 +400,13 @@ def build_parser():
     p = sub.add_parser("calculus")
     p.add_argument("--params", default="1,0,1,0",
                    help="alpha,beta,lambda,mu as rationals")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--max-deg", type=int, default=default_deg, dest="max_deg")
-    p.add_argument("-o", "--output", default=None)
+    common(p, files=())
     p.set_defaults(fn=cmd_calculus)
 
     p = sub.add_parser("enumerate")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--mask", default="")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output", default=None)
+    common(p, files=(), max_deg=False)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("graph")
@@ -434,7 +436,7 @@ def _run(argv):
 def main(argv=None):
     try:
         code = _run(argv)
-    except (YbxError, OSError) as exc:
+    except (YbxError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     raise SystemExit(code)

@@ -16,7 +16,7 @@ One-forms are lists of n polynomial coefficients, kept in normal form.
 from fractions import Fraction
 
 from .errors import CheckFailed, InsufficientDegree, NotIdempotent
-from .ncgb import normal_form, normal_words, poly_add, poly_scale
+from .ncgb import complete, normal_form, normal_words, poly_add, poly_scale
 from .linr import (RationalMatrix, check_idempotent, psi_from_r, splus_relations,
                    subspace_equal, _tensor_dim)
 
@@ -257,8 +257,6 @@ def make_rho_family(alpha, beta, lam, mu):
     Returns (gb, rho, relations); the symmetric point is
     alpha = lam = 1, beta = mu = 0 (e = f = x, g = h = y).
     """
-    from .ncgb import complete
-
     alpha, beta, lam, mu = (Fraction(v) for v in (alpha, beta, lam, mu))
     x, y = (0,), (1,)
     relations = [{(1, 0): F1, (0, 0): -F1},     # yx = x^2

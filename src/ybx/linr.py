@@ -314,15 +314,6 @@ def _factorial(cols, n, m, sign):
     return fact
 
 
-def nichols_relations(rmat):
-    """Quadratic relations of the Nichols algebra for idempotent Psi: the
-    monomials theta_a theta_b over the image pairs of r (= image(Psi))."""
-    psi = psi_from_r(rmat)
-    if not check_idempotent(psi):
-        raise NotIdempotent("quadratic Nichols relations need an idempotent Psi")
-    return psi.transpose().row_space_basis()
-
-
 def nichols_monomials(qs):
     """The set-theoretic Nichols relations theta_a theta_b = 0, one per
     image pair (a, b) of r, sorted."""

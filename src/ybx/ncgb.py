@@ -86,17 +86,13 @@ class LeadIndex:
             tables.setdefault(len(lead), {}).setdefault(lead, i)
         self.tables = list(tables.items())
 
-    def find(self, word, skip=None):
+    def find(self, word):
         """(pos, i) for the leftmost lead occurrence in word, and there the
-        lowest stored index i; None if word is normal.  Rule skip is left out."""
+        lowest stored index i; None if word is normal."""
         for pos in range(len(word)):
             best = None
             for k, table in self.tables:
                 i = table.get(word[pos:pos + k])
-                if i is not None and i == skip:
-                    lead = self.rules[i][0]
-                    i = next((j for j in range(i + 1, len(self.rules))
-                              if self.rules[j][0] == lead), None)
                 if i is not None and (best is None or i < best):
                     best = i
             if best is not None:

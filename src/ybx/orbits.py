@@ -1,4 +1,7 @@
-"""r-orbits, the orbit graph, and the canonical relation set.
+"""r-orbits, the orbit graph, the canonical relation set, and the
+verdicts built on them: the idempotent structure and the dim A_2 bounds
+of left-nondegenerate idempotent sets, and the witness for infinite
+global dimension.
 
 Pairs p, q lie in the same r-orbit when r^k(p) = r^m(q) for some k, m;
 equivalently when they fall in the same weakly-connected component of
@@ -10,9 +13,9 @@ the deg-lex least member.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CheckFailed, NotIdempotent, NotLeftNondegenerate
-from .growth import DirectedGraph
-from .quadset import check_properties
+from . import growth, ncgb, quadset
+from .errors import (CheckFailed, NotIdempotent, NotLeftNondegenerate,
+                     PreconditionViolated)
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ def orbit_graph(qs):
         for j in range(n):
             k, l = qs.r(i, j)
             edges.add((i * n + j, k * n + l))
-    return DirectedGraph(n * n, frozenset(edges))
+    return growth.DirectedGraph(n * n, frozenset(edges))
 
 
 def r_orbits(qs):
@@ -106,17 +109,21 @@ def canonical_relations(qs):
     return RelationSet(relations=tuple(rels))
 
 
+def _require_idempotent_lnd(qs, what):
+    rep = quadset.check_properties(qs)
+    if not rep.idempotent:
+        raise NotIdempotent(f"{what} needs an idempotent set")
+    if not rep.left_nondegenerate:
+        raise NotLeftNondegenerate(f"{what} needs left nondegeneracy")
+
+
 def idempotent_structure(qs):
     """The table k with x_i x_j ~ x_1 x_{k[i][j]}, via k = L_1^{-1} L_i.
 
     Requires an idempotent left-nondegenerate set; rows are 0-based and
     the table covers all i (row 0 is the identity row k[0][j] = j).
     """
-    rep = check_properties(qs)
-    if not rep.idempotent:
-        raise NotIdempotent("idempotent structure needs an idempotent set")
-    if not rep.left_nondegenerate:
-        raise NotLeftNondegenerate("idempotent structure needs left nondegeneracy")
+    _require_idempotent_lnd(qs, "idempotent structure")
     n = qs.n
     inv0 = [0] * n
     for j in range(n):
@@ -130,3 +137,60 @@ def idempotent_structure(qs):
                 raise CheckFailed(f"x_1 x_{table[i][j] + 1} and x_{i + 1} x_{j + 1} "
                                   "lie in different orbits")
     return tuple(tuple(row) for row in table)
+
+
+def gldiminf_witness(gb):
+    """A cycle of the obstruction graph when the growth degree is below
+    the generator count; "not applicable" otherwise.
+
+    The witness is a self-arrow (x,) or a 2-cycle (x, z).
+    """
+    n = gb.alphabet_size
+    if not all(len(lead) == 2 for lead, _ in gb.rules) or not gb.complete:
+        raise PreconditionViolated("witness search needs a complete quadratic basis")
+    N2 = ncgb.normal_words(gb, 2)
+    gw = growth.obstruction_graph(N2, n)
+    gk = growth.gk_dimension(growth.normal_graph(N2, n))
+    if gk.kind != "Polynomial" or gk.degree >= n:
+        return "NotApplicable"
+    for x in range(n):
+        if (x, x) in gw.edges:
+            return (x,)
+    for x in range(n):
+        for z in range(n):
+            if x != z and (x, z) in gw.edges and (z, x) in gw.edges:
+                return (x, z)
+    raise CheckFailed("no obstruction cycle found despite low growth")
+
+
+def dimA2_bounds_check(qs, max_d=5):
+    """Bounds on dim A_2 for left-nondegenerate idempotent sets.
+
+    Checks n <= dim A_2 always; when the relations are a Groebner basis
+    and the growth degree is 1, also dim A_2 <= C(n,2)+1; when moreover
+    dim A_2 = n, dim A_d = n for all checked degrees.  A failed bound
+    raises CheckFailed.
+    """
+    _require_idempotent_lnd(qs, "the dim A_2 check")
+    n = qs.n
+    dim_a2 = len(r_orbits(qs))
+    relations = canonical_relations(qs).to_polynomials()
+    pbw = ncgb.is_pbw(relations)
+    report = {"n": n, "dim_A2": dim_a2, "pbw": pbw,
+              "lower_ok": n <= dim_a2, "upper_ok": None, "flat_ok": None}
+    if not report["lower_ok"]:
+        raise CheckFailed(f"dim A_2 = {dim_a2} is below n = {n}")
+    if pbw:
+        gb = ncgb.complete(relations, max_d + 1, alphabet=n)
+        gn = growth.normal_graph(ncgb.normal_words(gb, 2), n)
+        if growth.gk_dimension(gn) == growth.GrowthClass.polynomial(1):
+            report["upper_ok"] = dim_a2 <= n * (n - 1) // 2 + 1
+            if not report["upper_ok"]:
+                raise CheckFailed(
+                    f"dim A_2 = {dim_a2} exceeds C(n,2)+1 at growth degree 1")
+        if dim_a2 == n:
+            dims = ncgb.hilbert_series(gb, max_d).coefficients[2:]
+            report["flat_ok"] = all(c == n for c in dims)
+            if not report["flat_ok"]:
+                raise CheckFailed(f"dim A_2 = n but dim A_d = {dims}")
+    return report

@@ -16,6 +16,8 @@ from fractions import Fraction
 
 from .errors import (InsufficientDegree, NormalFormNotFactorable,
                      NotIdempotent, NotLeftNondegenerate)
+from .braidmon import veronese_solution
+from .linr import RationalMatrix, linearize, subspace_equal
 from .ncgb import complete, normal_form_word, normal_words
 from .orbits import canonical_relations, idempotent_structure
 from .quadset import cartesian_product, check_properties
@@ -63,8 +65,6 @@ def veronese_presentation(relations, d, max_degree=None, alphabet=0):
 def veronese_isomorphism_check(qs, d):
     """Compare the d-Veronese presentation of the algebra with the
     canonical relations of the d-Veronese solution, under v_i <-> x_i."""
-    from .braidmon import veronese_solution
-
     rep = check_properties(qs)
     if not (rep.braided and rep.idempotent and rep.left_nondegenerate):
         raise NotIdempotent(
@@ -120,8 +120,6 @@ def segre_morphism_check(qsX, qsY, D):
     (c) the degree-2 relation space of the product solution equals
         sigma_23(R_A (x) W (x) W + V (x) V (x) R_B) by exact rank.
     """
-    from .linr import RationalMatrix, linearize, subspace_equal
-
     n, m = qsX.n, qsY.n
     prod = cartesian_product(qsX, qsY)
     k = idempotent_structure(qsX)

@@ -147,7 +147,7 @@ def test_criterion_4_monomial_growth_suite():
             gk = growth.gk_dimension(gn)
             if gk.kind == "Polynomial" and gk.degree < 3:
                 assert growth.global_dimension(gw) == growth.GlDim.infinite()
-                witness = growth.gldiminf_witness(gb)
+                witness = orbits.gldiminf_witness(gb)
                 assert witness != "NotApplicable"
                 if len(witness) == 1:
                     assert (witness[0], witness[0]) in gw.edges

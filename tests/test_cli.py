@@ -1,9 +1,15 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ybx import cli, quadset
-from ybx.errors import ParseError
+from ybx.errors import ParseError, YbxError
 from conftest import MIXED3_TABLE
 
 CYCLE3_TEXT = "ybx v1\nsize 3\npermutation 2 3 1\n"
@@ -259,3 +265,59 @@ def test_enumerate_over_node_budget_is_usage_error(capsys, monkeypatch):
     code, err = run_error(capsys, "enumerate", "-n", "3", "--mask", "involutive")
     assert code == 2
     assert err.startswith("error: ") and "budget of 50" in err
+
+
+def test_non_integer_permutation_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "perm.ybx"
+    path.write_text("ybx v1\nsize 3\npermutation a b c\n")
+    code, err = run_error(capsys, "check", str(path))
+    assert code == 2 and err == "error: line 3: permutation values must be integers\n"
+
+
+def test_size_above_the_cap_is_a_parse_error(capsys, tmp_path):
+    # checked before any table is built: identity would ask for 10^16 pairs
+    path = tmp_path / "huge.ybx"
+    path.write_text("ybx v1\nsize 100000000\nidentity\n")
+    code, err = run_error(capsys, "check", str(path))
+    assert code == 2 and err.startswith("error: line 2: size must be between 1 and")
+    text = f"ybx v1\nsize {cli.MAX_SIZE}\nidentity\n"
+    assert cli.parse_solution(text).n == cli.MAX_SIZE
+
+
+def test_undecodable_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "binary.ybx"
+    path.write_bytes(b"ybx v1\nsize 2\n\xff\xfe\n")
+    code, err = run_error(capsys, "check", str(path))
+    assert code == 2 and err.startswith("error: ")
+
+
+TOKENS = ["1", "2", "3", "0", "-1", "257", "10000000000", "x", "1.5", "#"]
+LINES = st.one_of(
+    st.sampled_from(["ybx v1", "ybx v2", "size", "identity", "flip", "map", ""]),
+    st.builds(" ".join, st.lists(st.sampled_from(TOKENS), max_size=5)),
+    st.builds(lambda head, rest: " ".join([head] + rest),
+              st.sampled_from(["size", "permutation", "map", "identity"]),
+              st.lists(st.sampled_from(TOKENS), max_size=5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["ybx v1", "ybx v1", "ybx v2", "# c", ""]),
+       st.sampled_from(["size 1", "size 2", "size 3", "size 0", "size -2",
+                        "size 257", "size x", "size", "junk"]),
+       st.lists(LINES, max_size=10))
+def test_any_token_text_parses_or_fails_cleanly(header, size, body):
+    text = "\n".join([header, size] + body) + "\n"
+    try:
+        cli.parse_solution(text)
+    except YbxError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.ybx")
+        with open(path, "w") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["check", path])
+    assert (exc.value.code or 0) in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

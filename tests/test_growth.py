@@ -62,7 +62,7 @@ def test_low_growth_forces_infinite_global_dimension():
         gk = growth.gk_dimension(gn)
         if gk.kind == "Polynomial" and gk.degree < 3:
             assert growth.global_dimension(gw) == growth.GlDim.infinite()
-            witness = growth.gldiminf_witness(monomial_gb(normal, 3))
+            witness = orbits.gldiminf_witness(monomial_gb(normal, 3))
             assert witness != "NotApplicable"
             if len(witness) == 1:
                 assert (witness[0], witness[0]) in gw.edges
@@ -110,13 +110,13 @@ def test_flip_solution_dimensions():
         assert growth.global_dimension(gw) == growth.GlDim.finite(n)
         assert growth.gk_dimension(growth.normal_graph(n2, n)) \
             == growth.GrowthClass.polynomial(n)
-        assert growth.gldiminf_witness(gb) == "NotApplicable"
+        assert orbits.gldiminf_witness(gb) == "NotApplicable"
 
 
 def test_permutation_solution_witness(cycle3):
     gb = ncgb.complete(orbits.canonical_relations(cycle3).to_polynomials(),
                        6, alphabet=3)
-    assert growth.gldiminf_witness(gb) == (1,)
+    assert orbits.gldiminf_witness(gb) == (1,)
 
 
 def acyclic_digraphs(n):
@@ -179,11 +179,11 @@ def test_tournament_structure_negative_and_guards():
 
 def test_dim_a2_bounds(mixed3, cycle3):
     for qs in (mixed3, cycle3):
-        report = growth.dimA2_bounds_check(qs)
+        report = orbits.dimA2_bounds_check(qs)
         assert report["dim_A2"] == 3 and report["pbw"]
         assert report["lower_ok"] and report["upper_ok"] and report["flat_ok"]
     two = quadset.make_permutation_solution([1, 0])
-    report = growth.dimA2_bounds_check(two)
+    report = orbits.dimA2_bounds_check(two)
     assert report["dim_A2"] == 2   # the bounds coincide at n = 2
 
 
@@ -209,25 +209,25 @@ BROKEN_VERDICTS = {
     # the constant map has a single orbit, so dim A_2 = 1 < n
     "lower": (
         "quadset.check_properties = lambda qs: PASS\n"
-        "growth.dimA2_bounds_check(quadset.QuadraticSet(3, [(0, 0)] * 9))\n"),
+        "orbits.dimA2_bounds_check(quadset.QuadraticSet(3, [(0, 0)] * 9))\n"),
     # the identity map has dim A_2 = 9 and free growth, reported as degree 1
     "upper": (
         "quadset.check_properties = lambda qs: PASS\n"
         "growth.gk_dimension = lambda g: growth.GrowthClass.polynomial(1)\n"
         "table = [(i, j) for i in range(3) for j in range(3)]\n"
-        "growth.dimA2_bounds_check(quadset.QuadraticSet(3, table))\n"),
+        "orbits.dimA2_bounds_check(quadset.QuadraticSet(3, table))\n"),
     "flat": (
         "good = ncgb.hilbert_series\n"
         "ncgb.hilbert_series = lambda gb, D: ncgb.HilbertPrefix(\n"
         "    tuple(c + 1 for c in good(gb, D).coefficients), True)\n"
-        "growth.dimA2_bounds_check(quadset.make_permutation_solution([1, 2, 0]))\n"),
+        "orbits.dimA2_bounds_check(quadset.make_permutation_solution([1, 2, 0]))\n"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_VERDICTS))
 def test_verdicts_survive_optimized_mode(case):
     code = (
-        "from ybx import growth, ncgb, quadset\n"
+        "from ybx import growth, ncgb, orbits, quadset\n"
         "from ybx.errors import CheckFailed\n"
         "PASS = quadset.PropertyReport(*[True] * 6)\n"
         "try:\n"

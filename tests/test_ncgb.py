@@ -283,8 +283,8 @@ def test_engine_matches_brute_force_oracle(case):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3),
                 min_size=1, max_size=6),
-       st.lists(st.integers(0, 2), max_size=8), st.data())
-def test_lead_lookup_matches_rule_scan(leads, word, data):
+       st.lists(st.integers(0, 2), max_size=8))
+def test_lead_lookup_matches_rule_scan(leads, word):
     # repeated leads are kept: completion input may repeat a leading word
     rules = [(tuple(lead), {(k,): Fraction(k + 1)}) for k, lead in enumerate(leads)]
     word = tuple(word)
@@ -293,9 +293,6 @@ def test_lead_lookup_matches_rule_scan(leads, word, data):
     def as_scan(hit):
         return None if hit is None else (hit[0], *rules[hit[1]])
     assert as_scan(index.find(word)) == ncgb_oracle._reduce_once(word, rules)
-    skip = data.draw(st.integers(0, len(rules) - 1))
-    others = rules[:skip] + rules[skip + 1:]
-    assert as_scan(index.find(word, skip)) == ncgb_oracle._reduce_once(word, others)
 
 
 def test_verdicts_survive_optimized_mode():
