@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .errors import (CheckFailed, InsufficientDegree, InvalidArgument, NotBraided,
                      NotIdempotent)
-from .ncgb import complete, normal_form_word, normal_words
-from .orbits import canonical_relations
+from .ncgb import normal_form_word, normal_words
+from .orbits import canonical_basis
 from .quadset import QuadraticSet, check_properties
 
 
@@ -28,10 +28,7 @@ class WordActions:
 
     def __init__(self, qs, gb=None, max_degree=8):
         self.qs = qs
-        if gb is None:
-            gb = complete(canonical_relations(qs).to_polynomials(), max_degree,
-                          alphabet=qs.n)
-        self.gb = gb
+        self.gb = canonical_basis(qs, max_degree) if gb is None else gb
 
     def nor(self, word):
         return normal_form_word(word, self.gb)
@@ -43,13 +40,6 @@ def _left_letter(qs, c, b):
 
 def _right_letter(qs, c, b):
     return qs.right[c][b]
-
-
-def _letter_right_on_word(qs, c, b):
-    # c <| (b_1...b_q), one letter at a time
-    for letter in b:
-        c = _right_letter(qs, c, letter)
-    return c
 
 
 def _word_left_on_letter(qs, a, b):

@@ -7,15 +7,17 @@ Solution file format (1-based indices):
     permutation <f(1)> ... <f(n)>     # or: identity / flip
     map <i> <j> <k> <l>               # r(x_i, x_j) = (x_k, x_l), n^2 lines
 
-`#` starts a comment.  Exit codes: 0 success, 1 property failure,
-2 usage error.
+`#` starts a comment; a permutation, identity or flip line is the whole
+body.  Exit codes: 0 success, 1 property failure, 2 usage error.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
+from itertools import product
 
 from . import braidmon, diffcalc, growth, linr, ncgb, orbits, quadset, verseg
 from .errors import InvalidArgument, ParseError, YbxError
@@ -45,9 +47,10 @@ def parse_solution(text):
     if not body:
         raise ParseError("missing solution body", lines[1][0])
     num, first = body[0]
-    kind = first.split()[0]
+    kind, *parts = first.split()
+    if kind in ("permutation", "identity", "flip") and len(body) > 1:
+        raise ParseError(f"unexpected line after '{kind}'", body[1][0])
     if kind == "permutation":
-        parts = first.split()[1:]
         if len(parts) != n:
             raise ParseError(f"permutation needs {n} values", num)
         try:
@@ -56,6 +59,8 @@ def parse_solution(text):
             raise ParseError("permutation values must be integers", num)
         return quadset.make_permutation_solution(f)
     if kind in ("identity", "flip"):
+        if parts:
+            raise ParseError(f"'{kind}' takes no values", num)
         return quadset.make_named(kind, n)
     entries = []
     for num, line in body:
@@ -104,153 +109,165 @@ def _pretty_poly(p):
     return out
 
 
-def _gb_for(qs, max_deg):
-    rels = orbits.canonical_relations(qs).to_polynomials()
-    return ncgb.complete(rels, max_deg, alphabet=qs.n)
+def _pair(p):
+    return f"({p[0] + 1},{p[1] + 1})"
+
+
+def _table_lines(qs, sep):
+    return [f"r{_pair(p)}{sep}{_pair(qs.r(*p))}" for p in product(range(qs.n), repeat=2)]
+
+
+def _pretty_tu(p, letter):
+    parts = []
+    for (up, lo), c in sorted(p.items()):
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        coeff = "" if mag == 1 else f"{mag}*"
+        parts.append(f"{sign} {coeff}{letter}^{up[0] + 1}_{up[1] + 1}"
+                     f".{letter}^{lo[0] + 1}_{lo[1] + 1}")
+    return " ".join(parts).lstrip("+ ")
 
 
 def _emit(report, args):
-    if args.json:
-        text = json.dumps(report, sort_keys=True, indent=2, default=str)
+    """Write a report: text as it is, a dict as JSON or as key: value lines."""
+    if isinstance(report, str):
+        text = report
+    elif args.json:
+        text = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
     else:
-        lines = []
-        for key in sorted(report):
-            lines.append(f"{key}: {report[key]}")
-        text = "\n".join(lines)
-    _write_out(text + "\n", args)
-
-
-def _write_out(text, args):
-    if getattr(args, "output", None):
+        text = "\n".join(f"{key}: {report[key]}" for key in sorted(report)) + "\n"
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _load(args):
-    with open(args.solution) as fh:
+def _load(path):
+    with open(path) as fh:
         return parse_solution(fh.read())
 
 
+def _graphs(gb, n):
+    """The graph of normal words and the obstruction graph of a basis."""
+    n2 = ncgb.normal_words(gb, 2)
+    return growth.normal_graph(n2, n), growth.obstruction_graph(n2, n)
+
+
+def arg(*flags, **options):
+    return flags, options
+
+
+FLAG = {"action": "store_true"}
+SOLUTION = (arg("solution", help="solution file"),)
+JSON, MAX_DEG, OUTPUT = (arg("--json", **FLAG), arg("--max-deg", type=int),
+                         arg("-o", "--output"))
+# (name, handler, arguments in order); a list among them is a mutually exclusive group
+COMMANDS = []
+
+
+def command(head=SOLUTION, tail=(), max_deg=True):
+    """Register cmd_<name> as the subcommand <name>; its arguments are
+    head, then --json, --max-deg (unless max_deg is false) and -o, then tail.
+    A handler returns (report, exit code)."""
+    common = (JSON, MAX_DEG, OUTPUT) if max_deg else (JSON, OUTPUT)
+
+    def register(fn):
+        COMMANDS.append((fn.__name__[len("cmd_"):], fn, head + common + tail))
+        return fn
+    return register
+
+
+@command()
 def cmd_check(args):
-    qs = _load(args)
-    rep = quadset.check_properties(qs).as_dict()
-    _emit(rep, args)
-    return 0 if rep["braided"] else 1
+    rep = quadset.check_properties(_load(args.solution)).as_dict()
+    return rep, 0 if rep["braided"] else 1
 
 
+@command()
 def cmd_orbits(args):
-    qs = _load(args)
-    dec = orbits.r_orbits(qs)
-    report = {
-        "orbit_count": len(dec),
-        "orbits": [sorted(f"({p[0] + 1},{p[1] + 1})" for p in orb.members)
-                   for orb in dec.orbits],
-        "fixed_points": [sorted(f"({p[0] + 1},{p[1] + 1})" for p in orb.fixed_points)
-                         for orb in dec.orbits],
-    }
-    _emit(report, args)
-    return 0
+    dec = orbits.r_orbits(_load(args.solution))
+    return {"orbit_count": len(dec),
+            "orbits": [sorted(map(_pair, orb.members)) for orb in dec.orbits],
+            "fixed_points": [sorted(map(_pair, orb.fixed_points))
+                             for orb in dec.orbits]}, 0
 
 
+@command()
 def cmd_relations(args):
-    qs = _load(args)
-    rels = orbits.canonical_relations(qs)
-    report = {"relations": [f"{_pretty_word(u)} - {_pretty_word(v)}"
-                            for u, v in rels.relations]}
-    _emit(report, args)
-    return 0
+    rels = orbits.canonical_relations(_load(args.solution)).relations
+    return {"relations": [f"{_pretty_word(u)} - {_pretty_word(v)}"
+                          for u, v in rels]}, 0
 
 
+@command()
 def cmd_groebner(args):
-    qs = _load(args)
-    gb = _gb_for(qs, args.max_deg)
-    rules = [f"{_word_str(lead)} -> {_pretty_poly(dict(rhs))}"
-             for lead, rhs in gb.rules]
+    gb = orbits.canonical_basis(_load(args.solution), args.max_deg)
     if not gb.complete:
         print("warning: basis truncated at the degree bound", file=sys.stderr)
-    report = {"rules": rules, "complete": gb.complete, "binomial": gb.binomial,
-              "max_degree": gb.max_degree}
-    _emit(report, args)
-    return 0
+    rules = [f"{_word_str(lead)} -> {_pretty_poly(dict(rhs))}" for lead, rhs in gb.rules]
+    return {"rules": rules, "complete": gb.complete, "binomial": gb.binomial,
+            "max_degree": gb.max_degree}, 0
 
 
+@command()
 def cmd_hilbert(args):
-    qs = _load(args)
-    gb = _gb_for(qs, args.max_deg)
+    gb = orbits.canonical_basis(_load(args.solution), args.max_deg)
     hp = ncgb.hilbert_series(gb, args.max_deg - 1)
-    _emit({"coefficients": list(hp.coefficients), "exact": hp.exact}, args)
-    return 0
+    return {"coefficients": list(hp.coefficients), "exact": hp.exact}, 0
 
 
+@command()
 def cmd_dims(args):
-    qs = _load(args)
-    gb = _gb_for(qs, args.max_deg)
-    n2 = ncgb.normal_words(gb, 2)
-    gn = growth.normal_graph(n2, qs.n)
-    gw = growth.obstruction_graph(n2, qs.n)
-    gk = growth.gk_dimension(gn)
-    gl = growth.global_dimension(gw)
-    gk_str = "Exponential" if gk.kind == "Exponential" else f"Polynomial({gk.degree})"
-    gl_str = "Infinite" if gl.kind == "Infinite" else f"Finite({gl.value})"
-    _emit({"gk": gk_str, "gldim": gl_str, "pbw": all(len(l) == 2 for l, _ in gb.rules)},
-          args)
-    return 0
+    qs = _load(args.solution)
+    gb = orbits.canonical_basis(qs, args.max_deg)
+    gn, gw = _graphs(gb, qs.n)
+    gk, gl = growth.gk_dimension(gn), growth.global_dimension(gw)
+    return {"gk": "Exponential" if gk.kind == "Exponential"
+            else f"Polynomial({gk.degree})",
+            "gldim": "Infinite" if gl.kind == "Infinite" else f"Finite({gl.value})",
+            "pbw": all(len(l) == 2 for l, _ in gb.rules)}, 0
 
 
+@command(tail=(arg("--basepoint", type=int, default=1),))
 def cmd_tournament(args):
-    qs = _load(args)
-    gb = _gb_for(qs, args.max_deg)
-    gn = growth.normal_graph(ncgb.normal_words(gb, 2), qs.n)
+    qs = _load(args.solution)
+    gn, _ = _graphs(orbits.canonical_basis(qs, args.max_deg), qs.n)
     result = growth.tournament_structure(gn, args.basepoint - 1)
     report = {"matches": result["matches"]}
     if result["relabeling"] is not None:
         report["relabeling"] = [v + 1 for v in result["relabeling"]]
-    _emit(report, args)
-    return 0 if result["matches"] else 1
+    return report, 0 if result["matches"] else 1
 
 
+@command(tail=(arg("-d", type=int, default=2),))
 def cmd_veronese(args):
-    qs = _load(args)
-    vs = braidmon.veronese_solution(qs, args.d)
-    report = {
-        "d": args.d,
-        "size": vs.base.n,
-        "labels": [_pretty_word(w) for w in vs.labels],
-        "table": [f"r({i + 1},{j + 1}) = ({vs.base.r(i, j)[0] + 1},"
-                  f"{vs.base.r(i, j)[1] + 1})"
-                  for i in range(vs.base.n) for j in range(vs.base.n)],
-    }
-    _emit(report, args)
-    return 0
+    vs = braidmon.veronese_solution(_load(args.solution), args.d)
+    return {"d": args.d, "size": vs.base.n,
+            "labels": [_pretty_word(w) for w in vs.labels],
+            "table": _table_lines(vs.base, " = ")}, 0
 
 
+@command(tail=(arg("--max-d", type=int, default=4),))
 def cmd_prolong(args):
-    qs = _load(args)
+    qs = _load(args.solution)
     data = braidmon.prolongation_sequence(qs, args.max_d)
-    report = {
-        "period": data.period,
-        "distinct": data.distinct_count,
-        "equal_to_r": [d + 1 for d, s in enumerate(data.solutions)
-                       if s.base == qs],
-    }
-    _emit(report, args)
-    return 0
+    return {"period": data.period, "distinct": data.distinct_count,
+            "equal_to_r": [d + 1 for d, s in enumerate(data.solutions)
+                           if s.base == qs]}, 0
 
 
+@command(head=(arg("solution"), arg("solution_b")))
 def cmd_segre(args):
-    with open(args.solution) as fh:
-        a = parse_solution(fh.read())
-    with open(args.solution_b) as fh:
-        b = parse_solution(fh.read())
+    a, b = _load(args.solution), _load(args.solution_b)
     result = verseg.segre_morphism_check(a, b, max(3, min(args.max_deg - 1, 4)))
-    _emit(result, args)
-    return 0 if result["ok"] else 1
+    return result, 0 if result["ok"] else 1
 
 
+@command(tail=tuple(arg(f"--{flag}", **FLAG) for flag in
+                    ("frt", "bmat", "koszul", "nichols", "transpose", "ybe")))
 def cmd_linear(args):
-    qs = _load(args)
+    qs = _load(args.solution)
     psi, rmat = linr.linearize(qs)
     report = {}
     if args.ybe or not any((args.frt, args.bmat, args.koszul,
@@ -258,40 +275,26 @@ def cmd_linear(args):
         report["braid"] = linr.check_braid(psi)
         report["ybe"] = linr.check_matrix_ybe(rmat)
         report["idempotent"] = linr.check_idempotent(psi)
-    gens = {"frt": "t", "bmat": "u"}
-
-    def pretty_tu(p, letter):
-        parts = []
-        for (up, lo), c in sorted(p.items()):
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            coeff = "" if mag == 1 else f"{mag}*"
-            parts.append(f"{sign} {coeff}{letter}^{up[0] + 1}_{up[1] + 1}"
-                         f".{letter}^{lo[0] + 1}_{lo[1] + 1}")
-        return " ".join(parts).lstrip("+ ")
-
     if args.frt:
-        report["frt"] = [pretty_tu(p, "t") for p in linr.frt_relations(rmat)]
+        report["frt"] = [_pretty_tu(p, "t") for p in linr.frt_relations(rmat)]
     if args.bmat:
-        report["bmat"] = [pretty_tu(p, "u") for p in linr.braided_matrix_relations(rmat)]
+        report["bmat"] = [_pretty_tu(p, "u") for p in linr.braided_matrix_relations(rmat)]
     if args.transpose:
-        rels = linr.transpose_yb_relations(rmat)
         report["transpose"] = [
             " + ".join(f"{'' if c == 1 else str(c) + '*'}y{a + 1}.y{b + 1}"
                        for (a, b), c in sorted(p.items()))
-            for p in rels]
+            for p in linr.transpose_yb_relations(rmat)]
     if args.koszul:
-        rels = linr.koszul_dual_polynomials(qs)
-        report["koszul"] = [
-            " + ".join(f"y{a + 1}.y{b + 1}" for (a, b) in sorted(p))
-            for p in rels]
+        report["koszul"] = [" + ".join(f"y{a + 1}.y{b + 1}" for (a, b) in sorted(p))
+                            for p in linr.koszul_dual_polynomials(qs)]
     if args.nichols:
         report["nichols"] = [f"theta{a + 1}.theta{b + 1} = 0"
                              for a, b in linr.nichols_monomials(qs)]
-    _emit(report, args)
-    return 0
+    return report, 0
 
 
+@command(head=(arg("--params", default="1,0,1,0",
+                   help="alpha,beta,lambda,mu as rationals"),))
 def cmd_calculus(args):
     params = [p.strip() for p in args.params.split(",")]
     if len(params) != 4:
@@ -303,134 +306,77 @@ def cmd_calculus(args):
     gb, rho, relations = diffcalc.make_rho_family(*params)
     D = args.max_deg
     rep = diffcalc.check_rho_map(gb, rho, relations, D)
-    report = {
-        "rho_ok": rep["ok"],
-        "annihilator": diffcalc.annihilator_check(rho, gb, min(D, 5)),
-        "connected": diffcalc.connectedness_check(rho, gb, min(D, 5)),
-    }
-    _emit(report, args)
-    return 0 if rep["ok"] else 1
+    report = {"rho_ok": rep["ok"],
+              "annihilator": diffcalc.annihilator_check(rho, gb, min(D, 5)),
+              "connected": diffcalc.connectedness_check(rho, gb, min(D, 5))}
+    return report, 0 if rep["ok"] else 1
 
 
+@command(head=(arg("-n", type=int, required=True), arg("--mask", default="")),
+         max_deg=False)
 def cmd_enumerate(args):
-    mask = [m.strip() for m in (args.mask or "").split(",") if m.strip()]
+    mask = [m.strip() for m in args.mask.split(",") if m.strip()]
     sols = quadset.enumerate_solutions(args.n, mask)
-    report = {"count": len(sols),
-              "solutions": [[f"r({i + 1},{j + 1})=({qs.r(i, j)[0] + 1},"
-                             f"{qs.r(i, j)[1] + 1})"
-                             for i in range(qs.n) for j in range(qs.n)]
-                            for qs in sols]}
-    _emit(report, args)
-    return 0
+    return {"count": len(sols),
+            "solutions": [_table_lines(qs, "=") for qs in sols]}, 0
 
 
+@command(tail=([arg("--gn", **FLAG), arg("--gw", **FLAG), arg("--orbit", **FLAG)],
+               arg("--dot", **FLAG)))
 def cmd_graph(args):
-    qs = _load(args)
+    qs = _load(args.solution)
     if args.orbit:
         g = orbits.orbit_graph(qs)
-        labels = [f"({i + 1},{j + 1})" for i in range(qs.n) for j in range(qs.n)]
+        labels = [_pair(p) for p in product(range(qs.n), repeat=2)]
     else:
-        gb = _gb_for(qs, args.max_deg)
-        n2 = ncgb.normal_words(gb, 2)
-        if args.gw:
-            g = growth.obstruction_graph(n2, qs.n)
-        else:
-            g = growth.normal_graph(n2, qs.n)
+        gn, gw = _graphs(orbits.canonical_basis(qs, args.max_deg), qs.n)
+        g = gw if args.gw else gn
         labels = [f"x{i + 1}" for i in range(qs.n)]
     if args.dot:
-        _write_out(growth.to_dot(g, labels=labels), args)
-    else:
-        edges = sorted(g.edges)
-        _emit({"vertices": g.vertex_count,
-               "edges": [f"{labels[u]} -> {labels[v]}" for u, v in edges]}, args)
-    return 0
+        return growth.to_dot(g, labels=labels), 0
+    return {"vertices": g.vertex_count,
+            "edges": [f"{labels[u]} -> {labels[v]}" for u, v in sorted(g.edges)]}, 0
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ybx",
         description="Set-theoretic Yang-Baxter solutions and their quadratic algebras")
+    sub = parser.add_subparsers(dest="command")
+    for name, fn, arguments in COMMANDS:
+        p = sub.add_parser(name)
+        for spec in arguments:
+            if isinstance(spec, list):
+                group = p.add_mutually_exclusive_group()
+                for flags, options in spec:
+                    group.add_argument(*flags, **options)
+            else:
+                p.add_argument(*spec[0], **spec[1])
+        p.set_defaults(fn=fn)
+    return parser
+
+
+def _run(argv):
+    # read on every call, before parsing, so a bad value fails every invocation
     raw_deg = os.environ.get("YBX_MAX_DEG", "6")
     try:
         default_deg = int(raw_deg)
     except ValueError:
         raise InvalidArgument(f"YBX_MAX_DEG must be an integer, not {raw_deg!r}")
-    sub = parser.add_subparsers(dest="command")
-
-    def common(p, files=(("solution", "solution file"),), max_deg=True):
-        for name, text in files:
-            p.add_argument(name, help=text)
-        p.add_argument("--json", action="store_true")
-        if max_deg:
-            p.add_argument("--max-deg", type=int, default=default_deg, dest="max_deg")
-        p.add_argument("-o", "--output", default=None)
-
-    for name, fn in [("check", cmd_check), ("orbits", cmd_orbits),
-                     ("relations", cmd_relations), ("groebner", cmd_groebner),
-                     ("hilbert", cmd_hilbert), ("dims", cmd_dims)]:
-        p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(fn=fn)
-
-    p = sub.add_parser("tournament")
-    common(p)
-    p.add_argument("--basepoint", type=int, default=1)
-    p.set_defaults(fn=cmd_tournament)
-
-    p = sub.add_parser("veronese")
-    common(p)
-    p.add_argument("-d", type=int, default=2)
-    p.set_defaults(fn=cmd_veronese)
-
-    p = sub.add_parser("prolong")
-    common(p)
-    p.add_argument("--max-d", type=int, default=4, dest="max_d")
-    p.set_defaults(fn=cmd_prolong)
-
-    p = sub.add_parser("segre")
-    common(p, files=(("solution", None), ("solution_b", None)))
-    p.set_defaults(fn=cmd_segre)
-
-    p = sub.add_parser("linear")
-    common(p)
-    for flag in ("frt", "bmat", "koszul", "nichols", "transpose", "ybe"):
-        p.add_argument(f"--{flag}", action="store_true")
-    p.set_defaults(fn=cmd_linear)
-
-    p = sub.add_parser("calculus")
-    p.add_argument("--params", default="1,0,1,0",
-                   help="alpha,beta,lambda,mu as rationals")
-    common(p, files=())
-    p.set_defaults(fn=cmd_calculus)
-
-    p = sub.add_parser("enumerate")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--mask", default="")
-    common(p, files=(), max_deg=False)
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = sub.add_parser("graph")
-    common(p)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--gn", action="store_true")
-    group.add_argument("--gw", action="store_true")
-    group.add_argument("--orbit", action="store_true")
-    p.add_argument("--dot", action="store_true")
-    p.set_defaults(fn=cmd_graph)
-
-    return parser
-
-
-def _run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if not getattr(args, "command", None):
+    if not args.command:
         parser.print_usage(sys.stderr)
         return 2
-    return args.fn(args)
+    if getattr(args, "max_deg", 0) is None:
+        args.max_deg = default_deg
+    report, code = args.fn(args)
+    _emit(report, args)
+    return code
 
 
 def main(argv=None):

@@ -42,9 +42,6 @@ class RelationSet:
     def to_polynomials(self):
         return [{u: Fraction(1), v: Fraction(-1)} for u, v in self.relations]
 
-    def leading_pairs(self):
-        return {u for u, _ in self.relations}
-
 
 def _pair_index(qs):
     return [(i, j) for i in range(qs.n) for j in range(qs.n)]
@@ -107,6 +104,13 @@ def canonical_relations(qs):
                 rels.append((p, orb.minimal))
     rels.sort()
     return RelationSet(relations=tuple(rels))
+
+
+def canonical_basis(qs, max_degree):
+    """The Groebner basis of A(k, X, r): the canonical relations completed
+    through max_degree."""
+    return ncgb.complete(canonical_relations(qs).to_polynomials(), max_degree,
+                         alphabet=qs.n)
 
 
 def _require_idempotent_lnd(qs, what):
@@ -173,15 +177,15 @@ def dimA2_bounds_check(qs, max_d=5):
     """
     _require_idempotent_lnd(qs, "the dim A_2 check")
     n = qs.n
-    dim_a2 = len(r_orbits(qs))
-    relations = canonical_relations(qs).to_polynomials()
-    pbw = ncgb.is_pbw(relations)
+    relations = canonical_relations(qs)
+    dim_a2 = n * n - len(relations.relations)
+    pbw = ncgb.is_pbw(relations.to_polynomials())
     report = {"n": n, "dim_A2": dim_a2, "pbw": pbw,
               "lower_ok": n <= dim_a2, "upper_ok": None, "flat_ok": None}
     if not report["lower_ok"]:
         raise CheckFailed(f"dim A_2 = {dim_a2} is below n = {n}")
     if pbw:
-        gb = ncgb.complete(relations, max_d + 1, alphabet=n)
+        gb = canonical_basis(qs, max_d + 1)
         gn = growth.normal_graph(ncgb.normal_words(gb, 2), n)
         if growth.gk_dimension(gn) == growth.GrowthClass.polynomial(1):
             report["upper_ok"] = dim_a2 <= n * (n - 1) // 2 + 1

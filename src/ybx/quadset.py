@@ -224,6 +224,7 @@ def enumerate_solutions(n, predicate=()):
     want_lnd = "left_nondegenerate" in mask
     want_rnd = "right_nondegenerate" in mask
     want_braid = "braided" in mask
+    want_l2c = "left_2_cancellative" in mask
 
     size = n * n
     pairs = [divmod(p, n) for p in range(size)]
@@ -232,6 +233,7 @@ def enumerate_solutions(n, predicate=()):
     preimages = [[] for _ in range(size)]  # the assigned cells r maps to q
     # left_used[i*n+k]: row i has left image k; right_used[j*n+l]: column j has l
     left_used, right_used = [False] * size, [False] * size
+    pair_used = [False] * (n * size)  # pair_used[i*size+q]: row i has image pairs[q]
     found = []
     nodes = 0
 
@@ -252,6 +254,7 @@ def enumerate_solutions(n, predicate=()):
         i, j = pairs[p]
         for q, (k, l) in enumerate(pairs):
             if (want_lnd and left_used[i * n + k] or want_rnd and right_used[j * n + l]
+                    or want_l2c and pair_used[i * size + q]
                     # idempotent: r(r(p)) = r(p), every image is a fixed point
                     or want_idem and (table[q] not in (None, pairs[q])
                                       or preimages[p] and q != p)
@@ -263,10 +266,12 @@ def enumerate_solutions(n, predicate=()):
             rest = _braid_pending(table, n, triples) if want_braid else triples
             if rest is not None:
                 left_used[i * n + k] = right_used[j * n + l] = True
+                pair_used[i * size + q] = True
                 preimages[q].append(p)
                 extend(p + 1, rest)
                 preimages[q].pop()
                 left_used[i * n + k] = right_used[j * n + l] = False
+                pair_used[i * size + q] = False
             table[p] = None
 
     extend(0, list(product(range(n), repeat=3)))

@@ -16,10 +16,10 @@ from fractions import Fraction
 
 from .errors import (InsufficientDegree, NormalFormNotFactorable,
                      NotIdempotent, NotLeftNondegenerate)
-from .braidmon import veronese_solution
+from .braidmon import WordActions, veronese_solution
 from .linr import RationalMatrix, linearize, subspace_equal
 from .ncgb import complete, normal_form_word, normal_words
-from .orbits import canonical_relations, idempotent_structure
+from .orbits import canonical_basis, canonical_relations, idempotent_structure
 from .quadset import cartesian_product, check_properties
 
 
@@ -40,7 +40,11 @@ def veronese_presentation(relations, d, max_degree=None, alphabet=0):
         max_degree = max(2 * d, 3)
     if max_degree < 2 * d:
         raise InsufficientDegree(f"level {d} needs completion through {2 * d}")
-    gb = complete(relations, max_degree, alphabet=alphabet)
+    return _veronese_relations(complete(relations, max_degree, alphabet=alphabet), d)
+
+
+def _veronese_relations(gb, d):
+    """The d-Veronese presentation read from the basis gb."""
     if not (gb.complete or 2 * d <= gb.max_degree):
         raise InsufficientDegree("basis not complete through degree 2d")
     gens = normal_words(gb, d)
@@ -71,9 +75,9 @@ def veronese_isomorphism_check(qs, d):
             "the identification needs a left-nondegenerate idempotent braided set")
     if d == 1:
         return True
-    pres = veronese_presentation(canonical_relations(qs).to_polynomials(), d,
-                                 alphabet=qs.n)
-    vs = veronese_solution(qs, d)
+    wa = WordActions(qs, max_degree=max(2 * d, 3))
+    pres = _veronese_relations(wa.gb, d)
+    vs = veronese_solution(qs, d, wa)
     if pres.generators != vs.labels:
         return False
     got = {((u[0], u[1]), (v[0], v[1]))
@@ -124,12 +128,7 @@ def segre_morphism_check(qsX, qsY, D):
     prod = cartesian_product(qsX, qsY)
     k = idempotent_structure(qsX)
     l = idempotent_structure(qsY)
-    gbX = complete(canonical_relations(qsX).to_polynomials(), max(D + 1, 3),
-                   alphabet=n)
-    gbY = complete(canonical_relations(qsY).to_polynomials(), max(D + 1, 3),
-                   alphabet=m)
-    gbP = complete(canonical_relations(prod).to_polynomials(), max(D + 1, 3),
-                   alphabet=n * m)
+    gbX, gbY, gbP = (canonical_basis(qs, max(D + 1, 3)) for qs in (qsX, qsY, prod))
 
     # (a) tensor components of F_{ia,jb} cancel in A (x) B
     vanish = True

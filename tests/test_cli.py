@@ -74,6 +74,8 @@ def test_parse_forms(cycle3, rid2):
     "ybx v1\nsize 2\npermutation 2\n",
     "ybx v1\nsize 2\nmap 1 1 1\n",
     "ybx v1\nsize 2\nmap 1 1 1 x\n",
+    "ybx v1\nsize 2\nidentity extra\n",
+    "ybx v1\nsize 2\npermutation 1 2\nmap 1 1 1 1\n",
 ])
 def test_parse_errors(text):
     with pytest.raises(ParseError):
@@ -225,6 +227,19 @@ def test_degree_bound_env(monkeypatch, capsys, files):
     assert json.loads(out)["coefficients"] == [1, 3, 3, 3]
 
 
+def test_degree_bound_env_is_read_at_run_time(monkeypatch, capsys, files):
+    assert cli.build_parser() is cli.build_parser()
+    for raw in ("4", "5"):
+        monkeypatch.setenv("YBX_MAX_DEG", raw)
+        code, out = run(capsys, "hilbert", files["cycle3"], "--json")
+        assert code == 0 and len(json.loads(out)["coefficients"]) == int(raw)
+    monkeypatch.setenv("YBX_MAX_DEG", "abc")
+    for argv in (["hilbert", files["cycle3"]],
+                 ["check", files["cycle3"], "--max-deg", "4"]):
+        code, err = run_error(capsys, *argv)
+        assert code == 2 and err == "error: YBX_MAX_DEG must be an integer, not 'abc'\n"
+
+
 def test_degree_bound_below_three_is_usage_error(capsys, files):
     code, err = run_error(capsys, "hilbert", files["cycle3"], "--max-deg", "2")
     assert code == 2 and err.startswith("error: ")
@@ -272,6 +287,18 @@ def test_non_integer_permutation_is_a_parse_error(capsys, tmp_path):
     path.write_text("ybx v1\nsize 3\npermutation a b c\n")
     code, err = run_error(capsys, "check", str(path))
     assert code == 2 and err == "error: line 3: permutation values must be integers\n"
+
+
+@pytest.mark.parametrize("body,line,message", [
+    ("identity extra", 3, "'identity' takes no values"),
+    ("flip\nmap 1 1 2 2", 4, "unexpected line after 'flip'"),
+    ("permutation 1 2\n# a comment\nnonsense", 5, "unexpected line after 'permutation'"),
+])
+def test_trailing_body_is_a_parse_error(capsys, tmp_path, body, line, message):
+    path = tmp_path / "trailing.ybx"
+    path.write_text(f"ybx v1\nsize 2\n{body}\n")
+    code, err = run_error(capsys, "check", str(path))
+    assert code == 2 and err == f"error: line {line}: {message}\n"
 
 
 def test_size_above_the_cap_is_a_parse_error(capsys, tmp_path):

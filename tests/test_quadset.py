@@ -203,3 +203,12 @@ def test_enumerate_node_budget(monkeypatch):
     with pytest.raises(SizeTooLarge, match="51 nodes, over its budget of 50"):
         quadset.enumerate_solutions(3, ["involutive"])
     assert len(quadset.enumerate_solutions(2, ["braided", "involutive"])) == 3
+
+
+def test_left_2_cancellative_pruning_agrees_with_filter_n3():
+    # the mask prunes rows that repeat an image; filtering the braided
+    # classes afterwards must give the same list
+    braided = quadset.enumerate_solutions(3, ["braided"])
+    cancel = [qs for qs in braided if quadset.check_properties(qs).left_2_cancellative]
+    assert cancel == quadset.enumerate_solutions(3, ["braided", "left_2_cancellative"])
+    assert 0 < len(cancel) < len(braided)
