@@ -268,10 +268,12 @@ def cmd_segre(args):
                     ("frt", "bmat", "koszul", "nichols", "transpose", "ybe")))
 def cmd_linear(args):
     qs = _load(args.solution)
-    psi, rmat = linr.linearize(qs)
+    ybe = args.ybe or not any((args.frt, args.bmat, args.koszul,
+                               args.nichols, args.transpose))
+    if ybe or args.frt or args.bmat or args.transpose:  # not --koszul, --nichols
+        psi, rmat = linr.linearize(qs)
     report = {}
-    if args.ybe or not any((args.frt, args.bmat, args.koszul,
-                            args.nichols, args.transpose)):
+    if ybe:
         report["braid"] = linr.check_braid(psi)
         report["ybe"] = linr.check_matrix_ybe(rmat)
         report["idempotent"] = linr.check_idempotent(psi)

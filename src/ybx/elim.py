@@ -1,8 +1,9 @@
 """Exact sparse elimination shared by the linear layer and completion.
 
-A sparse vector is a {column: Fraction} dict holding only nonzero entries.
-Columns may be any mutually comparable keys; the pivot of a row is its
-least column, so the caller chooses the elimination order by its keys.
+A sparse vector is a {column: int or Fraction} dict holding only nonzero
+entries; Fraction rows stay Fractions.  Columns may be any mutually
+comparable keys; the pivot of a row is its least column, so the caller
+chooses the elimination order by its keys.
 """
 
 from fractions import Fraction
@@ -25,7 +26,8 @@ def rref(rows):
     """Reduced row echelon form of sparse rows, exact: the nonzero reduced
     rows and their pivot columns, in pivot order.  Each row is reduced by
     the pivot rows so far, which are kept reduced against one another, so
-    the result is the unique reduced echelon form of the row space."""
+    the result is the unique reduced echelon form of the row space.  Only
+    a pivot other than 1 or -1 divides its row through a Fraction."""
     basis = {}
     for row in rows:
         row = {c: x for c, x in row.items() if x}
@@ -34,8 +36,9 @@ def rref(rows):
         if not row:
             continue
         p = min(row)
-        inv = F1 / row[p]
-        row = {c: x * inv for c, x in row.items()}
+        if row[p] != 1:
+            inv = -1 if row[p] == -1 else F1 / row[p]
+            row = {c: x * inv for c, x in row.items()}
         for other in basis.values():
             if p in other:
                 add_to(other, -other[p], row)

@@ -1,8 +1,8 @@
 """Noncommutative Groebner bases under deg-lex, bounded by degree.
 
 Words are tuples of 0-based generator indices; polynomials are dicts
-mapping words to nonzero Fractions.  Rules rewrite a leading word to a
-polynomial that is smaller in deg-lex.
+mapping words to nonzero exact rationals.  Rules rewrite a leading word to
+a polynomial that is smaller in deg-lex.
 
 Completion runs one degree at a time.  The input is homogeneous, so when
 degree d starts every rule of lower degree is final.  Degree d gathers its
@@ -20,7 +20,8 @@ letter, keeping a word when no lead is its suffix; the Hilbert series
 counts normal words per automaton state (the longest suffix that is a
 proper prefix of a lead) instead of listing them.
 
-Homogeneous input only.  All arithmetic is exact rational.
+Homogeneous input only.  Arithmetic is exact: a coefficient is an int while
+it is integral, else a Fraction; the rules of a GroebnerBasis hold Fractions.
 """
 
 from dataclasses import dataclass
@@ -39,11 +40,14 @@ def deglex_key(word):
 
 
 def poly(terms):
-    """Normalize a {word: coeff} mapping, dropping zeros."""
-    return {w: Fraction(c) for w, c in terms.items() if c != 0}
+    """Normalize a {word: coeff} mapping, dropping zeros; an integral
+    coefficient becomes an int, any other a Fraction."""
+    terms = {w: c if isinstance(c, (int, Fraction)) else Fraction(c)
+             for w, c in terms.items() if c != 0}
+    return {w: c.numerator if c.denominator == 1 else c for w, c in terms.items()}
 
 
-def poly_add(p, q, scale=ONE):
+def poly_add(p, q, scale=1):
     out = dict(p)
     for w, c in q.items():
         c = out.get(w, 0) + scale * c
@@ -72,8 +76,10 @@ class GroebnerBasis:
 
     @cached_property
     def index(self):
-        """The rules as (lead, rhs dict) pairs, indexed by lead."""
-        return LeadIndex([(lead, dict(rhs)) for lead, rhs in self.rules])
+        """The rules as (lead, rhs dict) pairs, indexed by lead, with the
+        integral coefficients as ints."""
+        return LeadIndex([(lead, {w: c.numerator if c.denominator == 1 else c
+                                  for w, c in rhs}) for lead, rhs in self.rules])
 
 
 class LeadIndex:
@@ -106,7 +112,8 @@ class LeadIndex:
 def _freeze_rules(rules):
     frozen = []
     for lead, rhs in sorted(rules, key=lambda r: deglex_key(r[0])):
-        frozen.append((lead, tuple(sorted(rhs.items(), key=lambda t: deglex_key(t[0])))))
+        frozen.append((lead, tuple((w, Fraction(c)) for w, c in
+                                   sorted(rhs.items(), key=lambda t: deglex_key(t[0])))))
     return tuple(frozen)
 
 
@@ -146,11 +153,11 @@ def normal_form_word(w, gb):
     """Normal form of a single word under a binomial basis."""
     if not gb.binomial:
         raise NotBinomial("word normal forms require a binomial basis")
-    nf = normal_form({w: ONE}, gb)
+    nf = normal_form({w: 1}, gb)
     if not nf:
         raise ValueError("binomial reduction of a word vanished")
     (word, coeff), = nf.items()
-    if coeff != ONE:
+    if coeff != 1:
         raise NotBinomial(f"word {w} reduced to {coeff} times a word")
     return word
 
@@ -199,7 +206,7 @@ def complete(relations, max_degree, alphabet=0):
         if d <= max_degree:
             # the two reductions of each overlap word u + v[k:]
             polys += [poly_add({w + v[k:]: c for w, c in rhs_u.items()},
-                               {u[:len(u) - k] + w: c for w, c in rhs_v.items()}, -ONE)
+                               {u[:len(u) - k] + w: c for w, c in rhs_v.items()}, -1)
                       for u, rhs_u, v, rhs_v, k in _overlaps(rules, d, starts)]
         index = LeadIndex(rules)
         rows = [{_desc(w): c for w, c in _normal_form_dict(p, index).items()}
@@ -215,7 +222,7 @@ def complete(relations, max_degree, alphabet=0):
     # an overlap longer than the bound was left unresolved
     skipped = any(next(_overlaps(rules, d, starts), None)
                   for d in range(max_degree + 1, 2 * top))
-    binomial = all(len(rhs) == 1 and next(iter(rhs.values())) == ONE
+    binomial = all(len(rhs) == 1 and next(iter(rhs.values())) == 1
                    for _, rhs in rules)
     return GroebnerBasis(
         alphabet_size=alphabet,

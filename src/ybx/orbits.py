@@ -177,16 +177,17 @@ def dimA2_bounds_check(qs, max_d=5):
     """
     _require_idempotent_lnd(qs, "the dim A_2 check")
     n = qs.n
-    relations = canonical_relations(qs)
-    dim_a2 = n * n - len(relations.relations)
-    pbw = ncgb.is_pbw(relations.to_polynomials())
+    # rules through degree 3 are alike at every bound >= 3: PBW is no lead of length 3
+    gb = canonical_basis(qs, max(max_d + 1, 3))
+    pbw = all(len(lead) != 3 for lead, _ in gb.rules)
+    N2 = ncgb.normal_words(gb, 2)
+    dim_a2 = len(N2)
     report = {"n": n, "dim_A2": dim_a2, "pbw": pbw,
               "lower_ok": n <= dim_a2, "upper_ok": None, "flat_ok": None}
     if not report["lower_ok"]:
         raise CheckFailed(f"dim A_2 = {dim_a2} is below n = {n}")
     if pbw:
-        gb = canonical_basis(qs, max_d + 1)
-        gn = growth.normal_graph(ncgb.normal_words(gb, 2), n)
+        gn = growth.normal_graph(N2, n)
         if growth.gk_dimension(gn) == growth.GrowthClass.polynomial(1):
             report["upper_ok"] = dim_a2 <= n * (n - 1) // 2 + 1
             if not report["upper_ok"]:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linr_oracle
-from ybx import linr, orbits, quadset
+from ybx import elim, linr, orbits, quadset
 from ybx.errors import NotIdempotent, ShapeMismatch
 
 F1 = Fraction(1)
@@ -323,6 +323,29 @@ def test_elimination_matches_dense_oracle(a, data):
         linr_oracle.subspace_contains(old, dense(b))
     c = data.draw(matrices(rows=a.cols))
     assert a.mul(c).data == old.mul(dense(c)).data
+
+
+RREF_ENTRIES = {
+    "int": [0, 1, -1, 2, -3],
+    "fraction": [Fraction(0), F1, -F1, Fraction(2), Fraction(-1, 2)],
+    "mixed": [0, 1, -1, F1, -F1, 3, Fraction(2, 3)],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(RREF_ENTRIES)), st.integers(1, 6), st.data())
+def test_sparse_rref_matches_dense_oracle(kind, cols, data):
+    # int, Fraction and mixed rows, with pivots 1, -1 and non-unit
+    entry = st.sampled_from(RREF_ENTRIES[kind])
+    rows = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                              max_size=6))
+    red, pivots = elim.rref([dict(enumerate(row)) for row in rows])
+    want, want_pivots = linr_oracle.RationalMatrix(rows, cols=cols).rref()
+    assert pivots == want_pivots
+    assert [[row.get(c, 0) for c in range(cols)] for row in red] == \
+        want.data[:len(pivots)]
+    if kind == "fraction":
+        assert all(type(x) is Fraction for row in red for x in row.values())
 
 
 @st.composite

@@ -280,6 +280,70 @@ def test_engine_matches_brute_force_oracle(case):
     assert ncgb.normal_form(p, got) == ncgb_oracle._normal_form_dict(p, rules)
 
 
+@st.composite
+def difference_sets(draw):
+    """Pure-difference relations u - v on 2-4 generators, drawn three ways:
+    with int coefficients +-1, with Fraction ones, and as the canonical
+    relations of a random r-table."""
+    n = draw(st.integers(2, 4))
+    way = draw(st.sampled_from(["int", "fraction", "table"]))
+    if way == "table":
+        pairs = list(product(range(n), repeat=2))
+        table = draw(st.lists(st.sampled_from(pairs), min_size=n * n, max_size=n * n))
+        qs = quadset.QuadraticSet(n, table)
+        return n, orbits.canonical_relations(qs).to_polynomials()
+    one = 1 if way == "int" else Fraction(1)
+    rels = []
+    for _ in range(draw(st.integers(1, 6))):
+        degree = draw(st.integers(2, 3))
+        u, v = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * degree),
+                             min_size=2, max_size=2, unique=True))
+        rels.append({u: one, v: -one})
+    return n, rels
+
+
+@settings(max_examples=100, deadline=None)
+@given(difference_sets(), st.integers(3, 4))
+def test_difference_relations_keep_fraction_results(case, max_degree):
+    # an int coefficient equals its Fraction, so only repr sees one leak out
+    n, rels = case
+    want = ncgb_oracle.complete(rels, max_degree, alphabet=n)
+    got = ncgb.complete(rels, max_degree, alphabet=n)
+    assert repr(got) == repr(want)
+    rules = [(lead, dict(rhs)) for lead, rhs in want.rules]
+    for d in range(max_degree):
+        assert repr(ncgb.normal_words(got, d)) == repr(ncgb_oracle.normal_words(want, d))
+    words = list(product(range(n), repeat=max_degree))
+    p = {w: c for w, c in zip(words[::-1], COEFFS)}
+    assert repr(ncgb.normal_form(p, got)) == \
+        repr(ncgb_oracle._normal_form_dict(p, rules))
+    for w in words[:8]:
+        assert repr(ncgb.normal_form(w, got)) == \
+            repr(ncgb_oracle._normal_form_dict({w: ncgb.ONE}, rules))
+
+
+def test_binomial_completion_makes_fractions_only_for_its_result(monkeypatch):
+    # the 8-cycle's relations have coefficients +-1: completion runs on ints
+    # and makes one Fraction per right-hand-side term, in _freeze_rules
+    cycle8 = quadset.make_permutation_solution(list(range(1, 8)) + [0])
+    rels = orbits.canonical_relations(cycle8).to_polynomials()
+    calls = []
+
+    def counting(make):
+        def wrapper(*args, **kwargs):
+            calls.append(None)
+            return make(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting(Fraction.__new__)))
+    if hasattr(Fraction, "_from_coprime_ints"):   # arithmetic results since 3.12
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(counting(Fraction._from_coprime_ints.__func__)))
+    gb = ncgb.complete(rels, 6, alphabet=8)
+    monkeypatch.undo()
+    assert len(calls) <= sum(len(rhs) for _, rhs in gb.rules)
+    assert gb.complete and gb.binomial and len(gb.rules) == 56
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3),
                 min_size=1, max_size=6),
