@@ -147,6 +147,11 @@ def veronese_solution(qs, d, wa=None):
         raise InvalidArgument(f"the Veronese level must be at least 1, not {d}")
     if not check_properties(qs).braided:
         raise NotBraided("Veronese solutions need a braided base set")
+    return _veronese(qs, d, wa)
+
+
+def _veronese(qs, d, wa):
+    # veronese_solution on a base set already checked to be braided
     if d == 1:
         return VeroneseSolution(1, qs, tuple((i,) for i in range(qs.n)))
     if wa is None:
@@ -179,7 +184,7 @@ def prolongation_sequence(qs, d_max):
         raise NotBraided(
             "prolongations need a left-nondegenerate idempotent braided set")
     wa = WordActions(qs, max_degree=max(2 * d_max, 3))
-    sols = [veronese_solution(qs, d, wa) for d in range(1, d_max + 1)]
+    sols = [_veronese(qs, d, wa) for d in range(1, d_max + 1)]
     period = None
     for d in range(2, d_max + 1):
         if sols[d - 1].base == qs:

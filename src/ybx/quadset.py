@@ -4,7 +4,7 @@ A quadratic set is a finite set X = {x_1, ..., x_n} together with a map
 r on ordered pairs, written r(x, y) = (x|>y, x<|y).  The left component
 defines a family of left actions L_x, the right component right actions
 R_y.  Indices are 0-based internally; all 1-based conversion happens at
-the text boundary (cli module).
+the text boundary (cli module).  Action tables are built on first read.
 
 The map r is not assumed bijective.
 """
@@ -34,7 +34,7 @@ class PropertyReport:
 
 
 class QuadraticSet:
-    """Immutable finite quadratic set with cached action tables."""
+    """Immutable finite quadratic set; its action tables are built on first read."""
 
     __slots__ = ("n", "r_table", "left", "right")
 
@@ -47,10 +47,18 @@ class QuadraticSet:
         for k, l in self.r_table:
             if not (0 <= k < n and 0 <= l < n):
                 raise IndexOutOfRange(f"image ({k}, {l}) out of range for n={n}")
-        self.left = tuple(tuple(self.r_table[i * n + j][0] for j in range(n))
-                          for i in range(n))
-        self.right = tuple(tuple(self.r_table[i * n + j][1] for j in range(n))
-                           for i in range(n))
+
+    def __getattr__(self, name):
+        # reached only while the slots are unset; later reads are plain slot reads
+        if name not in ("left", "right"):
+            raise AttributeError(f"'QuadraticSet' object has no attribute {name!r}")
+        rows = [self.r_table[i * self.n:(i + 1) * self.n] for i in range(self.n)]
+        self.left = tuple(tuple(k for k, _ in row) for row in rows)
+        self.right = tuple(tuple(l for _, l in row) for row in rows)
+        return getattr(self, name)
+
+    def __reduce__(self):
+        return QuadraticSet, (self.n, self.r_table)
 
     def r(self, i, j):
         return self.r_table[i * self.n + j]
@@ -125,8 +133,9 @@ def check_properties(qs):
     idempotent = all(t[k * n + l] == (k, l) for k, l in t)
     involutive = all(t[k * n + l] == ij
                      for ij, (k, l) in zip(product(range(n), repeat=2), t))
-    left_nondeg = all(len(set(row)) == n for row in qs.left)
-    right_nondeg = all(len(set(col)) == n for col in zip(*qs.right))
+    lefts, rights = zip(*t)
+    left_nondeg = all(len(set(lefts[i * n:i * n + n])) == n for i in range(n))
+    right_nondeg = all(len(set(rights[j::n])) == n for j in range(n))
     left_2_cancel = all(len(set(t[i * n:i * n + n])) == n for i in range(n))
     braided = _braid_pending(t, n, product(range(n), repeat=3)) == []
     return PropertyReport(
@@ -178,23 +187,6 @@ def canonical_form(qs):
     return min(_relabeled(qs.r_table, sigma) for sigma in permutations(range(qs.n)))
 
 
-def _has_smaller_relabeling(table, relabelings):
-    """True if, for some (sigma, sources) in relabelings, the relabeled table
-    is lex-smaller than table on every completion of its assigned (not None)
-    entries; on a full table, if table is not the least of its class."""
-    for sigma, src in relabelings:
-        for mine, s in zip(table, src):
-            kl = table[s]
-            if kl is None:
-                break
-            other = (sigma[kl[0]], sigma[kl[1]])
-            if other != mine:
-                if mine is not None and other < mine:
-                    return True
-                break
-    return False
-
-
 NODE_BUDGET = 200_000
 
 
@@ -205,11 +197,13 @@ def enumerate_solutions(n, predicate=()):
     result is the lex-least r_table of each class, in lex order.  The search
     is an orderly generation: pairs get images in lex order, and a partial
     table is dropped once a relabeling of it is lex-smaller, so only each
-    class's least member is completed.  The mask's cheap constraints are
-    checked cell by cell, a braid triple as soon as its six entries are
-    assigned, and each completed table gets the full check_properties.
-    Visiting more than NODE_BUDGET nodes (partial tables) raises
-    SizeTooLarge.
+    class's least member is completed.  Each relabeling still tied with the
+    table goes down the search with the position its comparison waits on;
+    one found larger is dropped below the node.  The mask's cheap
+    constraints are checked cell by cell, a braid triple as soon as its six
+    entries are assigned, and each completed table gets the full
+    check_properties.  Visiting more than NODE_BUDGET nodes (partial
+    tables) raises SizeTooLarge.
     """
     if n < 1:
         raise InvalidArgument(f"enumeration needs n >= 1, not {n}")
@@ -228,7 +222,6 @@ def enumerate_solutions(n, predicate=()):
 
     size = n * n
     pairs = [divmod(p, n) for p in range(size)]
-    relabelings = [(sigma, _sources(sigma)) for sigma in permutations(range(n))][1:]
     table = [None] * size
     preimages = [[] for _ in range(size)]  # the assigned cells r maps to q
     # left_used[i*n+k]: row i has left image k; right_used[j*n+l]: column j has l
@@ -237,14 +230,25 @@ def enumerate_solutions(n, predicate=()):
     found = []
     nodes = 0
 
-    def extend(p, triples):
+    def extend(p, triples, tied):
         nonlocal nodes
         nodes += 1
         if nodes > NODE_BUDGET:
             raise SizeTooLarge(f"enumeration at n={n} visited {nodes} nodes, "
                                f"over its budget of {NODE_BUDGET}")
-        if _has_smaller_relabeling(table, relabelings):
-            return
+        still = []  # (sigma, sources, first undecided position); empty at a leaf
+        for sigma, src, pos in tied:
+            while pos < size:
+                mine, kl = table[pos], table[src[pos]]
+                if mine is None or kl is None:
+                    still.append((sigma, src, pos))
+                    break
+                other = (sigma[kl[0]], sigma[kl[1]])
+                if other < mine:
+                    return
+                if other > mine:
+                    break
+                pos += 1
         if p == size:
             qs = QuadraticSet(n, table)
             rep = check_properties(qs).as_dict()
@@ -268,11 +272,12 @@ def enumerate_solutions(n, predicate=()):
                 left_used[i * n + k] = right_used[j * n + l] = True
                 pair_used[i * size + q] = True
                 preimages[q].append(p)
-                extend(p + 1, rest)
+                extend(p + 1, rest, still)
                 preimages[q].pop()
                 left_used[i * n + k] = right_used[j * n + l] = False
                 pair_used[i * size + q] = False
             table[p] = None
 
-    extend(0, list(product(range(n), repeat=3)))
+    extend(0, list(product(range(n), repeat=3)),
+           [(sigma, _sources(sigma), 0) for sigma in permutations(range(n))][1:])
     return found

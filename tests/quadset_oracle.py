@@ -6,12 +6,17 @@ canonical form per class at the end; canonical_form builds all n!
 relabeled QuadraticSets.  The braid and property checks are the old ones
 too, so a fault in the shared braid routine of ybx.quadset shows here.
 QuadraticSet, PropertyReport and the errors come from ybx unchanged.
+
+orderly_enumerate_solutions is the orderly search that replaced
+enumerate_solutions, before its relabeling test was carried down the
+search; it shares the braid routine and relabeling sources of ybx.quadset.
 """
 
 from itertools import permutations, product
 
 from ybx.errors import InvalidArgument, SizeTooLarge
-from ybx.quadset import PROPERTY_NAMES, PropertyReport, QuadraticSet
+from ybx.quadset import (NODE_BUDGET, PROPERTY_NAMES, PropertyReport, QuadraticSet,
+                         _braid_pending, _sources)
 
 
 def _braided(qs):
@@ -143,3 +148,105 @@ def enumerate_solutions(n, predicate=()):
         if key not in seen:
             seen[key] = QuadraticSet(n, key)
     return [seen[key] for key in sorted(seen)]
+
+
+def _has_smaller_relabeling(table, relabelings):
+    """True if, for some (sigma, sources) in relabelings, the relabeled table
+    is lex-smaller than table on every completion of its assigned (not None)
+    entries; on a full table, if table is not the least of its class."""
+    for sigma, src in relabelings:
+        for mine, s in zip(table, src):
+            kl = table[s]
+            if kl is None:
+                break
+            other = (sigma[kl[0]], sigma[kl[1]])
+            if other != mine:
+                if mine is not None and other < mine:
+                    return True
+                break
+    return False
+
+
+def orderly_enumerate_solutions(n, predicate=()):
+    """The orderly search that ybx.quadset ran before its relabeling test
+    became incremental, kept verbatim: at every node it compares each
+    relabeling with the table again from position 0.  Here the leaves get
+    this module's check_properties.
+
+    All r-tables on [1..n]^2 satisfying the property mask, up to relabeling.
+
+    predicate is an iterable of property names that must all hold.  The
+    result is the lex-least r_table of each class, in lex order.  The search
+    is an orderly generation: pairs get images in lex order, and a partial
+    table is dropped once a relabeling of it is lex-smaller, so only each
+    class's least member is completed.  The mask's cheap constraints are
+    checked cell by cell, a braid triple as soon as its six entries are
+    assigned, and each completed table gets the full check_properties.
+    Visiting more than NODE_BUDGET nodes (partial tables) raises
+    SizeTooLarge.
+    """
+    if n < 1:
+        raise InvalidArgument(f"enumeration needs n >= 1, not {n}")
+    if n > 3:
+        raise SizeTooLarge("enumeration is limited to n <= 3")
+    mask = frozenset(predicate)
+    unknown = mask - set(PROPERTY_NAMES)
+    if unknown:
+        raise InvalidArgument(f"unknown properties in mask: {sorted(unknown)}")
+    want_idem = "idempotent" in mask
+    want_invol = "involutive" in mask
+    want_lnd = "left_nondegenerate" in mask
+    want_rnd = "right_nondegenerate" in mask
+    want_braid = "braided" in mask
+    want_l2c = "left_2_cancellative" in mask
+
+    size = n * n
+    pairs = [divmod(p, n) for p in range(size)]
+    relabelings = [(sigma, _sources(sigma)) for sigma in permutations(range(n))][1:]
+    table = [None] * size
+    preimages = [[] for _ in range(size)]  # the assigned cells r maps to q
+    # left_used[i*n+k]: row i has left image k; right_used[j*n+l]: column j has l
+    left_used, right_used = [False] * size, [False] * size
+    pair_used = [False] * (n * size)  # pair_used[i*size+q]: row i has image pairs[q]
+    found = []
+    nodes = 0
+
+    def extend(p, triples):
+        nonlocal nodes
+        nodes += 1
+        if nodes > NODE_BUDGET:
+            raise SizeTooLarge(f"enumeration at n={n} visited {nodes} nodes, "
+                               f"over its budget of {NODE_BUDGET}")
+        if _has_smaller_relabeling(table, relabelings):
+            return
+        if p == size:
+            qs = QuadraticSet(n, table)
+            rep = check_properties(qs).as_dict()
+            if all(rep[name] for name in mask):
+                found.append(qs)
+            return
+        i, j = pairs[p]
+        for q, (k, l) in enumerate(pairs):
+            if (want_lnd and left_used[i * n + k] or want_rnd and right_used[j * n + l]
+                    or want_l2c and pair_used[i * size + q]
+                    # idempotent: r(r(p)) = r(p), every image is a fixed point
+                    or want_idem and (table[q] not in (None, pairs[q])
+                                      or preimages[p] and q != p)
+                    # involutive: r(r(p)) = p, so r is a bijection
+                    or want_invol and (table[q] not in (None, pairs[p]) or preimages[q]
+                                       or preimages[p] and preimages[p][0] != q)):
+                continue
+            table[p] = pairs[q]
+            rest = _braid_pending(table, n, triples) if want_braid else triples
+            if rest is not None:
+                left_used[i * n + k] = right_used[j * n + l] = True
+                pair_used[i * size + q] = True
+                preimages[q].append(p)
+                extend(p + 1, rest)
+                preimages[q].pop()
+                left_used[i * n + k] = right_used[j * n + l] = False
+                pair_used[i * size + q] = False
+            table[p] = None
+
+    extend(0, list(product(range(n), repeat=3)))
+    return found

@@ -91,6 +91,21 @@ def test_prolongation_periods(mixed3):
     assert braidmon.prolongation_sequence(ident, 3).period == 1
 
 
+def test_prolongation_checks_its_base_once(monkeypatch, mixed3):
+    calls = []
+    check = braidmon.check_properties
+    monkeypatch.setattr(braidmon, "check_properties",
+                        lambda qs: calls.append(qs) or check(qs))
+    braidmon.prolongation_sequence(mixed3, 4)
+    assert calls == [mixed3]
+    # the Veronese solution alone still checks its base
+    bad = quadset.QuadraticSet(2, [(1, 1), (0, 0), (0, 0), (0, 0)])
+    for call in (lambda: braidmon.veronese_solution(bad, 2),
+                 lambda: braidmon.prolongation_sequence(bad, 2)):
+        with pytest.raises(NotBraided):
+            call()
+
+
 def test_level_solutions_stay_idempotent(mixed3, cycle3):
     for qs in (mixed3, cycle3):
         for d in (2, 3):

@@ -1,5 +1,6 @@
+import pickle
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,68 @@ def test_canonical_form_and_relabel_match_oracle(case):
     qs = quadset.QuadraticSet(n, table)
     assert quadset.canonical_form(qs) == quadset_oracle.canonical_form(qs)
     assert quadset.relabel(qs, sigma) == quadset_oracle.relabel(qs, sigma)
+
+
+@pytest.mark.parametrize("mask", [
+    ["involutive"],
+    ["left_nondegenerate", "right_nondegenerate"],
+    ["idempotent", "left_nondegenerate"],
+    ["braided"],
+    ["braided", "involutive"],
+    ["braided", "idempotent", "left_nondegenerate"],
+])
+def test_enumerate_matches_orderly_oracle_n3(mask):
+    # the same classes in the same order as the search that compared every
+    # relabeling from position 0 at every node
+    assert (r_tables(quadset.enumerate_solutions(3, mask))
+            == r_tables(quadset_oracle.orderly_enumerate_solutions(3, mask)))
+
+
+def test_nondegenerate_classes_n3_from_all_action_pairs():
+    # r(i, j) = (sigma_i(j), tau_j(i)) runs over every left and right
+    # nondegenerate table; their canonical forms are the classes
+    sym = list(permutations(range(3)))
+    classes = {quadset.canonical_form(quadset.QuadraticSet(
+        3, [(sigma[i][j], tau[j][i]) for i in range(3) for j in range(3)]))
+        for sigma in product(sym, repeat=3) for tau in product(sym, repeat=3)}
+    assert len(classes) == 7860
+    assert r_tables(quadset.enumerate_solutions(
+        3, ["left_nondegenerate", "right_nondegenerate"])) == sorted(classes)
+
+
+def tables_of_size(n):
+    # random tables, mostly degenerate, and tables built from actions, which
+    # are left and right nondegenerate or are permutation solutions
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    perm = st.permutations(list(range(n)))
+    actions = st.tuples(st.lists(perm, min_size=n, max_size=n),
+                        st.lists(perm, min_size=n, max_size=n))
+    return st.tuples(st.just(n), st.one_of(
+        st.lists(pair, min_size=n * n, max_size=n * n),
+        actions.map(lambda lr: [(lr[0][i][j], lr[1][j][i])
+                                for i in range(n) for j in range(n)]),
+        perm.map(lambda f: [(f[j], j) for i in range(n) for j in range(n)])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(tables_of_size))
+def test_property_report_and_lazy_tables_match_oracle(case):
+    n, table = case
+    lazy, read = quadset.QuadraticSet(n, table), quadset.QuadraticSet(n, table)
+    assert (quadset.check_properties(lazy).as_dict()
+            == quadset_oracle.check_properties(read).as_dict())
+    with pytest.raises(AttributeError):  # the check built no action table
+        quadset.QuadraticSet.left.__get__(lazy)
+    assert all((lazy.left[i][j], lazy.right[i][j]) == lazy.r(i, j)
+               for i in range(n) for j in range(n))
+    assert lazy.left == read.left and lazy.right == read.right
+    fresh = quadset.QuadraticSet(n, table)
+    assert fresh == read and hash(fresh) == hash(read) and repr(fresh) == repr(read)
+    assert pickle.dumps(fresh) == pickle.dumps(read)
+    for qs in (fresh, read):
+        again = pickle.loads(pickle.dumps(qs))
+        assert again == qs and hash(again) == hash(qs) and repr(again) == repr(qs)
+        assert again.left == read.left and again.right == read.right
 
 
 def test_braided_filter_agrees_with_braided_mask_n3():
