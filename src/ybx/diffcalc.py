@@ -15,6 +15,7 @@ One-forms are lists of n polynomial coefficients, kept in normal form.
 
 from fractions import Fraction
 
+from . import elim
 from .errors import CheckFailed, InsufficientDegree, NotIdempotent
 from .ncgb import complete, normal_form, normal_words, poly_add, poly_scale
 from .linr import (RationalMatrix, check_idempotent, psi_from_r, splus_relations,
@@ -155,26 +156,14 @@ def annihilator_check(rho, gb, D):
 
 def connectedness_check(rho, gb, D):
     """ker d contains no nonzero combination of words of degree 1..D."""
-    n = rho.n
     for d in range(1, D + 1):
-        basis = normal_words(gb, d)
-        coords = sorted({(slot, w)
-                         for word in basis
-                         for slot, p in enumerate(differential(word, rho, gb))
-                         for w in p})
-        if not coords:
-            return False
-        index = {c: i for i, c in enumerate(coords)}
-        rows = []
-        for word in basis:
-            form = differential(word, rho, gb)
-            v = [F0] * len(coords)
-            for slot, p in enumerate(form):
-                for w, c in p.items():
-                    v[index[(slot, w)]] = c
-            rows.append(v)
-        mat = RationalMatrix(rows, cols=len(coords))
-        if mat.transpose().nullspace_basis():
+        # one row per word: its differential, coordinates numbered as met
+        index = {}
+        rows = [{index.setdefault((slot, w), len(index)): c
+                 for slot, p in enumerate(differential(word, rho, gb))
+                 for w, c in p.items()}
+                for word in normal_words(gb, d)]
+        if not index or RationalMatrix(rows, cols=len(index)).rank() < len(rows):
             return False
     return True
 
@@ -186,15 +175,14 @@ def no_degree_lowering_derivations(relations, n):
     rows = []
     for rel in relations:
         for t in range(n):
-            row = [F0] * n
+            row = {}
             for (i, j), c in rel.items():
                 if j == t:
-                    row[i] += c
+                    row[i] = row.get(i, 0) + c
                 if i == t:
-                    row[j] += c
+                    row[j] = row.get(j, 0) + c
             rows.append(row)
-    mat = RationalMatrix(rows, cols=n)
-    return not mat.nullspace_basis()
+    return RationalMatrix(rows, cols=n).rank() == n
 
 
 def nichols_exterior(rmat):
@@ -211,33 +199,22 @@ def nichols_exterior(rmat):
     if not check_idempotent(psi):
         raise NotIdempotent("the exterior construction needs an idempotent Psi")
 
-    def R(up1, lo1, up2, lo2):
-        return rmat.data[n * up1 + up2][n * lo1 + lo2]
-
     # each pair (i, j) contributes the first output pair of its Psi column
-    theta = sorted({divmod(min(col), n) for col in psi.columns()})
-    wedge = {}
-    mixed = {}
-    for i in range(n):
-        for j in range(n):
-            terms = {}
-            for a in range(n):
-                for b in range(n):
-                    c = R(a, i, b, j)
-                    if c:
-                        terms[(b, a)] = terms.get((b, a), F0) + c
-            wedge[(i, j)] = dict(terms)
-            mixed[(i, j)] = {k: -v for k, v in terms.items()}
+    theta = sorted({divmod(min(col), n) for col in psi.transpose().vecs})
+    # wedge[(i, j)] holds R^a_i{}^b_j at (b, a), read off the rows of R
+    wedge = {(i, j): {} for i in range(n) for j in range(n)}
+    for ab, row in enumerate(rmat.vecs):
+        for ij, c in row.items():
+            wedge[divmod(ij, n)][divmod(ab, n)[::-1]] = Fraction(c)
+    mixed = {ij: {k: -v for k, v in terms.items()} for ij, terms in wedge.items()}
 
     # the d-theta subalgebra relations coincide with those of S_+(R)
-    dim = n * n
-    delta = [[F0] * dim for _ in range(dim)]
+    vecs = []
     for (i, j), terms in wedge.items():
-        col = n * i + j
-        delta[col][col] += F1
-        for (b, a), c in terms.items():
-            delta[n * b + a][col] -= c
-    dtheta_rels = RationalMatrix(delta).transpose().row_space_basis()
+        vec = {n * i + j: 1}
+        elim.add_to(vec, -1, {n * b + a: c for (b, a), c in terms.items()})
+        vecs.append(vec)
+    dtheta_rels = RationalMatrix(vecs, cols=n * n).row_space_basis()
     if not subspace_equal(dtheta_rels, splus_relations(rmat)):
         raise CheckFailed("the d-theta relations differ from those of S_+(R)")
 

@@ -1,14 +1,24 @@
 """Exact sparse elimination shared by the linear layer and completion.
 
-A sparse vector is a {column: int or Fraction} dict holding only nonzero
-entries; Fraction rows stay Fractions.  Columns may be any mutually
-comparable keys; the pivot of a row is its least column, so the caller
-chooses the elimination order by its keys.
+A sparse vector is a {column: coefficient} dict holding only nonzero
+entries.  Columns may be any mutually comparable keys; the pivot of a row
+is its least column, so the caller chooses the elimination order by its
+keys.  Coefficients follow one rule, coeff: an int while integral, else a
+Fraction.  Arithmetic on ints stays on ints; a Fraction, once made by a
+division, stays a Fraction.
 """
 
 from fractions import Fraction
 
 F1 = Fraction(1)
+
+
+def coeff(x):
+    """x as an exact coefficient: an int while it is integral, else a
+    Fraction.  x is an int, a Fraction or anything Fraction accepts."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def add_to(vec, f, other):

@@ -6,9 +6,13 @@ x_{i|>j} (x) x_{i<|j}; the R-matrix is P Psi with P the flip.  Four-index
 symbols R^a_i{}^b_j are stored as entry (output pair (a,b), input pair
 (i,j)).
 
-Operators are composed as sparse columns ({row: coeff} dicts), so their
-cost follows the nonzeros; every rank, kernel and span question goes
-through the exact sparse elimination of ybx.elim.
+Every matrix is held as sparse rows ({column: coeff} dicts of its nonzero
+entries, coefficients following elim.coeff), so cost follows the nonzeros;
+every rank, kernel and span question goes through the exact sparse
+elimination of ybx.elim.  An operator identity that transposition maps to
+itself (braid relation, Yang-Baxter equation, idempotence) is checked on
+the rows as they are; the braided factorial and image(Psi) are read from
+the columns.  Coefficients that leave the module are Fractions.
 """
 
 from fractions import Fraction
@@ -17,97 +21,89 @@ from itertools import product
 from . import elim
 from .errors import NotIdempotent, ShapeMismatch, SizeTooLarge
 
-F0 = Fraction(0)
 F1 = Fraction(1)
 
 
 class RationalMatrix:
-    """Dense exact-rational matrix with rank/kernel/image operations."""
+    """Exact-rational matrix with rank/kernel/image operations, held as
+    sparse rows: vecs[i] is row i, its nonzero entries following elim.coeff.
+    data is a dense copy, lists of Fractions, built on each read."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "vecs")
 
     def __init__(self, data, cols=None):
-        self.data = [[Fraction(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        if self.rows:
-            self.cols = len(self.data[0])
-            if any(len(row) != self.cols for row in self.data):
-                raise ShapeMismatch("ragged rows")
-        else:
-            self.cols = cols or 0
+        """The matrix with the given rows, each a dense sequence or a sparse
+        {column: coeff} dict; cols is the width, needed when no row is dense."""
+        self.vecs = []
+        for row in data:
+            if not isinstance(row, dict):
+                if cols is None:
+                    cols = len(row)
+                elif len(row) != cols:
+                    raise ShapeMismatch("ragged rows")
+                row = dict(enumerate(row))
+            self.vecs.append({c: y for c, x in row.items() if (y := elim.coeff(x))})
+        self.rows, self.cols = len(self.vecs), cols or 0
 
     @staticmethod
     def identity(n):
-        return RationalMatrix([[F1 if i == j else F0 for j in range(n)]
-                               for i in range(n)])
+        return RationalMatrix([{i: 1} for i in range(n)], cols=n)
 
-    @staticmethod
-    def from_sparse(vecs, width):
-        """The matrix whose rows are the sparse vectors vecs."""
-        return RationalMatrix([[v.get(c, F0) for c in range(width)] for v in vecs],
-                              cols=width)
-
-    @staticmethod
-    def from_columns(cols, rows):
-        return RationalMatrix.from_sparse(_transpose(cols, rows), len(cols))
-
-    def sparse_rows(self):
-        return [{c: x for c, x in enumerate(row) if x} for row in self.data]
-
-    def columns(self):
-        """The columns as sparse {row: coeff} dicts."""
-        return _transpose(self.sparse_rows(), self.cols)
+    @property
+    def data(self):
+        return [[Fraction(row.get(c, 0)) for c in range(self.cols)]
+                for row in self.vecs]
 
     def __eq__(self, other):
         return (isinstance(other, RationalMatrix)
                 and self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
+                and self.vecs == other.vecs)
 
     def mul(self, other):
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.cols} != {other.rows}")
-        return RationalMatrix.from_columns(
-            _compose(self.columns(), other.columns()), self.rows)
+        return RationalMatrix(_compose(other.vecs, self.vecs), cols=other.cols)
 
     def add(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("size mismatch")
-        return RationalMatrix([[a + b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.data, other.data)],
-                              cols=self.cols)
+        return self._plus(other, 1)
 
     def sub(self, other):
-        return self.add(RationalMatrix([[-x for x in row] for row in other.data],
-                                       cols=other.cols))
+        return self._plus(other, -1)
+
+    def _plus(self, other, f):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeMismatch("size mismatch")
+        out = [dict(row) for row in self.vecs]
+        for acc, row in zip(out, other.vecs):
+            elim.add_to(acc, f, row)
+        return RationalMatrix(out, cols=self.cols)
 
     def transpose(self):
-        return RationalMatrix([[self.data[i][j] for i in range(self.rows)]
-                               for j in range(self.cols)], cols=self.rows)
+        return RationalMatrix(_transpose(self.vecs, self.cols), cols=self.rows)
 
     def kron(self, other):
-        out = []
-        for r1 in self.data:
-            for r2 in other.data:
-                out.append([a * b for a in r1 for b in r2])
-        return RationalMatrix(out, cols=self.cols * other.cols)
+        w = other.cols
+        return RationalMatrix([{c1 * w + c2: a * b for c1, a in r1.items()
+                                for c2, b in r2.items()}
+                               for r1 in self.vecs for r2 in other.vecs],
+                              cols=self.cols * w)
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot columns)."""
-        red, pivots = elim.rref(self.sparse_rows())
+        red, pivots = elim.rref(self.vecs)
         red += [{}] * (self.rows - len(red))
-        return RationalMatrix.from_sparse(red, self.cols), pivots
+        return RationalMatrix(red, cols=self.cols), pivots
 
     def rank(self):
-        return _rank(self.sparse_rows())
+        return _rank(self.vecs)
 
     def nullspace_basis(self):
         """Basis of the right kernel, as a list of column vectors (lists)."""
-        return RationalMatrix.from_sparse(
-            _kernel(self.sparse_rows(), self.cols), self.cols).data
+        return RationalMatrix(_kernel(self.vecs, self.cols), cols=self.cols).data
 
     def row_space_basis(self):
         """Nonzero rows of the reduced row echelon form."""
-        return RationalMatrix.from_sparse(elim.rref(self.sparse_rows())[0], self.cols)
+        return RationalMatrix(elim.rref(self.vecs)[0], cols=self.cols)
 
 
 def _transpose(vecs, width):
@@ -120,7 +116,8 @@ def _transpose(vecs, width):
 
 
 def _compose(a, b):
-    """Columns of the product a b of two operators given by columns."""
+    """Columns of the product a b of two operators given by columns; given
+    rows, the rows of b a."""
     out = []
     for col in b:
         acc = {}
@@ -139,7 +136,7 @@ def _kernel(rows, width):
     non-pivot column."""
     red, pivots = elim.rref(rows)
     free = sorted(set(range(width)) - set(pivots))
-    return [{fc: F1, **{p: -row[fc] for p, row in zip(pivots, red) if fc in row}}
+    return [{fc: 1, **{p: -row[fc] for p, row in zip(pivots, red) if fc in row}}
             for fc in free]
 
 
@@ -151,28 +148,27 @@ def subspace_equal(a, b):
     """Row spaces of a and b coincide (exact rank comparison)."""
     if a.cols != b.cols:
         raise ShapeMismatch("ambient dimensions differ")
-    return _same_span(a.sparse_rows(), b.sparse_rows())
+    return _same_span(a.vecs, b.vecs)
 
 
 def subspace_contains(a, b):
     """Row space of a contains the row space of b."""
     if a.cols != b.cols:
         raise ShapeMismatch("ambient dimensions differ")
-    rows = a.sparse_rows()
-    return _rank(rows + b.sparse_rows()) == _rank(rows)
+    return _rank(a.vecs + b.vecs) == _rank(a.vecs)
 
 
 def linearize(qs):
     """The braiding Psi and R-matrix R = P Psi of a quadratic set."""
     n = qs.n
-    images = [qs.r(i, j) for i in range(n) for j in range(n)]
-    return (RationalMatrix.from_columns([{n * k + l: F1} for k, l in images], n * n),
-            RationalMatrix.from_columns([{n * l + k: F1} for k, l in images], n * n))
+    cols = [{n * k + l: 1} for k, l in (qs.r(i, j) for i in range(n) for j in range(n))]
+    psi = RationalMatrix(cols, cols=n * n).transpose()
+    return psi, psi_from_r(psi)
 
 
 def _lift(cols, n, m, pos):
     """The columns of an operator on V (x) V acting at tensor positions
-    (pos, pos+1) of V^(x)m, n = dim V."""
+    (pos, pos+1) of V^(x)m, n = dim V; given rows, the rows."""
     nn = n * n
     right = n ** (m - pos - 2)
     out = []
@@ -187,18 +183,17 @@ def _lift(cols, n, m, pos):
 def check_braid(psi):
     """Psi_1 Psi_2 Psi_1 = Psi_2 Psi_1 Psi_2 on V^(x)3."""
     n = _tensor_dim(psi)
-    cols = psi.columns()
-    p1, p2 = _lift(cols, n, 3, 0), _lift(cols, n, 3, 1)
+    p1, p2 = _lift(psi.vecs, n, 3, 0), _lift(psi.vecs, n, 3, 1)
     return _compose(p1, _compose(p2, p1)) == _compose(p2, _compose(p1, p2))
 
 
 def check_matrix_ybe(rmat):
     """R12 R13 R23 = R23 R13 R12 on V^(x)3."""
     n = _tensor_dim(rmat)
-    cols = rmat.columns()
-    r12, r23 = _lift(cols, n, 3, 0), _lift(cols, n, 3, 1)
+    rows = rmat.vecs
+    r12, r23 = _lift(rows, n, 3, 0), _lift(rows, n, 3, 1)
     # R13 acts on positions 0 and 2
-    r13 = [{(kl // n * n + y) * n + kl % n: v for kl, v in cols[n * i + j].items()}
+    r13 = [{(kl // n * n + y) * n + kl % n: v for kl, v in rows[n * i + j].items()}
            for i, y, j in product(range(n), repeat=3)]
     return _compose(r12, _compose(r13, r23)) == _compose(r23, _compose(r13, r12))
 
@@ -206,8 +201,7 @@ def check_matrix_ybe(rmat):
 def check_idempotent(psi):
     if psi.rows != psi.cols:
         raise ShapeMismatch(f"{psi.cols} != {psi.rows}")
-    cols = psi.columns()
-    return _compose(cols, cols) == cols
+    return _compose(psi.vecs, psi.vecs) == psi.vecs
 
 
 def _tensor_dim(mat):
@@ -226,7 +220,8 @@ def flip_matrix(n):
 def psi_from_r(rmat):
     """The braiding Psi = P R; the flip P permutes the rows of R."""
     n = _tensor_dim(rmat)
-    return RationalMatrix([rmat.data[n * (r % n) + r // n] for r in range(n * n)])
+    return RationalMatrix([rmat.vecs[n * (r % n) + r // n] for r in range(n * n)],
+                          cols=n * n)
 
 
 def splus_relations(rmat):
@@ -255,21 +250,24 @@ def transpose_yb_relations(rmat):
     zero polynomials dropped.  Returned as {(a, b): coeff} dicts."""
     n = _tensor_dim(rmat)
     rels = []
-    for row, vec in enumerate(psi_from_r(rmat).sparse_rows()):
+    for row, vec in enumerate(psi_from_r(rmat).vecs):
         p = {divmod(c, n): x for c, x in vec.items()}
-        p[divmod(row, n)] = p.get(divmod(row, n), F0) - F1
-        p = {k: v for k, v in p.items() if v}
+        p[divmod(row, n)] = p.get(divmod(row, n), 0) - 1
+        p = {k: Fraction(v) for k, v in p.items() if v}
         if p:
             rels.append(p)
     return rels
 
 
 def koszul_dual_relations(rmat):
-    """Relation space of the Koszul dual: image(Psi^T) over the dual basis."""
+    """Relation space of the Koszul dual over the dual basis: the annihilator
+    of image(id - Psi), which for idempotent Psi is image(Psi^T), the row
+    space of Psi.  This is the paper's Koszul dual of the Yang-Baxter
+    algebra in the linearised idempotent setting, for any idempotent
+    R-matrix, also one that no set-theoretic solution gives."""
     psi = psi_from_r(rmat)
     if not check_idempotent(psi):
         raise NotIdempotent("Koszul duality here needs an idempotent Psi")
-    # column space of Psi^T = row space of Psi
     return psi.row_space_basis()
 
 
@@ -281,7 +279,10 @@ def _require_idempotent(qs, message):
 
 def koszul_dual_polynomials(qs):
     """Set-theoretic Koszul dual relations: one per image pair (i, j) of r,
-    the sum of y^a y^b over the preimage of (i, j)."""
+    the sum of y^a y^b over the preimage of (i, j).  This is the paper's
+    explicit presentation of the Koszul dual for an idempotent solution, read
+    off r without building an operator; on a linearized solution it spans
+    koszul_dual_relations, which also takes R-matrices no solution gives."""
     _require_idempotent(qs, "Koszul duality here needs an idempotent r")
     pre = {}
     for a, b in product(range(qs.n), repeat=2):
@@ -295,14 +296,14 @@ def braided_factorial(psi, m, sign=1):
     n = _tensor_dim(psi)
     if n > 4 or m > 4:
         raise SizeTooLarge("tensor powers limited to 4^4")
-    fact = _factorial(psi.columns(), n, m, sign)
-    return RationalMatrix.from_columns(fact, len(fact))
+    fact = _factorial(psi.transpose().vecs, n, m, sign)
+    return RationalMatrix(fact, cols=len(fact)).transpose()
 
 
 def _factorial(cols, n, m, sign):
     """The columns of [m, +-Psi]!, Psi given by its columns."""
     phi = cols if sign > 0 else [{r: -v for r, v in col.items()} for col in cols]
-    fact = [{c: F1} for c in range(n)]
+    fact = [{c: 1} for c in range(n)]
     for k in range(2, m + 1):
         # [k, phi] applied to [k-1, phi]! (x) id, one term at a time
         term = [{r * n + y: v for r, v in col.items()} for col in fact for y in range(n)]
@@ -310,7 +311,7 @@ def _factorial(cols, n, m, sign):
         for pos in range(k - 2, -1, -1):
             term = _compose(_lift(phi, n, k, pos), term)
             for total, col in zip(fact, term):
-                elim.add_to(total, F1, col)
+                elim.add_to(total, 1, col)
     return fact
 
 
@@ -329,7 +330,7 @@ def nichols_quadratic_check(psi, m):
         raise SizeTooLarge("tensor powers limited to 4^4")
     if not check_idempotent(psi):
         raise NotIdempotent("quadraticity holds for idempotent Psi")
-    cols = psi.columns()
+    cols = psi.transpose().vecs
     dim = n ** m
     kernel = _kernel(_transpose(_factorial(cols, n, m, -1), dim), dim)
     # V^(x)pos (x) image(Psi) (x) V^(x)(m-pos-2) is the image of Psi at pos
@@ -342,11 +343,10 @@ def _index(rmat, *slots):
     grouped by their indices at the given slots."""
     n = _tensor_dim(rmat)
     out = {}
-    for r, row in enumerate(rmat.data):
-        for c, v in enumerate(row):
-            if v:
-                e = (r // n, c // n, r % n, c % n, v)
-                out.setdefault(tuple(e[s] for s in slots), []).append(e)
+    for r, row in enumerate(rmat.vecs):
+        for c, v in row.items():
+            e = (r // n, c // n, r % n, c % n, v)
+            out.setdefault(tuple(e[s] for s in slots), []).append(e)
     return out
 
 
@@ -361,10 +361,10 @@ def frt_relations(rmat):
         p = {}
         for _, a, _, b, c in by_up.get((i, k), ()):
             key = ((a, j), (b, l))
-            p[key] = p.get(key, F0) + c
+            p[key] = p.get(key, 0) + c
         for a, _, b, _, c in by_lo.get((j, l), ()):
             key = ((k, b), (i, a))
-            p[key] = p.get(key, F0) - c
+            p[key] = p.get(key, 0) - c
         p = {key: v for key, v in p.items() if v}
         if p:
             rels.append(p)
@@ -383,11 +383,11 @@ def braided_matrix_relations(rmat):
         for _, a, _, b, v1 in by_up.get((k, i), ()):
             for c, _, _, d, v2 in by_lo1_up2.get((j, a), ()):
                 key = ((b, c), (d, l))
-                p[key] = p.get(key, F0) + v1 * v2
+                p[key] = p.get(key, 0) + v1 * v2
         for a, b, _, c, v1 in by_up2.get((i,), ()):
             for d, _, _, _, v2 in by_lo1_up2_lo2.get((j, b, l), ()):
                 key = ((k, a), (c, d))
-                p[key] = p.get(key, F0) - v1 * v2
+                p[key] = p.get(key, 0) - v1 * v2
         p = {key: vv for key, vv in p.items() if vv}
         if p:
             rels.append(p)
@@ -395,14 +395,14 @@ def braided_matrix_relations(rmat):
 
 
 def _dedupe(rels):
-    """Normalize each polynomial monic at its deg-lex-leading monomial and
-    drop duplicates, preserving first-seen order."""
+    """Normalize each polynomial monic at its deg-lex-leading monomial, with
+    Fraction coefficients, and drop duplicates, preserving first-seen order."""
     seen = set()
     out = []
     for p in rels:
         lead = max(p)
         c = p[lead]
-        q = tuple(sorted((k, v / c) for k, v in p.items()))
+        q = tuple(sorted((k, Fraction(v, c)) for k, v in p.items()))
         if q not in seen:
             seen.add(q)
             out.append(dict(q))
@@ -413,10 +413,9 @@ def rmatrix_star(phi, psi):
     """The braiding sigma_23 (phi (x) psi) sigma_23 on (V (x) W)^(x)2."""
     n, m = _tensor_dim(phi), _tensor_dim(psi)
     nm = n * m
-    phi_cols, psi_cols = phi.columns(), psi.columns()
-    cols = []
-    for i, a, j, b in product(range(n), range(m), range(n), range(m)):
-        cols.append({(kl // n * m + uv // m) * nm + kl % n * m + uv % m: c1 * c2
-                     for kl, c1 in phi_cols[n * i + j].items()
-                     for uv, c2 in psi_cols[m * a + b].items()})
-    return RationalMatrix.from_columns(cols, nm * nm)
+    # sigma_23 is its own transpose, so the rows follow the columns' rule
+    rows = [{(kl // n * m + uv // m) * nm + kl % n * m + uv % m: c1 * c2
+             for kl, c1 in phi.vecs[n * i + j].items()
+             for uv, c2 in psi.vecs[m * a + b].items()}
+            for i, a, j, b in product(range(n), range(m), range(n), range(m))]
+    return RationalMatrix(rows, cols=nm * nm)

@@ -20,8 +20,8 @@ letter, keeping a word when no lead is its suffix; the Hilbert series
 counts normal words per automaton state (the longest suffix that is a
 proper prefix of a lead) instead of listing them.
 
-Homogeneous input only.  Arithmetic is exact: a coefficient is an int while
-it is integral, else a Fraction; the rules of a GroebnerBasis hold Fractions.
+Homogeneous input only.  Arithmetic is exact, on coefficients that follow
+elim.coeff; the rules of a GroebnerBasis hold Fractions.
 """
 
 from dataclasses import dataclass
@@ -40,11 +40,9 @@ def deglex_key(word):
 
 
 def poly(terms):
-    """Normalize a {word: coeff} mapping, dropping zeros; an integral
-    coefficient becomes an int, any other a Fraction."""
-    terms = {w: c if isinstance(c, (int, Fraction)) else Fraction(c)
-             for w, c in terms.items() if c != 0}
-    return {w: c.numerator if c.denominator == 1 else c for w, c in terms.items()}
+    """Normalize a {word: coeff} mapping, dropping zeros; coefficients
+    follow elim.coeff."""
+    return {w: elim.coeff(c) for w, c in terms.items() if c != 0}
 
 
 def poly_add(p, q, scale=1):
@@ -76,10 +74,10 @@ class GroebnerBasis:
 
     @cached_property
     def index(self):
-        """The rules as (lead, rhs dict) pairs, indexed by lead, with the
-        integral coefficients as ints."""
-        return LeadIndex([(lead, {w: c.numerator if c.denominator == 1 else c
-                                  for w, c in rhs}) for lead, rhs in self.rules])
+        """The rules as (lead, rhs dict) pairs, indexed by lead, with
+        coefficients following elim.coeff."""
+        return LeadIndex([(lead, {w: elim.coeff(c) for w, c in rhs})
+                          for lead, rhs in self.rules])
 
 
 class LeadIndex:

@@ -146,39 +146,29 @@ def segre_morphism_check(qsX, qsY, D):
     dims_ok = all(len(normal_words(gbP, d)) == n * m for d in range(2, D + 1))
 
     # (c) degree-2 relation spaces agree
-    psiX, _ = linearize(qsX)
-    psiY, _ = linearize(qsY)
     psiP, _ = linearize(prod)
-    nm = n * m
-    idP = RationalMatrix.identity(nm * nm)
-    rel_prod = idP.sub(psiP).row_space_basis()
-
-    relX = RationalMatrix.identity(n * n).sub(psiX).row_space_basis()
-    relY = RationalMatrix.identity(m * m).sub(psiY).row_space_basis()
-    vecs = []
-    # sigma_23 sends (i (x) a) (x) (j (x) b) to component order (i, j, a, b)
-    def s23_vector(xij, yab):
-        v = [Fraction(0)] * (nm * nm)
-        for (i, j), c1 in xij.items():
-            for (a, b), c2 in yab.items():
-                v[(i * m + a) * nm + (j * m + b)] = c1 * c2
-        return v
-
-    def pair_dicts(mat, size):
-        return [{(p // size, p % size): c for p, c in enumerate(row) if c}
-                for row in mat.data]
-
-    unitY = [{(a, b): Fraction(1)} for a in range(m) for b in range(m)]
-    unitX = [{(i, j): Fraction(1)} for i in range(n) for j in range(n)]
-    for row in pair_dicts(relX, n):
-        for w in unitY:
-            vecs.append(s23_vector(row, w))
-    for w in unitX:
-        for row in pair_dicts(relY, m):
-            vecs.append(s23_vector(w, row))
-    rel_mixed = RationalMatrix(vecs, cols=nm * nm).row_space_basis()
-    rel_ok = subspace_equal(rel_prod, rel_mixed)
+    rel_prod = RationalMatrix.identity(psiP.rows).sub(psiP)
+    rel_ok = subspace_equal(rel_prod, _mixed_relations(qsX, qsY))
 
     ok = vanish and dims_ok and rel_ok
     return {"relations_vanish": vanish, "dims_ok": dims_ok,
             "relation_space_ok": rel_ok, "ok": ok}
+
+
+def _mixed_relations(qsX, qsY):
+    """Rows spanning sigma_23(R_A (x) W (x) W + V (x) V (x) R_B), R_A and R_B
+    the row spaces of id - Psi of the two factors."""
+    n, m = qsX.n, qsY.n
+    nm = n * m
+    relX, relY = (RationalMatrix.identity(qs.n ** 2).sub(linearize(qs)[0])
+                  .row_space_basis() for qs in (qsX, qsY))
+
+    # sigma_23 sends (i (x) a) (x) (j (x) b) to component order (i, j, a, b)
+    def s23(i, j, a, b):
+        return (i * m + a) * nm + j * m + b
+
+    vecs = [{s23(*divmod(p, n), *divmod(ab, m)): c for p, c in row.items()}
+            for row in relX.vecs for ab in range(m * m)]
+    vecs += [{s23(*divmod(ij, n), *divmod(p, m)): c for p, c in row.items()}
+             for ij in range(n * n) for row in relY.vecs]
+    return RationalMatrix(vecs, cols=nm * nm)

@@ -2,8 +2,10 @@
 
 RationalMatrix multiplies and row-reduces dense lists of Fractions, and
 every operator on V^(x)m is built as a dense n^m x n^m matrix.  The FRT and
-braided-matrix relations loop over every index tuple.  Tests compare the
-sparse layer against these functions entry for entry.
+braided-matrix relations loop over every index tuple.  The Segre
+relation vectors of ybx.verseg and the exterior calculus of ybx.diffcalc
+are built here as dense lists too.  Tests compare the sparse layer against
+these functions entry for entry.
 """
 
 from fractions import Fraction
@@ -332,3 +334,78 @@ def _dedupe(rels):
             seen.add(q)
             out.append(dict(q))
     return out
+
+
+def linearize(qs):
+    """The dense braiding Psi of a quadratic set: column (i, j) is the unit
+    vector of r(i, j)."""
+    n = qs.n
+    psi = [[F0] * (n * n) for _ in range(n * n)]
+    for i, j in product(range(n), repeat=2):
+        k, l = qs.r(i, j)
+        psi[n * k + l][n * i + j] = F1
+    return RationalMatrix(psi)
+
+
+def segre_mixed_relations(qsX, qsY):
+    """Row-space basis of sigma_23(R_A (x) W (x) W + V (x) V (x) R_B), R_A and
+    R_B the row spaces of id - Psi, built from dense vectors."""
+    n, m = qsX.n, qsY.n
+    nm = n * m
+    relX = RationalMatrix.identity(n * n).sub(linearize(qsX)).row_space_basis()
+    relY = RationalMatrix.identity(m * m).sub(linearize(qsY)).row_space_basis()
+    vecs = []
+
+    # sigma_23 sends (i (x) a) (x) (j (x) b) to component order (i, j, a, b)
+    def s23_vector(xij, yab):
+        v = [Fraction(0)] * (nm * nm)
+        for (i, j), c1 in xij.items():
+            for (a, b), c2 in yab.items():
+                v[(i * m + a) * nm + (j * m + b)] = c1 * c2
+        return v
+
+    def pair_dicts(mat, size):
+        return [{(p // size, p % size): c for p, c in enumerate(row) if c}
+                for row in mat.data]
+
+    unitY = [{(a, b): Fraction(1)} for a in range(m) for b in range(m)]
+    unitX = [{(i, j): Fraction(1)} for i in range(n) for j in range(n)]
+    for row in pair_dicts(relX, n):
+        for w in unitY:
+            vecs.append(s23_vector(row, w))
+    for w in unitX:
+        for row in pair_dicts(relY, m):
+            vecs.append(s23_vector(w, row))
+    return RationalMatrix(vecs, cols=nm * nm).row_space_basis()
+
+
+def nichols_exterior(rmat):
+    """The wedge rules, mixed rules and d-theta relations of the exterior
+    calculus, read from the dense R and its dense delta = id - P R."""
+    n = _tensor_dim(rmat)
+
+    def R(up1, lo1, up2, lo2):
+        return rmat.data[n * up1 + up2][n * lo1 + lo2]
+
+    wedge = {}
+    mixed = {}
+    for i in range(n):
+        for j in range(n):
+            terms = {}
+            for a in range(n):
+                for b in range(n):
+                    c = R(a, i, b, j)
+                    if c:
+                        terms[(b, a)] = terms.get((b, a), F0) + c
+            wedge[(i, j)] = dict(terms)
+            mixed[(i, j)] = {k: -v for k, v in terms.items()}
+
+    dim = n * n
+    delta = [[F0] * dim for _ in range(dim)]
+    for (i, j), terms in wedge.items():
+        col = n * i + j
+        delta[col][col] += F1
+        for (b, a), c in terms.items():
+            delta[n * b + a][col] -= c
+    return {"wedge_rules": wedge, "mixed_rules": mixed,
+            "dtheta_relations": RationalMatrix(delta).transpose().row_space_basis()}

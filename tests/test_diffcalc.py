@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import linr_oracle
 from ybx import diffcalc, linr, ncgb, orbits
 from ybx.errors import InsufficientDegree, NotIdempotent
 
@@ -134,7 +135,7 @@ def test_no_degree_lowering_derivations(rid2):
     assert not diffcalc.no_degree_lowering_derivations(comm, 2)
 
 
-def test_nichols_exterior_for_identity_pair(rid2):
+def test_nichols_exterior_for_identity_pair(rid2, cycle3, mixed3):
     _, rmat = linr.linearize(rid2)
     out = diffcalc.nichols_exterior(rmat)
     assert out["theta_relations"] == [(0, 0), (1, 1)]
@@ -144,6 +145,17 @@ def test_nichols_exterior_for_identity_pair(rid2):
             assert out["mixed_rules"][(i, j)] == {(j, j): -F1}
     assert linr.subspace_equal(out["dtheta_relations"],
                                linr.splus_relations(rmat))
+    # rules and d-theta relations equal those read from the dense R and delta
+    from ybx import quadset
+    lat = quadset.enumerate_solutions(3, ["braided", "idempotent", "left_nondegenerate"])
+    for qs in (rid2, cycle3, mixed3, *lat):
+        _, rmat = linr.linearize(qs)
+        out = diffcalc.nichols_exterior(rmat)
+        flip = linr_oracle.RationalMatrix(linr.flip_matrix(qs.n).data)
+        want = linr_oracle.nichols_exterior(flip.mul(linr_oracle.linearize(qs)))
+        assert out["wedge_rules"] == want["wedge_rules"]
+        assert out["mixed_rules"] == want["mixed_rules"]
+        assert out["dtheta_relations"].data == want["dtheta_relations"].data
 
 
 def test_nichols_exterior_check_survives_optimized_mode():

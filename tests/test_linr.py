@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linr_oracle
-from ybx import elim, linr, orbits, quadset
+from ybx import diffcalc, elim, linr, orbits, quadset
 from ybx.errors import NotIdempotent, ShapeMismatch
 
 F1 = Fraction(1)
@@ -173,6 +174,28 @@ def test_koszul_complementarity(cycle3, mixed3, rid2):
                 assert sum(row[i] * v[i] for i in range(dim)) == 0
 
 
+def test_public_coefficients_are_fractions(cycle3, mixed3, rid2):
+    # linr computes on ints while entries are integral; every coefficient
+    # that leaves linr or diffcalc is a Fraction, never an int or a float
+    def coeffs(polys):
+        return [c for p in polys for c in p.values()]
+
+    lat = quadset.enumerate_solutions(3, ["braided", "idempotent", "left_nondegenerate"])
+    for qs in (cycle3, mixed3, rid2, *lat):
+        psi, rmat = linr.linearize(qs)
+        values = coeffs(linr.koszul_dual_polynomials(qs))
+        # R itself and 2R - P, whose relations are made monic by a division
+        for r in (rmat, rmat.add(rmat).sub(linr.flip_matrix(qs.n))):
+            values += coeffs(linr.frt_relations(r) + linr.braided_matrix_relations(r)
+                             + linr.transpose_yb_relations(r))
+        ext = diffcalc.nichols_exterior(rmat)
+        values += coeffs([*ext["wedge_rules"].values(), *ext["mixed_rules"].values()])
+        for mat in (psi, rmat, linr.splus_relations(rmat), linr.koszul_dual_relations(rmat),
+                    ext["dtheta_relations"], linr.RationalMatrix([[2, 4, 1], [0, 3, 1]])):
+            values += [x for row in mat.data + mat.nullspace_basis() for x in row]
+        assert values and all(type(x) is Fraction for x in values)
+
+
 def test_nichols_monomials(cycle3, mixed3):
     # one vanishing product per image pair of r
     assert linr.nichols_monomials(cycle3) == [(0, 2), (1, 0), (2, 1)]
@@ -285,23 +308,32 @@ ENTRIES = [Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(2),
                                Fraction(-3, 2), Fraction(1, 3)]
 
 
+RREF_ENTRIES = {
+    "int": [0, 1, -1, 2, -3],
+    "fraction": [Fraction(0), F1, -F1, Fraction(2), Fraction(-1, 2)],
+    "mixed": [0, 1, -1, F1, -F1, 3, Fraction(2, 3)],
+}
+
+
 def dense(mat):
     return linr_oracle.RationalMatrix(mat.data, cols=mat.cols)
 
 
 @st.composite
 def matrices(draw, rows=None, cols=None):
-    """Rectangular matrices, mostly zeros; unless the row count is given,
-    some with a repeated row or a zero row."""
+    """Rectangular matrices of int, Fraction or mixed entries, mostly zeros;
+    unless the row count is given, some with a repeated row or a zero row."""
     extra = rows is None
     rows = draw(st.integers(0, 6)) if rows is None else rows
     cols = draw(st.integers(1, 6)) if cols is None else cols
-    data = [draw(st.lists(st.sampled_from(ENTRIES), min_size=cols, max_size=cols))
+    kind = RREF_ENTRIES[draw(st.sampled_from(sorted(RREF_ENTRIES)))]
+    entries = kind[:1] * 3 + kind       # each kind lists its zero first
+    data = [draw(st.lists(st.sampled_from(entries), min_size=cols, max_size=cols))
             for _ in range(rows)]
     if extra and data and draw(st.booleans()):
         data.insert(draw(st.integers(0, len(data))), list(draw(st.sampled_from(data))))
     if extra and draw(st.booleans()):
-        data.append([Fraction(0)] * cols)
+        data.append(kind[:1] * cols)
     return linr.RationalMatrix(data, cols=cols)
 
 
@@ -323,13 +355,20 @@ def test_elimination_matches_dense_oracle(a, data):
         linr_oracle.subspace_contains(old, dense(b))
     c = data.draw(matrices(rows=a.cols))
     assert a.mul(c).data == old.mul(dense(c)).data
-
-
-RREF_ENTRIES = {
-    "int": [0, 1, -1, 2, -3],
-    "fraction": [Fraction(0), F1, -F1, Fraction(2), Fraction(-1, 2)],
-    "mixed": [0, 1, -1, F1, -F1, 3, Fraction(2, 3)],
-}
+    # the other operations; equality does not depend on whether an entry
+    # came as an int or a Fraction
+    s = data.draw(matrices(rows=a.rows, cols=a.cols))
+    assert a.add(s).data == old.add(dense(s)).data
+    assert a.sub(s).data == old.sub(dense(s)).data
+    assert a.add(s).sub(s) == a == linr.RationalMatrix(old.data, cols=a.cols)
+    assert red == linr.RationalMatrix(want_red.data, cols=a.cols)
+    assert linr.RationalMatrix([[2]]) == linr.RationalMatrix([[Fraction(2)]])
+    assert a.transpose().data == old.transpose().data
+    assert a.kron(c).data == old.kron(dense(c)).data
+    # outputs are pickled by the bench
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and back.data == pickle.loads(pickle.dumps(old)).data
+    assert (back.rows, back.cols) == (old.rows, old.cols)
 
 
 @settings(max_examples=200, deadline=None)
@@ -400,10 +439,11 @@ def test_non_monomial_operators_match_dense_oracle(case1, case2, c, data):
     psi2, _ = linr.linearize(quadset.QuadraticSet(
         n, case2[1] if case2[0] == n else table[::-1]))
     i, j = data.draw(st.permutations(range(n * n)))[:2]
-    a = linr.RationalMatrix.identity(n * n)
-    a.data[i][j] = c
-    a_inv = linr.RationalMatrix.identity(n * n)
-    a_inv.data[i][j] = -c
+    one = linr.RationalMatrix.identity(n * n)
+    e_ij = linr.RationalMatrix([{j: c} if r == i else {} for r in range(n * n)],
+                               cols=n * n)
+    a, a_inv = one.add(e_ij), one.sub(e_ij)
+    assert a != one and a.mul(a_inv) == one
     flip = linr.flip_matrix(n)
     for psi in (psi1.add(psi1), psi1.add(psi2), a.mul(psi1).mul(a_inv)):
         assert_operators_match(psi, flip.mul(psi), (2, 3))

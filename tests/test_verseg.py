@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+import linr_oracle
 from ybx import orbits, quadset, verseg
 from ybx.errors import InsufficientDegree, NotIdempotent
 
@@ -59,13 +60,19 @@ def test_segre_presentation_shape(rid2, mixed3):
         assert dst[0] == 0
 
 
-def test_segre_morphism_checks(rid2, mixed3):
-    for a, b in [(rid2, rid2), (mixed3, mixed3), (mixed3, rid2)]:
+def test_segre_morphism_checks(rid2, mixed3, cycle3):
+    lat = quadset.enumerate_solutions(3, ["braided", "idempotent", "left_nondegenerate"])
+    pairs = [(rid2, rid2), (mixed3, mixed3), (mixed3, rid2), (rid2, cycle3),
+             (cycle3, mixed3)] + [(qs, cycle3) for qs in lat] + [(rid2, lat[-1])]
+    for a, b in pairs:
         result = verseg.segre_morphism_check(a, b, 3)
         assert result["relations_vanish"]
         assert result["dims_ok"]
         assert result["relation_space_ok"]
         assert result["ok"]
+        # the sparse sigma_23 rows span what the dense vectors span
+        assert verseg._mixed_relations(a, b).row_space_basis().data == \
+            linr_oracle.segre_mixed_relations(a, b).data
 
 
 def test_segre_presentation_matches_product_relations(rid2):
