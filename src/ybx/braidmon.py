@@ -16,8 +16,7 @@ prolongation).
 
 from dataclasses import dataclass
 
-from .errors import (CheckFailed, InsufficientDegree, InvalidArgument, NotBraided,
-                     NotIdempotent)
+from .errors import CheckFailed, InvalidArgument
 from .ncgb import normal_form_word, normal_words
 from .orbits import canonical_basis
 from .quadset import QuadraticSet, check_properties
@@ -94,8 +93,7 @@ def check_braided_monoid_axioms(wa, max_len):
     """Verify ML1/ML2/MR1/MR2 and braided commutativity M3 on all words
     of length <= max_len; the first that fails raises CheckFailed."""
     qs = wa.qs
-    if not check_properties(qs).braided:
-        raise NotBraided("word actions need a braided base set")
+    check_properties(qs).require("word actions", "braided")
     n = qs.n
     words = [()]
     by_len = {0: [()]}
@@ -127,7 +125,7 @@ def check_braided_monoid_axioms(wa, max_len):
     # M3: (a |> b)(a <| b) = ab in the monoid, compared after Nor
     for a in words:
         for b in words:
-            if len(a) + len(b) <= wa.gb.max_degree:
+            if wa.gb.final_through(len(a) + len(b)):
                 lhs = wa.nor(word_left_action(a, b, wa) + word_right_action(a, b, wa))
                 if lhs != wa.nor(a + b):
                     raise CheckFailed(f"M3 fails on a={a}, b={b}")
@@ -143,21 +141,19 @@ class VeroneseSolution:
 
 def veronese_solution(qs, d, wa=None):
     """The d-Veronese solution on the normal words of length d."""
-    if d < 1:
-        raise InvalidArgument(f"the Veronese level must be at least 1, not {d}")
-    if not check_properties(qs).braided:
-        raise NotBraided("Veronese solutions need a braided base set")
+    check_properties(qs).require("Veronese solutions", "braided")
     return _veronese(qs, d, wa)
 
 
 def _veronese(qs, d, wa):
     # veronese_solution on a base set already checked to be braided
+    if d < 1:
+        raise InvalidArgument(f"the Veronese level must be at least 1, not {d}")
     if d == 1:
         return VeroneseSolution(1, qs, tuple((i,) for i in range(qs.n)))
     if wa is None:
         wa = WordActions(qs, max_degree=max(2 * d, 3))
-    if not (wa.gb.complete or 2 * d <= wa.gb.max_degree):
-        raise InsufficientDegree(f"level {d} needs normal forms through {2 * d}")
+    wa.gb.require_degree(2 * d, f"the level-{d} Veronese solution")
     labels = tuple(normal_words(wa.gb, d))
     index = {w: i for i, w in enumerate(labels)}
     table = []
@@ -179,10 +175,8 @@ def prolongation_sequence(qs, d_max):
     """The prolongations (X, r^(d)) for d = 1..d_max with periodicity data."""
     if d_max < 1:
         raise InvalidArgument(f"the prolongation bound must be at least 1, not {d_max}")
-    rep = check_properties(qs)
-    if not (rep.braided and rep.idempotent and rep.left_nondegenerate):
-        raise NotBraided(
-            "prolongations need a left-nondegenerate idempotent braided set")
+    check_properties(qs).require("prolongations",
+                                 "braided", "idempotent", "left_nondegenerate")
     wa = WordActions(qs, max_degree=max(2 * d_max, 3))
     sols = [_veronese(qs, d, wa) for d in range(1, d_max + 1)]
     period = None
@@ -196,8 +190,5 @@ def prolongation_sequence(qs, d_max):
 
 def idempotence_of_restriction(qs, d):
     """Whether rho_d is idempotent on the level-d normal words."""
-    rep = check_properties(qs)
-    if not rep.idempotent:
-        raise NotIdempotent("the base set must be idempotent")
-    vs = veronese_solution(qs, d)
-    return check_properties(vs.base).idempotent
+    check_properties(qs).require("the restriction check", "idempotent", "braided")
+    return check_properties(_veronese(qs, d, None).base).idempotent

@@ -16,9 +16,9 @@ One-forms are lists of n polynomial coefficients, kept in normal form.
 from fractions import Fraction
 
 from . import elim
-from .errors import CheckFailed, InsufficientDegree, NotIdempotent
+from .errors import CheckFailed, InsufficientDegree
 from .ncgb import complete, normal_form, normal_words, poly_add, poly_scale
-from .linr import (RationalMatrix, check_idempotent, psi_from_r, splus_relations,
+from .linr import (RationalMatrix, psi_from_r, require_idempotent, splus_relations,
                    subspace_equal, _tensor_dim)
 
 F0 = Fraction(0)
@@ -64,8 +64,7 @@ def check_rho_map(gb, rho, relations, D):
     relations: list of quadratic NcPolynomials {(i, j): coeff}.
     Returns a report dict; "ok" is True when both conditions hold.
     """
-    if not (gb.complete or D <= gb.max_degree):
-        raise InsufficientDegree("conditions must be checked below the bound")
+    gb.require_degree(D, "the rho conditions")
     n = rho.n
     for j in range(n):
         for row in rho.rho[j]:
@@ -196,8 +195,7 @@ def nichols_exterior(rmat):
     """
     n = _tensor_dim(rmat)
     psi = psi_from_r(rmat)
-    if not check_idempotent(psi):
-        raise NotIdempotent("the exterior construction needs an idempotent Psi")
+    require_idempotent(psi, "the exterior construction")
 
     # each pair (i, j) contributes the first output pair of its Psi column
     theta = sorted({divmod(min(col), n) for col in psi.transpose().vecs})

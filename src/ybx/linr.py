@@ -20,6 +20,7 @@ from itertools import product
 
 from . import elim
 from .errors import NotIdempotent, ShapeMismatch, SizeTooLarge
+from .quadset import check_properties
 
 F1 = Fraction(1)
 
@@ -204,6 +205,12 @@ def check_idempotent(psi):
     return _compose(psi.vecs, psi.vecs) == psi.vecs
 
 
+def require_idempotent(psi, what):
+    """The matrix-level twin of PropertyReport.require(what, "idempotent")."""
+    if not check_idempotent(psi):
+        raise NotIdempotent(f"{what} needs an idempotent Psi")
+
+
 def _tensor_dim(mat):
     if mat.rows != mat.cols:
         raise ShapeMismatch("matrix is not square")
@@ -235,8 +242,7 @@ def splus_relations(rmat):
 def sminus_degenerate_check(psi):
     """For idempotent Psi, id + Psi is onto, so all degree-2 products of
     S_-(R) vanish."""
-    if not check_idempotent(psi):
-        raise NotIdempotent("the degeneracy statement needs an idempotent Psi")
+    require_idempotent(psi, "the degeneracy statement")
     n2 = psi.rows
     return RationalMatrix.identity(n2).add(psi).rank() == n2
 
@@ -266,15 +272,8 @@ def koszul_dual_relations(rmat):
     algebra in the linearised idempotent setting, for any idempotent
     R-matrix, also one that no set-theoretic solution gives."""
     psi = psi_from_r(rmat)
-    if not check_idempotent(psi):
-        raise NotIdempotent("Koszul duality here needs an idempotent Psi")
+    require_idempotent(psi, "Koszul duality here")
     return psi.row_space_basis()
-
-
-def _require_idempotent(qs, message):
-    """The set-level twin of check_idempotent(psi): r(r(x, y)) = r(x, y)."""
-    if any(qs.r(*qs.r(i, j)) != qs.r(i, j) for i in range(qs.n) for j in range(qs.n)):
-        raise NotIdempotent(message)
 
 
 def koszul_dual_polynomials(qs):
@@ -283,7 +282,7 @@ def koszul_dual_polynomials(qs):
     explicit presentation of the Koszul dual for an idempotent solution, read
     off r without building an operator; on a linearized solution it spans
     koszul_dual_relations, which also takes R-matrices no solution gives."""
-    _require_idempotent(qs, "Koszul duality here needs an idempotent r")
+    check_properties(qs).require("Koszul duality here", "idempotent")
     pre = {}
     for a, b in product(range(qs.n), repeat=2):
         pre.setdefault(qs.r(a, b), []).append((a, b))
@@ -318,7 +317,7 @@ def _factorial(cols, n, m, sign):
 def nichols_monomials(qs):
     """The set-theoretic Nichols relations theta_a theta_b = 0, one per
     image pair (a, b) of r, sorted."""
-    _require_idempotent(qs, "quadratic Nichols relations need an idempotent r")
+    check_properties(qs).require("quadratic Nichols relations", "idempotent")
     return sorted({qs.r(i, j) for i in range(qs.n) for j in range(qs.n)})
 
 
@@ -328,8 +327,7 @@ def nichols_quadratic_check(psi, m):
     n = _tensor_dim(psi)
     if n > 4 or m > 4:
         raise SizeTooLarge("tensor powers limited to 4^4")
-    if not check_idempotent(psi):
-        raise NotIdempotent("quadraticity holds for idempotent Psi")
+    require_idempotent(psi, "quadraticity")
     cols = psi.transpose().vecs
     dim = n ** m
     kernel = _kernel(_transpose(_factorial(cols, n, m, -1), dim), dim)

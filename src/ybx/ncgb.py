@@ -79,6 +79,18 @@ class GroebnerBasis:
         return LeadIndex([(lead, {w: elim.coeff(c) for w, c in rhs})
                           for lead, rhs in self.rules])
 
+    def final_through(self, d):
+        """Whether the rules through degree d are those of the full basis.
+        Completion runs one degree at a time, so on a truncated basis this
+        holds through max_degree: normal words and normal forms of words of
+        length d, which read only leads of length <= d, are exact there."""
+        return self.complete or d <= self.max_degree
+
+    def require_degree(self, d, what):
+        if not self.final_through(d):
+            raise InsufficientDegree(f"{what} needs completion through degree {d}, "
+                                     f"not {self.max_degree}")
+
 
 class LeadIndex:
     """Rules whose leads are looked up by length: {k: {lead: first position}}."""
@@ -231,12 +243,6 @@ def complete(relations, max_degree, alphabet=0):
     )
 
 
-def _require_degree(gb, d):
-    if not (gb.complete or d + 1 <= gb.max_degree):
-        raise InsufficientDegree(
-            f"normal words of degree {d} need completion through {d + 1}")
-
-
 def normal_words(gb, d):
     """All length-d words avoiding leading words as subwords, deg-lex sorted.
 
@@ -244,7 +250,7 @@ def normal_words(gb, d):
     w is and no lead is a suffix, and extending lex-sorted words in letter
     order keeps them lex-sorted.
     """
-    _require_degree(gb, d)
+    gb.require_degree(d, f"listing the words of degree {d}")
     index, n = gb.index, gb.alphabet_size
     level = [()]
     for _ in range(d):
@@ -266,7 +272,7 @@ def hilbert_series(gb, D):
     prefix of a lead.  Whether w + (x,) is normal, and its state, depend
     only on the state of w and on x, so one pass over the degrees carries
     a count per state.  On a truncated basis exact is False once D
-    reaches max_degree: leads past the bound are missing, so counts there
+    passes max_degree: leads past the bound are missing, so counts there
     may be too large.
     """
     index, n = gb.index, gb.alphabet_size
@@ -283,8 +289,7 @@ def hilbert_series(gb, D):
                     t = next(t[i:] for i in range(len(t) + 1) if t[i:] in prefixes)
                     nxt[t] = nxt.get(t, 0) + c
         counts = nxt
-    exact = gb.complete or D + 1 <= gb.max_degree
-    return HilbertPrefix(coefficients=tuple(coeffs), exact=exact)
+    return HilbertPrefix(coefficients=tuple(coeffs), exact=gb.final_through(D))
 
 
 def is_pbw(relations):
@@ -305,9 +310,7 @@ def monoid_multiply(u, v, gb):
     """The bullet product: the normal word equal to uv in the monoid."""
     if not gb.binomial:
         raise NotBinomial("the monoid product needs a binomial basis")
-    if not (gb.complete or len(u) + len(v) <= gb.max_degree):
-        raise InsufficientDegree(
-            f"product of lengths {len(u)} and {len(v)} exceeds the bound")
+    gb.require_degree(len(u) + len(v), "the monoid product")
     return normal_form_word(u + v, gb)
 
 
@@ -316,8 +319,7 @@ def left_cancellative_check(gb, d):
 
     Returns True or a counterexample (x, u, v).
     """
-    if not (gb.complete or d + 1 <= gb.max_degree):
-        raise InsufficientDegree("cancellativity check needs completion through d+1")
+    gb.require_degree(d + 1, "the cancellativity check")
     for length in range(1, d + 1):
         words = normal_words(gb, length)
         for x in range(gb.alphabet_size):

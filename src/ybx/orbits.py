@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import growth, ncgb, quadset
-from .errors import (CheckFailed, NotIdempotent, NotLeftNondegenerate,
-                     PreconditionViolated)
+from .errors import CheckFailed, PreconditionViolated
 
 
 @dataclass(frozen=True)
@@ -113,21 +112,14 @@ def canonical_basis(qs, max_degree):
                          alphabet=qs.n)
 
 
-def _require_idempotent_lnd(qs, what):
-    rep = quadset.check_properties(qs)
-    if not rep.idempotent:
-        raise NotIdempotent(f"{what} needs an idempotent set")
-    if not rep.left_nondegenerate:
-        raise NotLeftNondegenerate(f"{what} needs left nondegeneracy")
-
-
 def idempotent_structure(qs):
     """The table k with x_i x_j ~ x_1 x_{k[i][j]}, via k = L_1^{-1} L_i.
 
     Requires an idempotent left-nondegenerate set; rows are 0-based and
     the table covers all i (row 0 is the identity row k[0][j] = j).
     """
-    _require_idempotent_lnd(qs, "idempotent structure")
+    quadset.check_properties(qs).require("idempotent structure",
+                                         "idempotent", "left_nondegenerate")
     n = qs.n
     inv0 = [0] * n
     for j in range(n):
@@ -175,10 +167,11 @@ def dimA2_bounds_check(qs, max_d=5):
     dim A_2 = n, dim A_d = n for all checked degrees.  A failed bound
     raises CheckFailed.
     """
-    _require_idempotent_lnd(qs, "the dim A_2 check")
+    quadset.check_properties(qs).require("the dim A_2 check",
+                                         "idempotent", "left_nondegenerate")
     n = qs.n
     # rules through degree 3 are alike at every bound >= 3: PBW is no lead of length 3
-    gb = canonical_basis(qs, max(max_d + 1, 3))
+    gb = canonical_basis(qs, max(max_d, 3))
     pbw = all(len(lead) != 3 for lead, _ in gb.rules)
     N2 = ncgb.normal_words(gb, 2)
     dim_a2 = len(N2)

@@ -13,11 +13,16 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from .errors import (DuplicatePair, IndexOutOfRange, InvalidArgument, MissingPair,
-                     NotABijection, SizeTooLarge)
+                     NotABijection, NotBraided, NotIdempotent, NotLeftNondegenerate,
+                     SizeTooLarge)
 
 PROPERTY_NAMES = ("involutive", "idempotent", "braided",
                   "left_nondegenerate", "right_nondegenerate",
                   "left_2_cancellative")
+# the properties a construction may require: the error each raises, and its wording
+REQUIREMENTS = {"braided": (NotBraided, "a braided set"),
+                "idempotent": (NotIdempotent, "an idempotent set"),
+                "left_nondegenerate": (NotLeftNondegenerate, "a left-nondegenerate set")}
 
 
 @dataclass(frozen=True)
@@ -31,6 +36,14 @@ class PropertyReport:
 
     def as_dict(self):
         return {name: getattr(self, name) for name in PROPERTY_NAMES}
+
+    def require(self, what, *names):
+        """Raise the error of the first named property that fails, worded
+        "{what} needs ..."."""
+        for name in names:
+            if not getattr(self, name):
+                error, noun = REQUIREMENTS[name]
+                raise error(f"{what} needs {noun}")
 
 
 class QuadraticSet:

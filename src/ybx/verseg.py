@@ -14,10 +14,9 @@ relations of the product solution.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (InsufficientDegree, NormalFormNotFactorable,
-                     NotIdempotent, NotLeftNondegenerate)
+from .errors import InsufficientDegree, NormalFormNotFactorable
 from .braidmon import WordActions, veronese_solution
-from .linr import RationalMatrix, linearize, subspace_equal
+from .linr import RationalMatrix, linearize, splus_relations, subspace_equal
 from .ncgb import complete, normal_form_word, normal_words
 from .orbits import canonical_basis, canonical_relations, idempotent_structure
 from .quadset import cartesian_product, check_properties
@@ -45,8 +44,7 @@ def veronese_presentation(relations, d, max_degree=None, alphabet=0):
 
 def _veronese_relations(gb, d):
     """The d-Veronese presentation read from the basis gb."""
-    if not (gb.complete or 2 * d <= gb.max_degree):
-        raise InsufficientDegree("basis not complete through degree 2d")
+    gb.require_degree(2 * d, f"the level-{d} Veronese presentation")
     gens = normal_words(gb, d)
     index = {w: i for i, w in enumerate(gens)}
     n2d = set(normal_words(gb, 2 * d))
@@ -69,10 +67,8 @@ def _veronese_relations(gb, d):
 def veronese_isomorphism_check(qs, d):
     """Compare the d-Veronese presentation of the algebra with the
     canonical relations of the d-Veronese solution, under v_i <-> x_i."""
-    rep = check_properties(qs)
-    if not (rep.braided and rep.idempotent and rep.left_nondegenerate):
-        raise NotIdempotent(
-            "the identification needs a left-nondegenerate idempotent braided set")
+    check_properties(qs).require("the identification",
+                                 "braided", "idempotent", "left_nondegenerate")
     if d == 1:
         return True
     wa = WordActions(qs, max_degree=max(2 * d, 3))
@@ -90,13 +86,8 @@ def veronese_isomorphism_check(qs, d):
 
 def segre_presentation(qsX, qsY):
     """Relations F_{ia,jb} = z_{ia} z_{jb} - z_{11} z_{k_{ij} l_{ab}} on the
-    lexicographically ordered product generators."""
-    for qs in (qsX, qsY):
-        rep = check_properties(qs)
-        if not rep.idempotent:
-            raise NotIdempotent("Segre presentations need idempotent factors")
-        if not rep.left_nondegenerate:
-            raise NotLeftNondegenerate("Segre presentations need left nondegeneracy")
+    lexicographically ordered product generators; idempotent_structure
+    requires both factors idempotent and left-nondegenerate."""
     n, m = qsX.n, qsY.n
     k = idempotent_structure(qsX)
     l = idempotent_structure(qsY)
@@ -121,47 +112,43 @@ def segre_morphism_check(qsX, qsY, D):
         components have equal normal forms in their factors;
     (b) the degree-d component of the product algebra has dimension n*m
         for 2 <= d <= D, matching the diagonal subalgebra;
-    (c) the degree-2 relation space of the product solution equals
-        sigma_23(R_A (x) W (x) W + V (x) V (x) R_B) by exact rank.
+    (c) the degree-2 relation space image(id - Psi) of the product
+        solution equals sigma_23(R_A (x) W (x) W + V (x) V (x) R_B), R_A and
+        R_B those of the factors, by exact rank.
     """
     n, m = qsX.n, qsY.n
     prod = cartesian_product(qsX, qsY)
     k = idempotent_structure(qsX)
     l = idempotent_structure(qsY)
-    gbX, gbY, gbP = (canonical_basis(qs, max(D + 1, 3)) for qs in (qsX, qsY, prod))
+    gbX, gbY, gbP = (canonical_basis(qs, max(D, 3)) for qs in (qsX, qsY, prod))
 
-    # (a) tensor components of F_{ia,jb} cancel in A (x) B
-    vanish = True
-    for i in range(n):
-        for j in range(n):
-            for a in range(m):
-                for b in range(m):
-                    okX = normal_form_word((i, j), gbX) == \
-                        normal_form_word((0, k[i][j]), gbX)
-                    okY = normal_form_word((a, b), gbY) == \
-                        normal_form_word((0, l[a][b]), gbY)
-                    vanish = vanish and okX and okY
+    # (a) tensor components of F_{ia,jb} cancel in A (x) B: F's X part
+    # x_i x_j - x_1 x_{k_ij} vanishes in A, its Y part in B
+    vanish = all(normal_form_word((i, j), gb) == normal_form_word((0, kk[i][j]), gb)
+                 for kk, gb in ((k, gbX), (l, gbY))
+                 for i in range(len(kk)) for j in range(len(kk)))
 
     # (b) dimension of each graded component
     dims_ok = all(len(normal_words(gbP, d)) == n * m for d in range(2, D + 1))
 
     # (c) degree-2 relation spaces agree
-    psiP, _ = linearize(prod)
-    rel_prod = RationalMatrix.identity(psiP.rows).sub(psiP)
-    rel_ok = subspace_equal(rel_prod, _mixed_relations(qsX, qsY))
+    mixed = _mixed_relations(_relation_space(qsX), _relation_space(qsY), n, m)
+    rel_ok = subspace_equal(_relation_space(prod), mixed)
 
     ok = vanish and dims_ok and rel_ok
     return {"relations_vanish": vanish, "dims_ok": dims_ok,
             "relation_space_ok": rel_ok, "ok": ok}
 
 
-def _mixed_relations(qsX, qsY):
-    """Rows spanning sigma_23(R_A (x) W (x) W + V (x) V (x) R_B), R_A and R_B
-    the row spaces of id - Psi of the two factors."""
-    n, m = qsX.n, qsY.n
+def _relation_space(qs):
+    """Rows spanning the degree-2 relation space image(id - Psi) of qs."""
+    return splus_relations(linearize(qs)[1])
+
+
+def _mixed_relations(relX, relY, n, m):
+    """Rows spanning sigma_23(R_A (x) W (x) W + V (x) V (x) R_B), given rows
+    spanning R_A in V (x) V and R_B in W (x) W, n = dim V and m = dim W."""
     nm = n * m
-    relX, relY = (RationalMatrix.identity(qs.n ** 2).sub(linearize(qs)[0])
-                  .row_space_basis() for qs in (qsX, qsY))
 
     # sigma_23 sends (i (x) a) (x) (j (x) b) to component order (i, j, a, b)
     def s23(i, j, a, b):

@@ -54,3 +54,38 @@ def test_package_import_graph_has_no_cycle():
     for name in sorted(graph):
         if name not in state:
             visit(name, [name])
+
+
+# the property errors and where each may be raised: module -> the one
+# function that raises it there, or None for anywhere in the module
+PROPERTY_ERRORS = {"NotBraided": {"quadset": None},
+                   "NotLeftNondegenerate": {"quadset": None},
+                   "NotIdempotent": {"quadset": None, "linr": "require_idempotent"}}
+
+
+def uses(tree, name):
+    """The top-level function around each use of name; None outside one."""
+    found = []
+    for top in tree.body:
+        where = top.name if isinstance(top, ast.FunctionDef) else None
+        found += [where for node in ast.walk(top)
+                  if isinstance(node, ast.Name) and node.id == name
+                  or isinstance(node, ast.Attribute) and node.attr == name]
+    return found
+
+
+def test_property_errors_come_from_one_gate():
+    stray = [f"{error} in {module}.{where}"
+             for error, allowed in PROPERTY_ERRORS.items()
+             for module, tree in MODULES.items() for where in uses(tree, error)
+             if module not in allowed or allowed[module] not in (None, where)]
+    assert not stray, "property errors raised outside the gates: " + ", ".join(stray)
+
+
+def test_only_ncgb_compares_against_the_degree_bound():
+    found = [f"{name}.py:{node.lineno}" for name, tree in MODULES.items()
+             if name != "ncgb" for node in ast.walk(tree)
+             if isinstance(node, ast.Compare)
+             and any(isinstance(sub, ast.Attribute) and sub.attr == "max_degree"
+                     for side in (node.left, *node.comparators) for sub in ast.walk(side))]
+    assert not found, f"degree bounds compared outside ncgb at {found}"

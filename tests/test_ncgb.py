@@ -118,10 +118,12 @@ def test_incomplete_basis_is_flagged():
     # counts strictly below the bound are still reliable
     assert ncgb.hilbert_series(gb, 2) == ncgb.HilbertPrefix((1, 2, 3), True)
     with pytest.raises(InsufficientDegree):
-        ncgb.normal_words(gb, 3)
+        ncgb.normal_words(gb, 4)
     # raising the bound adds the missing rules up to the new bound
     deeper = ncgb.complete(rels, 6, alphabet=2)
     assert set(gb.rules) <= set(deeper.rules)
+    # every lead through the bound is already final
+    assert ncgb.normal_words(gb, 3) == ncgb.normal_words(deeper, 3)
 
 
 def test_truncated_hilbert_series_is_not_exact():
@@ -278,6 +280,37 @@ def test_engine_matches_brute_force_oracle(case):
     p = {w: c for w, c in zip(product(range(n), repeat=max_degree), COEFFS)}
     rules = [(lead, dict(rhs)) for lead, rhs in want.rules]
     assert ncgb.normal_form(p, got) == ncgb_oracle._normal_form_dict(p, rules)
+
+
+@st.composite
+def bounded_sets(draw):
+    """Homogeneous relations on 2-3 generators of degrees 2-4, and a degree
+    bound 3-5."""
+    n = draw(st.integers(2, 3))
+    rels = []
+    for _ in range(draw(st.integers(1, 4))):
+        degree = draw(st.integers(2, 4))
+        words = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * degree),
+                              min_size=1, max_size=3, unique=True))
+        rels.append({w: draw(st.sampled_from(COEFFS)) for w in words})
+    return n, rels, draw(st.integers(3, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_sets())
+def test_truncated_basis_is_exact_through_its_bound(case):
+    # completion runs one degree at a time, so every lead through the bound
+    # is final: a deeper basis lists the same words and counts there
+    n, rels, bound = case
+    gb = ncgb.complete(rels, bound, alphabet=n)
+    deeper = ncgb.complete(rels, bound + 3, alphabet=n)
+    assert ncgb.normal_words(gb, bound) == ncgb.normal_words(deeper, bound)
+    hp = ncgb.hilbert_series(gb, bound)
+    assert hp.exact and hp == ncgb.hilbert_series(deeper, bound)
+    if not gb.complete:
+        assert not ncgb.hilbert_series(gb, bound + 1).exact
+        with pytest.raises(InsufficientDegree):
+            ncgb.normal_words(gb, bound + 1)
 
 
 @st.composite

@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 import linr_oracle
-from ybx import orbits, quadset, verseg
+from ybx import linr, orbits, quadset, verseg
 from ybx.errors import InsufficientDegree, NotIdempotent
 
 
@@ -70,9 +70,12 @@ def test_segre_morphism_checks(rid2, mixed3, cycle3):
         assert result["dims_ok"]
         assert result["relation_space_ok"]
         assert result["ok"]
-        # the sparse sigma_23 rows span what the dense vectors span
-        assert verseg._mixed_relations(a, b).row_space_basis().data == \
-            linr_oracle.segre_mixed_relations(a, b).data
+        # the sparse sigma_23 rows span what the dense vectors span, given
+        # the row spaces of id - Psi that the dense oracle reads
+        rel_a, rel_b = (linr.RationalMatrix.identity(qs.n ** 2)
+                        .sub(linr.linearize(qs)[0]).row_space_basis() for qs in (a, b))
+        assert verseg._mixed_relations(rel_a, rel_b, a.n, b.n).row_space_basis().data \
+            == linr_oracle.segre_mixed_relations(a, b).data
 
 
 def test_segre_presentation_matches_product_relations(rid2):
