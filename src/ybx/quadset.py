@@ -11,14 +11,12 @@ The map r is not assumed bijective.
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import factorial
 
 from .errors import (DuplicatePair, IndexOutOfRange, InvalidArgument, MissingPair,
                      NotABijection, NotBraided, NotIdempotent, NotLeftNondegenerate,
                      SizeTooLarge)
 
-PROPERTY_NAMES = ("involutive", "idempotent", "braided",
-                  "left_nondegenerate", "right_nondegenerate",
-                  "left_2_cancellative")
 # the properties a construction may require: the error each raises, and its wording
 REQUIREMENTS = {"braided": (NotBraided, "a braided set"),
                 "idempotent": (NotIdempotent, "an idempotent set"),
@@ -140,25 +138,30 @@ def _braid_pending(table, n, triples):
     return pending
 
 
+# one exhaustive test per property of an r_table t of n*n pairs, shared by
+# check_properties and the completed tables of enumerate_solutions
+PROPERTY_TESTS = {
+    # r(r(x, y)) = (x, y), and r(r(x, y)) = r(x, y)
+    "involutive": lambda t, n: all(t[k * n + l] == ij for ij, (k, l)
+                                   in zip(product(range(n), repeat=2), t)),
+    "idempotent": lambda t, n: all(t[k * n + l] == (k, l) for k, l in t),
+    "braided": lambda t, n: _braid_pending(t, n, product(range(n), repeat=3)) == [],
+    # each row has n distinct left images, each column n distinct right
+    # images, each row n distinct image pairs
+    "left_nondegenerate":
+        lambda t, n: len({(p // n, kl[0]) for p, kl in enumerate(t)}) == n * n,
+    "right_nondegenerate":
+        lambda t, n: len({(p % n, kl[1]) for p, kl in enumerate(t)}) == n * n,
+    "left_2_cancellative":
+        lambda t, n: len({(p // n, kl) for p, kl in enumerate(t)}) == n * n,
+}
+PROPERTY_NAMES = tuple(PROPERTY_TESTS)
+
+
 def check_properties(qs):
     """Exhaustive property check over all pairs/triples."""
-    n, t = qs.n, qs.r_table
-    idempotent = all(t[k * n + l] == (k, l) for k, l in t)
-    involutive = all(t[k * n + l] == ij
-                     for ij, (k, l) in zip(product(range(n), repeat=2), t))
-    lefts, rights = zip(*t)
-    left_nondeg = all(len(set(lefts[i * n:i * n + n])) == n for i in range(n))
-    right_nondeg = all(len(set(rights[j::n])) == n for j in range(n))
-    left_2_cancel = all(len(set(t[i * n:i * n + n])) == n for i in range(n))
-    braided = _braid_pending(t, n, product(range(n), repeat=3)) == []
-    return PropertyReport(
-        involutive=involutive,
-        idempotent=idempotent,
-        braided=braided,
-        left_nondegenerate=left_nondeg,
-        right_nondegenerate=right_nondeg,
-        left_2_cancellative=left_2_cancel,
-    )
+    return PropertyReport(**{name: test(qs.r_table, qs.n)
+                             for name, test in PROPERTY_TESTS.items()})
 
 
 def cartesian_product(a, b):
@@ -214,24 +217,24 @@ def enumerate_solutions(n, predicate=()):
     table goes down the search with the position its comparison waits on;
     one found larger is dropped below the node.  The mask's cheap
     constraints are checked cell by cell, a braid triple as soon as its six
-    entries are assigned, and each completed table gets the full
-    check_properties.  Visiting more than NODE_BUDGET nodes (partial
-    tables) raises SizeTooLarge.
+    entries are assigned, and a completed table runs the mask's
+    PROPERTY_TESTS, each exhaustively, and is kept if it passes them.
+    SizeTooLarge is raised at once when the root's n^3 braid triples or
+    (n! - 1) * n^2 relabeled entries outnumber NODE_BUDGET (n >= 7), and
+    else past NODE_BUDGET nodes (partial tables); a node's cost grows with n.
     """
     if n < 1:
         raise InvalidArgument(f"enumeration needs n >= 1, not {n}")
-    if n > 3:
-        raise SizeTooLarge("enumeration is limited to n <= 3")
     mask = frozenset(predicate)
     unknown = mask - set(PROPERTY_NAMES)
     if unknown:
         raise InvalidArgument(f"unknown properties in mask: {sorted(unknown)}")
-    want_idem = "idempotent" in mask
-    want_invol = "involutive" in mask
-    want_lnd = "left_nondegenerate" in mask
-    want_rnd = "right_nondegenerate" in mask
-    want_braid = "braided" in mask
-    want_l2c = "left_2_cancellative" in mask
+    if n ** 3 > NODE_BUDGET or (factorial(n) - 1) * n * n > NODE_BUDGET:
+        raise SizeTooLarge(f"enumeration at n={n} starts from {n}! - 1 relabelings of "
+                           f"{n * n} entries, over its budget of {NODE_BUDGET}")
+    want_invol, want_idem, want_braid, want_lnd, want_rnd, want_l2c = (
+        name in mask for name in PROPERTY_NAMES)
+    leaf_tests = [test for name, test in PROPERTY_TESTS.items() if name in mask]
 
     size = n * n
     pairs = [divmod(p, n) for p in range(size)]
@@ -240,8 +243,7 @@ def enumerate_solutions(n, predicate=()):
     # left_used[i*n+k]: row i has left image k; right_used[j*n+l]: column j has l
     left_used, right_used = [False] * size, [False] * size
     pair_used = [False] * (n * size)  # pair_used[i*size+q]: row i has image pairs[q]
-    found = []
-    nodes = 0
+    found, nodes = [], 0
 
     def extend(p, triples, tied):
         nonlocal nodes
@@ -263,10 +265,8 @@ def enumerate_solutions(n, predicate=()):
                     break
                 pos += 1
         if p == size:
-            qs = QuadraticSet(n, table)
-            rep = check_properties(qs).as_dict()
-            if all(rep[name] for name in mask):
-                found.append(qs)
+            if all(test(table, n) for test in leaf_tests):
+                found.append(QuadraticSet(n, table))
             return
         i, j = pairs[p]
         for q, (k, l) in enumerate(pairs):

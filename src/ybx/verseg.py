@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientDegree, NormalFormNotFactorable
-from .braidmon import WordActions, veronese_solution
+from .braidmon import WordActions, _veronese
 from .linr import RationalMatrix, linearize, splus_relations, subspace_equal
 from .ncgb import complete, normal_form_word, normal_words
 from .orbits import canonical_basis, canonical_relations, idempotent_structure
@@ -73,7 +73,7 @@ def veronese_isomorphism_check(qs, d):
         return True
     wa = WordActions(qs, max_degree=max(2 * d, 3))
     pres = _veronese_relations(wa.gb, d)
-    vs = veronese_solution(qs, d, wa)
+    vs = _veronese(qs, d, wa)
     if pres.generators != vs.labels:
         return False
     got = {((u[0], u[1]), (v[0], v[1]))

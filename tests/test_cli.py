@@ -282,6 +282,12 @@ def test_enumerate_over_node_budget_is_usage_error(capsys, monkeypatch):
     assert err.startswith("error: ") and "budget of 50" in err
 
 
+def test_enumerate_refuses_a_large_n_at_once(capsys):
+    code, err = run_error(capsys, "enumerate", "-n", "11")
+    assert code == 2 and err == ("error: enumeration at n=11 starts from 11! - 1 "
+                                 "relabelings of 121 entries, over its budget of 200000\n")
+
+
 def test_non_integer_permutation_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "perm.ybx"
     path.write_text("ybx v1\nsize 3\npermutation a b c\n")

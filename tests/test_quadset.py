@@ -1,5 +1,6 @@
 import pickle
 import random
+import time
 from itertools import combinations, permutations, product
 
 import pytest
@@ -142,11 +143,40 @@ def test_enumerate_agrees_with_brute_force_n2():
         assert fancy == brute
 
 
+def test_enumerate_n4_counts():
+    # n = 4 fits the node budget: the involutive nondegenerate
+    # braided classes on 4 points (Etingof-Schedler-Soloviev count 23) and
+    # the braided idempotent left-nondegenerate ones
+    assert len(quadset.enumerate_solutions(4, [
+        "braided", "involutive", "left_nondegenerate", "right_nondegenerate"])) == 23
+    assert len(quadset.enumerate_solutions(
+        4, ["braided", "idempotent", "left_nondegenerate"])) == 14
+
+
 def test_enumerate_guards():
     with pytest.raises(SizeTooLarge):
         quadset.enumerate_solutions(4, [])
     with pytest.raises(ValueError):
         quadset.enumerate_solutions(2, ["shiny"])
+
+
+def test_enumerate_refuses_an_n_its_root_outgrows(monkeypatch):
+    # the root's n! - 1 relabelings of n*n entries (n = 7, 12) or n^3 braid
+    # triples (n = 10**6) beyond the budget are refused before any is built
+    with monkeypatch.context() as m:
+        m.setattr(quadset, "_sources", None)
+        for n in (7, 12, 10 ** 6):
+            start = time.perf_counter()
+            with pytest.raises(SizeTooLarge, match=f"n={n} starts from {n}! - 1 relabelings"):
+                quadset.enumerate_solutions(n, [])
+            assert time.perf_counter() - start < 0.1
+    # at n = 4 the root builds 23 * 16 entries: a budget of that many reaches the search
+    monkeypatch.setattr(quadset, "NODE_BUDGET", 23 * 16 - 1)
+    with pytest.raises(SizeTooLarge, match="4! - 1 relabelings of 16 entries, over its budget"):
+        quadset.enumerate_solutions(4, [])
+    monkeypatch.setattr(quadset, "NODE_BUDGET", 23 * 16)
+    with pytest.raises(SizeTooLarge, match="visited 369 nodes"):
+        quadset.enumerate_solutions(4, [])
 
 
 # --- orderly enumeration against the enumeration it replaced ---------------
@@ -175,6 +205,25 @@ def test_enumerate_matches_oracle_on_all_masks_n2():
 def test_enumerate_matches_oracle_n3(mask):
     assert (r_tables(quadset.enumerate_solutions(3, mask))
             == r_tables(quadset_oracle.enumerate_solutions(3, mask)))
+
+
+def test_leaf_runs_the_test_of_every_masked_property(monkeypatch):
+    # a leaf test that rejects every table empties exactly the masks that
+    # hold its property
+    before = [r_tables(quadset.enumerate_solutions(2, mask)) for mask in ALL_MASKS]
+    for name in quadset.PROPERTY_NAMES:
+        with monkeypatch.context() as m:
+            m.setitem(quadset.PROPERTY_TESTS, name, lambda t, n: False)
+            for mask, tables in zip(ALL_MASKS, before):
+                assert (r_tables(quadset.enumerate_solutions(2, mask))
+                        == ([] if name in mask else tables)), (name, mask)
+
+
+def test_property_report_matches_oracle_on_all_tables_n2():
+    for table in product(product(range(2), repeat=2), repeat=4):
+        qs = quadset.QuadraticSet(2, table)
+        assert (quadset.check_properties(qs).as_dict()
+                == quadset_oracle.check_properties(qs).as_dict()), table
 
 
 @settings(max_examples=80, deadline=None)

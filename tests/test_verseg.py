@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 import linr_oracle
-from ybx import linr, orbits, quadset, verseg
+from ybx import braidmon, linr, orbits, quadset, verseg
 from ybx.errors import InsufficientDegree, NotIdempotent
 
 
@@ -45,6 +45,16 @@ def test_veronese_isomorphism_requires_structure():
     flip = quadset.make_named("flip", 2)
     with pytest.raises(NotIdempotent):
         verseg.veronese_isomorphism_check(flip, 2)
+
+
+def test_veronese_isomorphism_checks_its_base_once(monkeypatch, cycle3):
+    calls = []
+    check = quadset.check_properties
+    for module in (verseg, braidmon):
+        monkeypatch.setattr(module, "check_properties",
+                            lambda qs: calls.append(qs) or check(qs))
+    assert verseg.veronese_isomorphism_check(cycle3, 2)
+    assert calls == [cycle3]
 
 
 def test_segre_presentation_shape(rid2, mixed3):
