@@ -5,13 +5,16 @@ mapping words to nonzero exact rationals.  Rules rewrite a leading word to
 a polynomial that is smaller in deg-lex.
 
 Completion runs one degree at a time.  The input is homogeneous, so when
-degree d starts every rule of lower degree is final.  Degree d gathers its
-inputs and, up to the bound, the S-polynomials of all overlaps of length d
-between lower rules, reduces them by the lower rules, and puts them
+degree d starts every rule of lower degree is final, and degree d turns
+its inputs and, up to the bound, the overlaps of length d between lower
+rules into the degree-d rules of the reduced Groebner basis, truncated at
+the bound (Bergman's diamond lemma).  When every relation is a word difference
+c(u - v), as a solution's are, this runs on words: both sides of each
+input and the two reductions of each overlap word are rewritten to normal
+words, and union-find makes each word of a class but the least a rule to
+the least.  Other input runs on polynomials: the reduced S-polynomials go
 through one exact reduced-echelon pass (ybx.elim) with the words as
-columns, largest first: each pivot word becomes a lead and the rest of its
-row the right-hand side.  The result is the reduced Groebner basis
-truncated at the bound (Bergman's diamond lemma).
+columns, largest first, and each pivot word becomes a lead.
 
 One lead index serves every lookup: each lead length k maps to a table
 {lead: first stored position}.  Reduction looks up word[pos:pos+k] for
@@ -159,17 +162,25 @@ def normal_form(p, gb):
     return _normal_form_dict(p, gb.index)
 
 
+def _normal_word(w, index, memo):
+    """The normal word of w under rules that rewrite a word to a word, by
+    leftmost rewriting; memo maps each word it has met to its normal word."""
+    path = [w]
+    while w not in memo and (hit := index.find(w)) is not None:
+        pos, i = hit
+        lead, (u,) = index.rules[i]
+        w = w[:pos] + u + w[pos + len(lead):]
+        path.append(w)
+    nf = memo.get(w, w)
+    memo.update(dict.fromkeys(path, nf))
+    return nf
+
+
 def normal_form_word(w, gb):
     """Normal form of a single word under a binomial basis."""
     if not gb.binomial:
         raise NotBinomial("word normal forms require a binomial basis")
-    nf = normal_form({w: 1}, gb)
-    if not nf:
-        raise ValueError("binomial reduction of a word vanished")
-    (word, coeff), = nf.items()
-    if coeff != 1:
-        raise NotBinomial(f"word {w} reduced to {coeff} times a word")
-    return word
+    return _normal_word(w, gb.index, {})
 
 
 def _desc(word):
@@ -187,6 +198,42 @@ def _overlaps(rules, d, starts):
         for k in range(1, len(u)):
             for v, rhs_v in starts.get((u[len(u) - k:], d - len(u) + k), ()):
                 yield u, rhs_u, v, rhs_v, k
+
+
+def _row_step(polys, overlaps, index):
+    """A degree's new rules: its inputs and the S-polynomials of its overlaps,
+    reduced by the lower rules, in one reduced echelon pass."""
+    # the two reductions of each overlap word u + v[k:]
+    polys += [poly_add({w + v[k:]: c for w, c in rhs_u.items()},
+                       {u[:len(u) - k] + w: c for w, c in rhs_v.items()}, -1)
+              for u, rhs_u, v, rhs_v, k in overlaps]
+    rows = [{_desc(w): c for w, c in _normal_form_dict(p, index).items()}
+            for p in polys]
+    red, pivots = elim.rref(rows)
+    return [(_desc(key), {_desc(w): -c for w, c in row.items() if w != key})
+            for key, row in zip(pivots, red)]
+
+
+def _word_step(polys, overlaps, index):
+    """_row_step's rules when every input is a word difference and every
+    lower rule rewrites a word to a word: the echelon form of word
+    differences rewrites each word of a class to its least, its root."""
+    memo, parent = {}, {}
+
+    def root(w):
+        while w in parent:
+            up = parent[w]
+            parent[w] = parent.get(up, up)
+            w = up
+        return w
+
+    pairs = [tuple(p) for p in polys]
+    pairs += [(a + v[k:], u[:len(u) - k] + b) for u, (a,), v, (b,), k in overlaps]
+    for pair in pairs:
+        a, b = (root(_normal_word(w, index, memo)) for w in pair)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    return [(w, {root(w): 1}) for w in parent]
 
 
 def complete(relations, max_degree, alphabet=0):
@@ -208,26 +255,18 @@ def complete(relations, max_degree, alphabet=0):
             raise NonHomogeneousInput("relations must be homogeneous of degree >= 2")
         alphabet = max(alphabet, max(max(w) + 1 for w in p))
         inputs.setdefault(len(next(iter(p))), []).append(p)
+    words = all(len(p) == 2 and sum(p.values()) == 0
+                for polys in inputs.values() for p in polys)
+    step = _word_step if words else _row_step
 
     rules, starts = [], {}
     top = max([max_degree, *inputs])
     for d in range(2, top + 1):
-        polys = inputs.pop(d, [])
-        if d <= max_degree:
-            # the two reductions of each overlap word u + v[k:]
-            polys += [poly_add({w + v[k:]: c for w, c in rhs_u.items()},
-                               {u[:len(u) - k] + w: c for w, c in rhs_v.items()}, -1)
-                      for u, rhs_u, v, rhs_v, k in _overlaps(rules, d, starts)]
-        index = LeadIndex(rules)
-        rows = [{_desc(w): c for w, c in _normal_form_dict(p, index).items()}
-                for p in polys]
-        red, pivots = elim.rref(rows)
-        for key, row in zip(pivots, red):
-            lead = _desc(key)
-            rule = (lead, {_desc(w): -c for w, c in row.items() if w != key})
+        overlaps = _overlaps(rules, d, starts) if d <= max_degree else ()
+        for rule in step(inputs.pop(d, []), overlaps, LeadIndex(rules)):
             rules.append(rule)
             for k in range(1, d):
-                starts.setdefault((lead[:k], d), []).append(rule)
+                starts.setdefault((rule[0][:k], d), []).append(rule)
 
     # an overlap longer than the bound was left unresolved
     skipped = any(next(_overlaps(rules, d, starts), None)
@@ -296,7 +335,8 @@ def is_pbw(relations):
     """True iff the quadratic relations are already a Groebner basis.
 
     For quadratic leading words every minimal overlap has length 3, so
-    resolving degree-3 ambiguities decides the question.
+    resolving degree-3 ambiguities decides the question.  On a solution's
+    canonical relations it checks the paper's claim R = G => PBW.
     """
     for p in relations:
         p = poly(p)

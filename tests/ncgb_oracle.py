@@ -4,15 +4,19 @@ _reduce_once scans every rule at every position, and normal_words lists
 all n^d words and tests each against every lead.  complete is the old
 restart loop, now the only copy of it: after every new rule it
 interreduces all rules and rebuilds the overlap list, where ybx.ncgb
-completes one degree at a time.  The shared helpers (deg-lex, polynomial
-arithmetic, GroebnerBasis) come from ybx.ncgb unchanged.
+completes one degree at a time.  complete_by_rows is ybx.ncgb's degree
+loop as it was before word differences ran on words: every degree, on any
+input, goes through one reduced-echelon pass.  The shared helpers (deg-lex,
+polynomial arithmetic, the lead index, GroebnerBasis) come from ybx.ncgb
+unchanged.
 """
 
 from itertools import product
 
+from ybx import elim, ncgb
 from ybx.ncgb import (ONE, GroebnerBasis, HilbertPrefix, _freeze_rules,
                       deglex_key, is_homogeneous, poly, poly_add, poly_scale)
-from ybx.errors import InsufficientDegree, NonHomogeneousInput
+from ybx.errors import InsufficientDegree, InvalidArgument, NonHomogeneousInput
 
 
 def poly_lm(p):
@@ -139,6 +143,56 @@ def complete(relations, max_degree, alphabet=0):
 
     skipped = any(len(o[0]) > max_degree for o in _overlaps(rules))
     binomial = all(len(rhs) == 1 and next(iter(rhs.values())) == ONE
+                   for _, rhs in rules)
+    return GroebnerBasis(
+        alphabet_size=alphabet,
+        rules=_freeze_rules(rules),
+        max_degree=max_degree,
+        complete=not skipped,
+        binomial=binomial,
+    )
+
+
+def complete_by_rows(relations, max_degree, alphabet=0):
+    """ybx.ncgb.complete with every degree on polynomial rows: the inputs and
+    the S-polynomials of the overlaps of length d, reduced by the lower
+    rules, go through one reduced-echelon pass whose pivots are the leads."""
+    if max_degree < 3:
+        raise InvalidArgument(f"max_degree must be at least 3, not {max_degree}")
+    inputs = {}
+    for p in relations:
+        p = poly(p)
+        if not p:
+            continue
+        if not is_homogeneous(p) or min(len(w) for w in p) < 2:
+            raise NonHomogeneousInput("relations must be homogeneous of degree >= 2")
+        alphabet = max(alphabet, max(max(w) + 1 for w in p))
+        inputs.setdefault(len(next(iter(p))), []).append(p)
+
+    rules, starts = [], {}
+    top = max([max_degree, *inputs])
+    for d in range(2, top + 1):
+        polys = inputs.pop(d, [])
+        if d <= max_degree:
+            # the two reductions of each overlap word u + v[k:]
+            polys += [poly_add({w + v[k:]: c for w, c in rhs_u.items()},
+                               {u[:len(u) - k] + w: c for w, c in rhs_v.items()}, -1)
+                      for u, rhs_u, v, rhs_v, k in ncgb._overlaps(rules, d, starts)]
+        index = ncgb.LeadIndex(rules)
+        rows = [{ncgb._desc(w): c for w, c in ncgb._normal_form_dict(p, index).items()}
+                for p in polys]
+        red, pivots = elim.rref(rows)
+        for key, row in zip(pivots, red):
+            lead = ncgb._desc(key)
+            rule = (lead, {ncgb._desc(w): -c for w, c in row.items() if w != key})
+            rules.append(rule)
+            for k in range(1, d):
+                starts.setdefault((lead[:k], d), []).append(rule)
+
+    # an overlap longer than the bound was left unresolved
+    skipped = any(next(ncgb._overlaps(rules, d, starts), None)
+                  for d in range(max_degree + 1, 2 * top))
+    binomial = all(len(rhs) == 1 and next(iter(rhs.values())) == 1
                    for _, rhs in rules)
     return GroebnerBasis(
         alphabet_size=alphabet,

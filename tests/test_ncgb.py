@@ -8,10 +8,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ybx import ncgb, orbits, quadset
+from ybx import diffcalc, ncgb, orbits, quadset, verseg
 from ybx.errors import (InsufficientDegree, NonHomogeneousInput,
                         NonQuadraticInput, NotBinomial)
 from conftest import mixed3_solution
@@ -173,6 +173,9 @@ def test_input_validation():
         3, alphabet=2)
     with pytest.raises(NotBinomial):
         ncgb.normal_form_word((1, 0), non_binomial)
+    scaled = ncgb.complete([{(0, 1): 1, (1, 0): -2}], 3, alphabet=2)
+    with pytest.raises(NotBinomial):
+        ncgb.normal_form_word((0, 1), scaled)
 
 
 def test_normal_form_is_linear_and_stable(mixed3):
@@ -375,6 +378,79 @@ def test_binomial_completion_makes_fractions_only_for_its_result(monkeypatch):
     monkeypatch.undo()
     assert len(calls) <= sum(len(rhs) for _, rhs in gb.rules)
     assert gb.complete and gb.binomial and len(gb.rules) == 56
+
+
+SCALES = [1, -1, 2, -2, Fraction(1, 3), Fraction(-1, 3)]
+
+
+@st.composite
+def word_difference_sets(draw):
+    """Relations c(u - v) on 2-4 generators, of degrees 2 and 3 mixed and
+    now and then one above the bound, with scales c of +-1, +-2 and +-1/3,
+    and a bound 3-6."""
+    n = draw(st.integers(2, 4))
+    bound = draw(st.integers(3, 6))
+    rels = []
+    for _ in range(draw(st.integers(1, 6))):
+        degree = draw(st.sampled_from([2, 2, 3, 3, bound + 1]))
+        u, v = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * degree),
+                             min_size=2, max_size=2, unique=True))
+        c = draw(st.sampled_from(SCALES))
+        rels.append({u: c, v: -c})
+    return n, rels, bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_difference_sets())
+# x1x1 - x1x0 spawns a rule at every degree, so its basis is truncated
+@example((2, [{(1, 1): 1, (1, 0): -1}], 3))
+@example((2, [{(0, 1): 2, (1, 0): -2},
+              {(1, 1, 1, 1): Fraction(1, 3), (0, 1, 0, 0): Fraction(-1, 3)}], 3))
+def test_word_differences_complete_as_on_rows(case):
+    n, rels, bound = case
+    got = ncgb.complete(rels, bound, alphabet=n)
+    want = ncgb_oracle.complete_by_rows(rels, bound, alphabet=n)
+    assert repr(got) == repr(want)
+    # the oracle lists words only where its older bound rule allows
+    for d in range(bound + 1 if want.complete else bound):
+        assert repr(ncgb.normal_words(got, d)) == repr(ncgb_oracle.normal_words(want, d))
+
+
+def test_word_differences_never_reach_elimination(monkeypatch, mixed3, cycle3):
+    class Eliminated(Exception):
+        pass
+
+    def refuse(rows):
+        raise Eliminated
+    monkeypatch.setattr(ncgb.elim, "rref", refuse)
+    for qs in (mixed3, cycle3, quadset.make_permutation_solution(list(range(1, 8)) + [0])):
+        assert orbits.canonical_basis(qs, 6).complete
+    gb, _, _ = diffcalc.make_rho_family(1, 0, 1, 0)
+    assert gb.binomial
+    rels = orbits.canonical_relations(mixed3).to_polynomials()
+    assert verseg.veronese_presentation(rels, 2, alphabet=3).generators
+    assert ncgb.complete([{(0, 1): 2, (1, 0): -2},
+                          {(0, 0, 1): Fraction(1, 3), (1, 0, 0): Fraction(-1, 3)}],
+                         4).binomial
+    assert ncgb.complete([], 4, alphabet=2).complete
+    # unequal coefficients, a three-term relation and a monomial take the rows
+    for rels in ([{(0, 1): 1, (1, 0): -2}],
+                 [{(1, 0): 1, (0, 1): -1, (0, 0): 1}],
+                 [{(0, 1): 1, (1, 0): -1}, {(1, 1): 1}]):
+        with pytest.raises(Eliminated):
+            ncgb.complete(rels, 3, alphabet=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(difference_sets(), st.integers(3, 5),
+       st.lists(st.lists(st.integers(0, 3), max_size=6), min_size=1, max_size=8))
+def test_normal_form_word_is_the_word_of_normal_form(case, bound, words):
+    n, rels = case
+    gb = ncgb.complete(rels, bound, alphabet=n)
+    for w in words:
+        w = tuple(x % n for x in w)
+        (word, c), = ncgb.normal_form({w: 1}, gb).items()
+        assert c == 1 and ncgb.normal_form_word(w, gb) == word
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,0 +1,68 @@
+"""The paper's claims, checked on every class the enumeration finds.
+
+For each braided, idempotent, left-nondegenerate set up to relabeling at
+n = 2, 3, 4: its canonical relations are already the Groebner basis
+(R = G), the d-Veronese presentation is that of the d-Veronese solution,
+the prolongation r^(d) is again of the class, and dim A_2 keeps its
+bounds.  For each involutive nondegenerate braided set, A(k, X, r) has the
+Hilbert series of the polynomial ring (Gateva-Ivanova and Van den Bergh).
+All permutation-idempotent algebras r_f of one size are isomorphic, so
+their Hilbert prefixes agree whatever the cycle type of f.
+"""
+
+from math import comb
+
+import pytest
+
+from ybx import braidmon, ncgb, orbits, quadset, verseg
+
+PAPER_CLASS = ("braided", "idempotent", "left_nondegenerate")
+INVOLUTIVE = ("braided", "involutive", "left_nondegenerate", "right_nondegenerate")
+
+
+@pytest.mark.parametrize("n, count", [(2, 3), (3, 5), (4, 14)])
+def test_paper_class_theorems(n, count):
+    classes = quadset.enumerate_solutions(n, PAPER_CLASS)
+    assert len(classes) == count
+    for qs in classes:
+        relations = orbits.canonical_relations(qs).relations
+        gb = orbits.canonical_basis(qs, 3)
+        assert gb.complete
+        assert gb.rules == tuple((u, ((v, 1),)) for u, v in relations)
+        for d in (2, 3):
+            assert verseg.veronese_isomorphism_check(qs, d) is True
+            prolonged = quadset.check_properties(braidmon.veronese_solution(qs, d).base)
+            assert all(getattr(prolonged, name) for name in PAPER_CLASS)
+        orbits.dimA2_bounds_check(qs)
+
+
+@pytest.mark.parametrize("n, count", [(2, 2), (3, 5), (4, 23)])
+def test_involutive_classes_have_polynomial_ring_growth(n, count):
+    classes = quadset.enumerate_solutions(n, INVOLUTIVE)
+    assert len(classes) == count
+    want = ncgb.HilbertPrefix(tuple(comb(n + d - 1, d) for d in range(6)), True)
+    for qs in classes:
+        assert ncgb.hilbert_series(orbits.canonical_basis(qs, 5), 5) == want
+
+
+def cycle_types(n, largest=None):
+    """The partitions of n, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in cycle_types(n - k, k):
+            yield (k, *rest)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_permutation_algebras_of_one_size_share_hilbert_prefixes(n):
+    prefixes = set()
+    for cycles in cycle_types(n):
+        f, start = [], 0
+        for k in cycles:
+            f += [start + (i + 1) % k for i in range(k)]
+            start += k
+        qs = quadset.make_permutation_solution(f)
+        prefixes.add(ncgb.hilbert_series(orbits.canonical_basis(qs, 6), 6))
+    assert len(prefixes) == 1
