@@ -7,11 +7,17 @@ A braided set acts on itself; the actions extend uniquely to words:
   right:  a <| (u v) = (a <| u) <| v,
           (a b) <| u = (a <| (b |> u))(b <| u)
 
-Both actions preserve length.  Composed with normal forms they give the
-normalized solution rho on normal words; its restriction to the normal
-words of a fixed length d is the d-Veronese solution, which for
-left-nondegenerate idempotent sets is again a solution on X itself (the
-prolongation).
+Both actions preserve length and come from one crossing of a over b:
+each letter c of a, last first, passes along b, turning each letter x
+into c |> x and itself into c <| x; b's place then holds a |> b, and the
+letters carried out, first one last, spell a <| b.  The crossing never
+uses the braid relation, so it gives these words for every r.
+WordActions(qs, max_degree) adds normal forms Nor through max_degree.
+
+Composed with normal forms the actions give the normalized solution rho
+on normal words; its restriction to the normal words of a fixed length d
+is the d-Veronese solution, which for left-nondegenerate idempotent sets
+is again a solution on X itself (the prolongation).
 """
 
 from dataclasses import dataclass
@@ -23,70 +29,41 @@ from .quadset import QuadraticSet, check_properties
 
 
 class WordActions:
-    """Action tables of a braided set extended to words, with normal forms."""
+    """A quadratic set with the normal forms of its words through max_degree."""
 
-    def __init__(self, qs, gb=None, max_degree=8):
+    def __init__(self, qs, max_degree):
         self.qs = qs
-        self.gb = canonical_basis(qs, max_degree) if gb is None else gb
+        self.gb = canonical_basis(qs, max_degree)
 
     def nor(self, word):
         return normal_form_word(word, self.gb)
 
 
-def _left_letter(qs, c, b):
-    return qs.left[c][b]
-
-
-def _right_letter(qs, c, b):
-    return qs.right[c][b]
-
-
-def _word_left_on_letter(qs, a, b):
-    # (a_1...a_p) |> b = a_1 |> (a_2...a_p |> b)
-    for letter in reversed(a):
-        b = _left_letter(qs, letter, b)
-    return b
+def _cross(qs, a, b):
+    """(a |> b, a <| b), by the crossing described above."""
+    b, right_word = list(b), []
+    for c in reversed(a):
+        for i, x in enumerate(b):
+            b[i], c = qs.left[c][x], qs.right[c][x]
+        right_word.append(c)
+    return tuple(b), tuple(reversed(right_word))
 
 
 def word_left_action(a, b, wa):
     """The word a acting on the word b from the left; |result| = |b|."""
-    qs = wa.qs
-
-    def act_letter(c, word):
-        # c |> (b_1...b_q)
-        out = []
-        for letter in word:
-            out.append(_left_letter(qs, c, letter))
-            c = _right_letter(qs, c, letter)
-        return tuple(out)
-
-    for letter in reversed(a):
-        b = act_letter(letter, b)
-    return tuple(b)
+    return _cross(wa.qs, a, b)[0]
 
 
 def word_right_action(a, b, wa):
     """The word a acted on by the word b from the right; |result| = |a|."""
-    qs = wa.qs
-
-    def act_letter(word, u):
-        # (a_1...a_p) <| u, expanding (ab) <| u = (a <| (b |> u))(b <| u)
-        out = []
-        for pos in range(len(word)):
-            rest = word[pos + 1:]
-            out.append(_right_letter(qs, word[pos], _word_left_on_letter(qs, rest, u)))
-        return tuple(out)
-
-    for letter in b:
-        a = act_letter(a, letter)
-    return tuple(a)
+    return _cross(wa.qs, a, b)[1]
 
 
 def rho(a, b, wa):
     """The normalized solution on normal words: rho(a, b) =
     (Nor(a |> b), Nor(a <| b))."""
-    return (wa.nor(word_left_action(a, b, wa)),
-            wa.nor(word_right_action(a, b, wa)))
+    left, right = _cross(wa.qs, a, b)
+    return wa.nor(left), wa.nor(right)
 
 
 def check_braided_monoid_axioms(wa, max_len):

@@ -232,6 +232,8 @@ def cmd_dims(args):
 @command(tail=(arg("--basepoint", type=int, default=1),))
 def cmd_tournament(args):
     qs = _load(args.solution)
+    if not 1 <= args.basepoint <= qs.n:
+        raise InvalidArgument(f"--basepoint must be in 1..{qs.n}, not {args.basepoint}")
     gn, _ = _graphs(orbits.canonical_basis(qs, args.max_deg), qs.n)
     result = growth.tournament_structure(gn, args.basepoint - 1)
     report = {"matches": result["matches"]}

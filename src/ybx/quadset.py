@@ -138,8 +138,8 @@ def _braid_pending(table, n, triples):
     return pending
 
 
-# one exhaustive test per property of an r_table t of n*n pairs, shared by
-# check_properties and the completed tables of enumerate_solutions
+# one exhaustive test per property of an r_table t of n*n pairs, for
+# check_properties
 PROPERTY_TESTS = {
     # r(r(x, y)) = (x, y), and r(r(x, y)) = r(x, y)
     "involutive": lambda t, n: all(t[k * n + l] == ij for ij, (k, l)
@@ -216,9 +216,9 @@ def enumerate_solutions(n, predicate=()):
     class's least member is completed.  Each relabeling still tied with the
     table goes down the search with the position its comparison waits on;
     one found larger is dropped below the node.  The mask's cheap
-    constraints are checked cell by cell, a braid triple as soon as its six
-    entries are assigned, and a completed table runs the mask's
-    PROPERTY_TESTS, each exhaustively, and is kept if it passes them.
+    constraints are checked cell by cell and a braid triple as soon as its
+    six entries are assigned; together they decide every property of the
+    mask, so each completed table is kept.
     SizeTooLarge is raised at once when the root's n^3 braid triples or
     (n! - 1) * n^2 relabeled entries outnumber NODE_BUDGET (n >= 7), and
     else past NODE_BUDGET nodes (partial tables); a node's cost grows with n.
@@ -234,7 +234,6 @@ def enumerate_solutions(n, predicate=()):
                            f"{n * n} entries, over its budget of {NODE_BUDGET}")
     want_invol, want_idem, want_braid, want_lnd, want_rnd, want_l2c = (
         name in mask for name in PROPERTY_NAMES)
-    leaf_tests = [test for name, test in PROPERTY_TESTS.items() if name in mask]
 
     size = n * n
     pairs = [divmod(p, n) for p in range(size)]
@@ -265,8 +264,7 @@ def enumerate_solutions(n, predicate=()):
                     break
                 pos += 1
         if p == size:
-            if all(test(table, n) for test in leaf_tests):
-                found.append(QuadraticSet(n, table))
+            found.append(QuadraticSet(n, table))
             return
         i, j = pairs[p]
         for q, (k, l) in enumerate(pairs):

@@ -4,7 +4,10 @@ import sys
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import braidmon_oracle
 from ybx import braidmon, ncgb, quadset
 from ybx.errors import NotBraided
 
@@ -27,6 +30,38 @@ def test_word_actions_reduce_to_letter_actions(mixed3):
     # empty words act trivially
     assert braidmon.word_left_action((), (0, 1), wa) == (0, 1)
     assert braidmon.word_right_action((0, 1), (), wa) == (0, 1)
+
+
+def assert_actions_match_oracle(wa, a, b):
+    assert (braidmon.word_left_action(a, b, wa)
+            == braidmon_oracle.word_left_action(a, b, wa)), (a, b)
+    assert (braidmon.word_right_action(a, b, wa)
+            == braidmon_oracle.word_right_action(a, b, wa)), (a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+             min_size=n * n, max_size=n * n),
+    st.lists(st.integers(0, n - 1), max_size=4),
+    st.lists(st.integers(0, n - 1), max_size=4))))
+def test_word_actions_match_oracle_on_any_table(case):
+    # braided or not: the one crossing expands the same formulas
+    n, table, a, b = case
+    wa = braidmon.WordActions(quadset.QuadraticSet(n, table), max_degree=3)
+    assert_actions_match_oracle(wa, tuple(a), tuple(b))
+
+
+def test_word_actions_match_oracle_on_the_paper_class():
+    for n in (1, 2, 3):
+        words = [w for k in range(4) for w in product(range(n), repeat=k)]
+        for qs in quadset.enumerate_solutions(
+                n, ("braided", "idempotent", "left_nondegenerate")):
+            wa = braidmon.WordActions(qs, max_degree=3)
+            for a in words:
+                for b in words:
+                    assert_actions_match_oracle(wa, a, b)
 
 
 def test_actions_preserve_length(mixed3):

@@ -137,6 +137,14 @@ def test_tournament_command(capsys, files):
     assert code == 1 and not json.loads(out)["matches"]
 
 
+@pytest.mark.parametrize("basepoint", ["0", "-1", "9"])
+def test_tournament_basepoint_out_of_range(capsys, files, basepoint):
+    code, err = run_error(capsys, "tournament", files["cycle3"],
+                          f"--basepoint={basepoint}")
+    assert code == 2
+    assert err == f"error: --basepoint must be in 1..3, not {basepoint}\n"
+
+
 def test_veronese_command(capsys, files):
     code, out = run(capsys, "veronese", files["mixed3"], "-d", "2", "--json")
     assert code == 0

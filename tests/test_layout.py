@@ -1,7 +1,10 @@
-"""Module layout of src/ybx: imports sit at the top of each module, and the
-package's own modules import one another without a cycle."""
+"""Module layout of src/ybx: imports sit at the top of each module, the
+package's own modules import one another without a cycle, and every
+function the bench traces exists."""
 
 import ast
+from functools import reduce
+from importlib import import_module
 from pathlib import Path
 
 import ybx
@@ -89,3 +92,20 @@ def test_only_ncgb_compares_against_the_degree_bound():
              and any(isinstance(sub, ast.Attribute) and sub.attr == "max_degree"
                      for side in (node.left, *node.comparators) for sub in ast.walk(side))]
     assert not found, f"degree bounds compared outside ncgb at {found}"
+
+
+def test_bench_targets_resolve():
+    # read TARGETS from the source, so the test imports nothing under bench/
+    spans = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    targets = next(ast.literal_eval(node.value)
+                   for node in ast.parse(spans.read_text()).body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    missing = []
+    for target in targets:
+        layer, *path = target.split(".")
+        try:
+            reduce(getattr, path, import_module(f"ybx.{layer}"))
+        except (ImportError, AttributeError):
+            missing.append(target)
+    assert targets and not missing, f"bench targets missing from ybx: {missing}"

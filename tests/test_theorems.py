@@ -4,8 +4,11 @@ For each braided, idempotent, left-nondegenerate set up to relabeling at
 n = 2, 3, 4: its canonical relations are already the Groebner basis
 (R = G), the d-Veronese presentation is that of the d-Veronese solution,
 the prolongation r^(d) is again of the class, and dim A_2 keeps its
-bounds.  For each involutive nondegenerate braided set, A(k, X, r) has the
-Hilbert series of the polynomial ring (Gateva-Ivanova and Van den Bergh).
+bounds.  For each ordered pair of these sets at n = 2, 3 the Segre
+morphism data hold and the Cartesian product is again of the class.  For
+each involutive nondegenerate braided set, A(k, X, r) has the Hilbert
+series of the polynomial ring (Gateva-Ivanova and Van den Bergh).  Every
+class of both kinds at n = 2, 3 satisfies the braided-monoid axioms.
 All permutation-idempotent algebras r_f of one size are isomorphic, so
 their Hilbert prefixes agree whatever the cycle type of f.
 """
@@ -34,6 +37,25 @@ def test_paper_class_theorems(n, count):
             prolonged = quadset.check_properties(braidmon.veronese_solution(qs, d).base)
             assert all(getattr(prolonged, name) for name in PAPER_CLASS)
         orbits.dimA2_bounds_check(qs)
+
+
+def test_segre_pairs_of_the_paper_class():
+    classes = [qs for n in (2, 3) for qs in quadset.enumerate_solutions(n, PAPER_CLASS)]
+    assert len(classes) == 8
+    for a in classes:
+        for b in classes:
+            assert verseg.segre_morphism_check(a, b, 3)["ok"], (a, b)
+            product = quadset.check_properties(quadset.cartesian_product(a, b))
+            assert all(getattr(product, name) for name in PAPER_CLASS), (a, b)
+
+
+@pytest.mark.parametrize("mask, count", [(PAPER_CLASS, 8), (INVOLUTIVE, 7)])
+def test_braided_monoid_axioms_on_every_class(mask, count):
+    classes = [qs for n in (2, 3) for qs in quadset.enumerate_solutions(n, mask)]
+    assert len(classes) == count
+    for qs in classes:
+        assert braidmon.check_braided_monoid_axioms(
+            braidmon.WordActions(qs, max_degree=6), 3)
 
 
 @pytest.mark.parametrize("n, count", [(2, 2), (3, 5), (4, 23)])
