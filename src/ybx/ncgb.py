@@ -6,22 +6,27 @@ a polynomial that is smaller in deg-lex.
 
 Completion runs one degree at a time.  The input is homogeneous, so when
 degree d starts every rule of lower degree is final, and degree d turns
-its inputs and, up to the bound, the overlaps of length d between lower
-rules into the degree-d rules of the reduced Groebner basis, truncated at
-the bound (Bergman's diamond lemma).  When every relation is a word difference
-c(u - v), as a solution's are, this runs on words: both sides of each
-input and the two reductions of each overlap word are rewritten to normal
-words, and union-find makes each word of a class but the least a rule to
-the least.  Other input runs on polynomials: the reduced S-polynomials go
-through one exact reduced-echelon pass (ybx.elim) with the words as
-columns, largest first, and each pivot word becomes a lead.
+its inputs and the overlaps of length d into the degree-d rules of the
+reduced Groebner basis, truncated at the bound (Bergman's diamond lemma).
+An overlap is found once, when the later of its two rules is added, and
+waits in a bucket for its length; one past the bound only marks the basis
+truncated.  A degree with no inputs and no overlaps does not run, so a
+basis that closes early costs the same at any bound.  When every relation
+is a word difference c(u - v), as a solution's are, this runs on words:
+both sides of each input and the two reductions of each overlap word are
+rewritten to normal words, and union-find makes each word of a class but
+the least a rule to the least.  Other input runs on polynomials: the
+reduced S-polynomials go through one exact reduced-echelon pass (ybx.elim)
+with the words as columns, largest first, and each pivot word becomes a lead.
 
 One lead index serves every lookup: each lead length k maps to a table
 {lead: first stored position}.  Reduction looks up word[pos:pos+k] for
-each k; normal words of degree d grow from those of degree d-1 by one
-letter, keeping a word when no lead is its suffix; the Hilbert series
-counts normal words per automaton state (the longest suffix that is a
-proper prefix of a lead) instead of listing them.
+each k, and the index keeps the normal word of each word rewritten to a
+word through it, so the word normal forms of one basis share their chains;
+normal words of degree d grow from those of degree d-1 by one letter,
+keeping a word when no lead is its suffix; the Hilbert series counts normal
+words per automaton state (the longest suffix that is a proper prefix of a
+lead) instead of listing them.
 
 Homogeneous input only.  Arithmetic is exact, on coefficients that follow
 elim.coeff; the rules of a GroebnerBasis hold Fractions.
@@ -78,7 +83,8 @@ class GroebnerBasis:
     @cached_property
     def index(self):
         """The rules as (lead, rhs dict) pairs, indexed by lead, with
-        coefficients following elim.coeff."""
+        coefficients following elim.coeff; normal_form_word keeps its word
+        normal forms there, so they live as long as the basis."""
         return LeadIndex([(lead, {w: elim.coeff(c) for w, c in rhs})
                           for lead, rhs in self.rules])
 
@@ -96,10 +102,11 @@ class GroebnerBasis:
 
 
 class LeadIndex:
-    """Rules whose leads are looked up by length: {k: {lead: first position}}."""
+    """Rules whose leads are looked up by length: {k: {lead: first position}},
+    and memo: each word _normal_word has met, mapped to its normal word."""
 
     def __init__(self, rules):
-        self.rules = rules
+        self.rules, self.memo = rules, {}
         tables = {}
         for i, (lead, _) in enumerate(rules):
             tables.setdefault(len(lead), {}).setdefault(lead, i)
@@ -125,8 +132,8 @@ class LeadIndex:
 def _freeze_rules(rules):
     frozen = []
     for lead, rhs in sorted(rules, key=lambda r: deglex_key(r[0])):
-        frozen.append((lead, tuple((w, Fraction(c)) for w, c in
-                                   sorted(rhs.items(), key=lambda t: deglex_key(t[0])))))
+        rhs = sorted(rhs.items(), key=lambda t: deglex_key(t[0]))
+        frozen.append((lead, tuple((w, ONE if c == 1 else Fraction(c)) for w, c in rhs)))
     return tuple(frozen)
 
 
@@ -162,9 +169,12 @@ def normal_form(p, gb):
     return _normal_form_dict(p, gb.index)
 
 
-def _normal_word(w, index, memo):
+def _normal_word(w, index):
     """The normal word of w under rules that rewrite a word to a word, by
-    leftmost rewriting; memo maps each word it has met to its normal word."""
+    leftmost rewriting, kept in index.memo for every word on the way."""
+    memo = index.memo
+    if w in memo:
+        return memo[w]
     path = [w]
     while w not in memo and (hit := index.find(w)) is not None:
         pos, i = hit
@@ -180,7 +190,7 @@ def normal_form_word(w, gb):
     """Normal form of a single word under a binomial basis."""
     if not gb.binomial:
         raise NotBinomial("word normal forms require a binomial basis")
-    return _normal_word(w, gb.index, {})
+    return _normal_word(w, gb.index)
 
 
 def _desc(word):
@@ -190,14 +200,25 @@ def _desc(word):
     return tuple(-x for x in word)
 
 
-def _overlaps(rules, d, starts):
-    """The overlaps of length d between rules of lower degree: rule u's
-    lead ends with the first k letters of rule v's lead, and u + v[k:] has
-    length d.  starts maps (proper prefix, lead length) to the rules."""
-    for u, rhs_u in rules:
-        for k in range(1, len(u)):
-            for v, rhs_v in starts.get((u[len(u) - k:], d - len(u) + k), ()):
-                yield u, rhs_u, v, rhs_v, k
+def _register_rule(rule, starts, ends, pending, max_degree):
+    """Register rule's proper lead prefixes and suffixes, and put each overlap
+    (u, rhs_u, v, rhs_v, k) it forms with earlier rules and itself, u's lead
+    ending with v's first k letters, into pending under its length.  Returns
+    whether one is longer than max_degree: those are not kept."""
+    lead, ks = rule[0], range(1, len(rule[0]))
+    pairs = [(u, rule, k) for k in ks for u in ends.get(lead[:k], ())]
+    for k in ks:
+        starts.setdefault(lead[:k], []).append(rule)
+        ends.setdefault(lead[-k:], []).append(rule)
+    pairs += [(rule, v, k) for k in ks for v in starts.get(lead[-k:], ())]
+    longer = False
+    for (u, rhs_u), (v, rhs_v), k in pairs:
+        d = len(u) + len(v) - k
+        if d > max_degree:
+            longer = True
+        else:
+            pending.setdefault(d, []).append((u, rhs_u, v, rhs_v, k))
+    return longer
 
 
 def _row_step(polys, overlaps, index):
@@ -218,7 +239,7 @@ def _word_step(polys, overlaps, index):
     """_row_step's rules when every input is a word difference and every
     lower rule rewrites a word to a word: the echelon form of word
     differences rewrites each word of a class to its least, its root."""
-    memo, parent = {}, {}
+    parent = {}
 
     def root(w):
         while w in parent:
@@ -230,7 +251,7 @@ def _word_step(polys, overlaps, index):
     pairs = [tuple(p) for p in polys]
     pairs += [(a + v[k:], u[:len(u) - k] + b) for u, (a,), v, (b,), k in overlaps]
     for pair in pairs:
-        a, b = (root(_normal_word(w, index, memo)) for w in pair)
+        a, b = (root(_normal_word(w, index)) for w in pair)
         if a != b:
             parent[max(a, b)] = min(a, b)
     return [(w, {root(w): 1}) for w in parent]
@@ -259,25 +280,19 @@ def complete(relations, max_degree, alphabet=0):
                 for polys in inputs.values() for p in polys)
     step = _word_step if words else _row_step
 
-    rules, starts = [], {}
-    top = max([max_degree, *inputs])
-    for d in range(2, top + 1):
-        overlaps = _overlaps(rules, d, starts) if d <= max_degree else ()
-        for rule in step(inputs.pop(d, []), overlaps, LeadIndex(rules)):
+    rules, starts, ends, pending, truncated = [], {}, {}, {}, False
+    while inputs or pending:
+        d = min([*inputs, *pending])
+        for rule in step(inputs.pop(d, []), pending.pop(d, []), LeadIndex(rules)):
             rules.append(rule)
-            for k in range(1, d):
-                starts.setdefault((rule[0][:k], d), []).append(rule)
-
-    # an overlap longer than the bound was left unresolved
-    skipped = any(next(_overlaps(rules, d, starts), None)
-                  for d in range(max_degree + 1, 2 * top))
+            truncated |= _register_rule(rule, starts, ends, pending, max_degree)
     binomial = all(len(rhs) == 1 and next(iter(rhs.values())) == 1
                    for _, rhs in rules)
     return GroebnerBasis(
         alphabet_size=alphabet,
         rules=_freeze_rules(rules),
         max_degree=max_degree,
-        complete=not skipped,
+        complete=not truncated,
         binomial=binomial,
     )
 

@@ -108,8 +108,8 @@ def canonical_relations(qs):
 def canonical_basis(qs, max_degree):
     """The Groebner basis of A(k, X, r): the canonical relations completed
     through max_degree."""
-    return ncgb.complete(canonical_relations(qs).to_polynomials(), max_degree,
-                         alphabet=qs.n)
+    return ncgb.complete([{u: 1, v: -1} for u, v in canonical_relations(qs).relations],
+                         max_degree, alphabet=qs.n)
 
 
 def idempotent_structure(qs):

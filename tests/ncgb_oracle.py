@@ -6,9 +6,12 @@ restart loop, now the only copy of it: after every new rule it
 interreduces all rules and rebuilds the overlap list, where ybx.ncgb
 completes one degree at a time.  complete_by_rows is ybx.ncgb's degree
 loop as it was before word differences ran on words: every degree, on any
-input, goes through one reduced-echelon pass.  The shared helpers (deg-lex,
-polynomial arithmetic, the lead index, GroebnerBasis) come from ybx.ncgb
-unchanged.
+input, goes through one reduced-echelon pass, and finds the overlaps of
+each degree by scanning every rule (_overlaps_of_length, ybx.ncgb's scan
+before overlaps were bucketed as rules are added).  The shared helpers
+(deg-lex, polynomial arithmetic, the lead index and reduction through it,
+the column key _desc, _freeze_rules, GroebnerBasis) come from ybx.ncgb
+unchanged; no completion code does.
 """
 
 from itertools import product
@@ -153,6 +156,16 @@ def complete(relations, max_degree, alphabet=0):
     )
 
 
+def _overlaps_of_length(rules, d, starts):
+    """The overlaps of length d between rules of lower degree: rule u's
+    lead ends with the first k letters of rule v's lead, and u + v[k:] has
+    length d.  starts maps (proper prefix, lead length) to the rules."""
+    for u, rhs_u in rules:
+        for k in range(1, len(u)):
+            for v, rhs_v in starts.get((u[len(u) - k:], d - len(u) + k), ()):
+                yield u, rhs_u, v, rhs_v, k
+
+
 def complete_by_rows(relations, max_degree, alphabet=0):
     """ybx.ncgb.complete with every degree on polynomial rows: the inputs and
     the S-polynomials of the overlaps of length d, reduced by the lower
@@ -177,7 +190,7 @@ def complete_by_rows(relations, max_degree, alphabet=0):
             # the two reductions of each overlap word u + v[k:]
             polys += [poly_add({w + v[k:]: c for w, c in rhs_u.items()},
                                {u[:len(u) - k] + w: c for w, c in rhs_v.items()}, -1)
-                      for u, rhs_u, v, rhs_v, k in ncgb._overlaps(rules, d, starts)]
+                      for u, rhs_u, v, rhs_v, k in _overlaps_of_length(rules, d, starts)]
         index = ncgb.LeadIndex(rules)
         rows = [{ncgb._desc(w): c for w, c in ncgb._normal_form_dict(p, index).items()}
                 for p in polys]
@@ -190,7 +203,7 @@ def complete_by_rows(relations, max_degree, alphabet=0):
                 starts.setdefault((lead[:k], d), []).append(rule)
 
     # an overlap longer than the bound was left unresolved
-    skipped = any(next(ncgb._overlaps(rules, d, starts), None)
+    skipped = any(next(_overlaps_of_length(rules, d, starts), None)
                   for d in range(max_degree + 1, 2 * top))
     binomial = all(len(rhs) == 1 and next(iter(rhs.values())) == 1
                    for _, rhs in rules)

@@ -1,6 +1,7 @@
 """Module layout of src/ybx: imports sit at the top of each module, the
-package's own modules import one another without a cycle, and every
-function the bench traces exists."""
+package's own modules import one another without a cycle, every
+function the bench traces exists, and the ncgb oracle shares no completion
+code with the module it checks."""
 
 import ast
 from functools import reduce
@@ -109,3 +110,20 @@ def test_bench_targets_resolve():
         except (ImportError, AttributeError):
             missing.append(target)
     assert targets and not missing, f"bench targets missing from ybx: {missing}"
+
+
+# the completion code the ncgb oracle checks; it may share only the helpers
+# its docstring lists
+COMPLETION_CODE = {"complete", "_word_step", "_row_step", "_register_rule"}
+
+
+def test_ncgb_oracle_shares_no_completion_code():
+    oracle = Path(__file__).resolve().parent / "ncgb_oracle.py"
+    tree = ast.parse(oracle.read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in COMPLETION_CODE
+             and ast.unparse(node.value).split(".")[-1] == "ncgb"
+             or isinstance(node, ast.ImportFrom) and node.module
+             and node.module.split(".")[-1] == "ncgb"
+             and any(alias.name in COMPLETION_CODE for alias in node.names)]
+    assert not found, f"ncgb_oracle.py uses ybx.ncgb's completion at lines {found}"

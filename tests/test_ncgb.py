@@ -1,9 +1,11 @@
+import gc
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -360,7 +362,8 @@ def test_difference_relations_keep_fraction_results(case, max_degree):
 
 def test_binomial_completion_makes_fractions_only_for_its_result(monkeypatch):
     # the 8-cycle's relations have coefficients +-1: completion runs on ints
-    # and makes one Fraction per right-hand-side term, in _freeze_rules
+    # and makes at most one Fraction per right-hand-side term, in
+    # _freeze_rules; canonical_basis hands it ints and makes none at all
     cycle8 = quadset.make_permutation_solution(list(range(1, 8)) + [0])
     rels = orbits.canonical_relations(cycle8).to_polynomials()
     calls = []
@@ -370,14 +373,50 @@ def test_binomial_completion_makes_fractions_only_for_its_result(monkeypatch):
             calls.append(None)
             return make(*args, **kwargs)
         return wrapper
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting(Fraction.__new__)))
-    if hasattr(Fraction, "_from_coprime_ints"):   # arithmetic results since 3.12
-        monkeypatch.setattr(Fraction, "_from_coprime_ints",
-                            classmethod(counting(Fraction._from_coprime_ints.__func__)))
-    gb = ncgb.complete(rels, 6, alphabet=8)
-    monkeypatch.undo()
-    assert len(calls) <= sum(len(rhs) for _, rhs in gb.rules)
+
+    def count_fractions(build):
+        calls.clear()
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting(Fraction.__new__)))
+        if hasattr(Fraction, "_from_coprime_ints"):   # arithmetic results since 3.12
+            monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                                classmethod(counting(Fraction._from_coprime_ints.__func__)))
+        gb = build()
+        monkeypatch.undo()
+        return gb, len(calls)
+    gb, made = count_fractions(lambda: ncgb.complete(rels, 6, alphabet=8))
+    assert made <= sum(len(rhs) for _, rhs in gb.rules)
     assert gb.complete and gb.binomial and len(gb.rules) == 56
+    basis, made = count_fractions(lambda: orbits.canonical_basis(cycle8, 6))
+    assert made == 0 and repr(basis) == repr(gb)
+    assert all(type(c) is Fraction for _, rhs in basis.rules for _, c in rhs)
+
+
+def test_completion_work_does_not_grow_with_the_bound(monkeypatch):
+    # the 8-cycle's relations are its Groebner basis: degree 2 and the
+    # overlaps of degree 3 build a lead index each, and no other degree runs
+    cycle8 = quadset.make_permutation_solution(list(range(1, 8)) + [0])
+    built = []
+
+    class CountingIndex(ncgb.LeadIndex):
+        def __init__(self, rules):
+            built.append(None)
+            super().__init__(rules)
+    monkeypatch.setattr(ncgb, "LeadIndex", CountingIndex)
+    bases = {}
+    for bound in (6, 600):
+        built.clear()
+        bases[bound] = orbits.canonical_basis(cycle8, bound)
+        assert len(built) == 2
+    monkeypatch.undo()
+    assert bases[6].rules == bases[600].rules
+    assert bases[6].complete and bases[600].complete
+    # an overlap longer than the bound still leaves the basis truncated:
+    # x2x2 - x2x1 overlaps itself at every degree, and so does an input
+    # above the bound whose lead is x2x2x2x2; one whose lead overlaps
+    # nothing leaves it complete
+    assert not ncgb.complete([{(1, 1): 1, (1, 0): -1}], 3, alphabet=2).complete
+    assert not ncgb.complete([{(1, 1, 1, 1): 1, (0, 0, 0, 0): -1}], 3).complete
+    assert ncgb.complete([{(0, 1, 1, 1): 1, (0, 0, 0, 0): -1}], 3).complete
 
 
 SCALES = [1, -1, 2, -2, Fraction(1, 3), Fraction(-1, 3)]
@@ -416,6 +455,16 @@ def test_word_differences_complete_as_on_rows(case):
         assert repr(ncgb.normal_words(got, d)) == repr(ncgb_oracle.normal_words(want, d))
 
 
+@settings(max_examples=150, deadline=None)
+@given(relation_sets())
+def test_completion_matches_the_row_oracle(case):
+    # three-term relations of mixed degree, some above the bound: the
+    # overlap buckets must hand the rows the oracle's overlaps
+    n, rels, max_degree = case
+    assert repr(ncgb.complete(rels, max_degree, alphabet=n)) == \
+        repr(ncgb_oracle.complete_by_rows(rels, max_degree, alphabet=n))
+
+
 def test_word_differences_never_reach_elimination(monkeypatch, mixed3, cycle3):
     class Eliminated(Exception):
         pass
@@ -451,6 +500,45 @@ def test_normal_form_word_is_the_word_of_normal_form(case, bound, words):
         w = tuple(x % n for x in w)
         (word, c), = ncgb.normal_form({w: 1}, gb).items()
         assert c == 1 and ncgb.normal_form_word(w, gb) == word
+
+
+@settings(max_examples=100, deadline=None)
+@given(difference_sets(), st.integers(3, 5),
+       st.lists(st.lists(st.integers(0, 3), max_size=6), min_size=1, max_size=6))
+def test_word_memo_keeps_normal_forms(case, bound, words):
+    # one memo per basis serves every call: repeated words, and words
+    # whose rewriting meets a word an earlier call has rewritten
+    n, rels = case
+    gb = ncgb.complete(rels, bound, alphabet=n)
+    words = [tuple(x % n for x in w) for w in words]
+    for w in words + [u + v for u in words for v in words] + words[::-1]:
+        (word, c), = ncgb.normal_form({w: 1}, gb).items()
+        assert ncgb.normal_form_word(w, gb) == word
+    assert set(words) <= set(gb.index.memo)
+
+
+def test_word_memo_lives_on_its_basis(monkeypatch, mixed3):
+    gb, twin = solution_gb(mixed3), solution_gb(mixed3)
+    containers = {name: len(value) for name, value in vars(ncgb).items()
+                  if isinstance(value, (dict, list, set))}
+    word = (2, 1, 0, 2, 1, 1)
+    first = ncgb.normal_form_word(word, gb)
+    finds = []
+    find = ncgb.LeadIndex.find
+    monkeypatch.setattr(ncgb.LeadIndex, "find",
+                        lambda index, w: finds.append(w) or find(index, w))
+    assert ncgb.normal_form_word(word, gb) == first and not finds
+    assert ncgb.normal_form_word(word, twin) == first and finds
+    monkeypatch.undo()
+    # the memo is no field: repr, == and hash read the rules alone
+    assert repr(gb) == repr(twin) and gb == twin and hash(gb) == hash(twin)
+    # and no module-level cache keeps words or bases alive
+    assert containers == {name: len(value) for name, value in vars(ncgb).items()
+                          if isinstance(value, (dict, list, set))}
+    ref = weakref.ref(gb)
+    del gb
+    gc.collect()
+    assert ref() is None
 
 
 @settings(max_examples=200, deadline=None)
