@@ -10,13 +10,15 @@ defining relation sum r_ij x_i x_j = 0,
 Then Omega^1 is free as a left module on dx_1..dx_n with bimodule rule
 dx_i . x_j = sum_k rho^j[i][k] dx_k, and d extends by the Leibniz rule.
 
-One-forms are lists of n polynomial coefficients, kept in normal form.
+A one-form is a 1 x n matrix of polynomials in normal form, so one
+matrix product over A serves both rho^i rho^j and the bimodule rule.
 """
 
 from fractions import Fraction
+from functools import reduce
 
 from . import elim
-from .errors import CheckFailed, InsufficientDegree
+from .errors import CheckFailed, InsufficientDegree, InvalidArgument
 from .ncgb import complete, normal_form, normal_words, poly_add, poly_scale
 from .linr import (RationalMatrix, psi_from_r, require_idempotent, splus_relations,
                    subspace_equal, _tensor_dim)
@@ -30,12 +32,8 @@ class RhoMap:
 
     def __init__(self, n, matrices, gb):
         self.n = n
-        self.gb = gb
         self.rho = [[[normal_form(dict(entry), gb) for entry in row]
                      for row in matrices[j]] for j in range(n)]
-
-    def entry(self, j, i, k):
-        return self.rho[j][i][k]
 
 
 def _poly_mul(p, q):
@@ -47,15 +45,12 @@ def _poly_mul(p, q):
     return {w: c for w, c in out.items() if c}
 
 
-def _mat_mul(A, B, n, gb):
-    out = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            acc = {}
-            for t in range(n):
-                acc = poly_add(acc, _poly_mul(A[i][t], B[t][k]))
-            out[i][k] = normal_form(acc, gb)
-    return out
+def _mat_mul(A, B, gb):
+    """The product of two matrices over A, each a list of rows of
+    polynomials, of any compatible shapes; entries come out in normal form."""
+    cols = list(zip(*B))
+    return [[normal_form(reduce(poly_add, map(_poly_mul, row, col), {}), gb)
+             for col in cols] for row in A]
 
 
 def check_rho_map(gb, rho, relations, D):
@@ -73,23 +68,22 @@ def check_rho_map(gb, rho, relations, D):
                     raise InsufficientDegree("rho entries exceed degree D-2")
 
     for rel in relations:
-        # rho1: sum r_ij rho^i rho^j = 0
-        acc = [[{} for _ in range(n)] for _ in range(n)]
+        # rho1: sum r_ij rho^i rho^j = 0; a sum of normal forms is one
+        acc = [zero_form(n) for _ in range(n)]
         for (i, j), c in rel.items():
-            prod = _mat_mul(rho.rho[i], rho.rho[j], n, gb)
-            for a in range(n):
-                for b in range(n):
-                    acc[a][b] = poly_add(acc[a][b], prod[a][b], c)
+            prod = _mat_mul(rho.rho[i], rho.rho[j], gb)
+            acc = [form_add(a, p, c) for a, p in zip(acc, prod)]
         for a in range(n):
             for b in range(n):
-                if normal_form(acc[a][b], gb):
+                if acc[a][b]:
                     return {"ok": False, "condition": "rho1",
                             "relation": rel, "entry": (a, b)}
-        # rho2: sum r_ij (rho^j[i][k] + x_i delta_jk) = 0 for each k
+        # rho2: sum r_ij (rho^j[i][k] + x_i delta_jk) = 0 for each k; the
+        # entries of rho are reduced by the basis rho was built with
         for k in range(n):
             acc2 = {}
             for (i, j), c in rel.items():
-                acc2 = poly_add(acc2, rho.entry(j, i, k), c)
+                acc2 = poly_add(acc2, rho.rho[j][i][k], c)
                 if j == k:
                     acc2 = poly_add(acc2, {(i,): F1}, c)
             if normal_form(acc2, gb):
@@ -111,17 +105,17 @@ def form_is_zero(form):
 
 
 def right_multiply(form, word, rho, gb):
-    """Apply the bimodule rule letter by letter from the right."""
-    n = rho.n
+    """Apply the bimodule rule letter by letter from the right: a one-form
+    is a 1 x n matrix, and multiplying it by x_j is multiplying by rho^j."""
     for j in word:
-        out = zero_form(n)
-        for i in range(n):
-            if form[i]:
-                for k in range(n):
-                    entry = rho.entry(j, i, k)
-                    if entry:
-                        out[k] = poly_add(out[k], _poly_mul(form[i], entry))
-        form = [normal_form(p, gb) for p in out]
+        (form,) = _mat_mul([form], rho.rho[j], gb)
+    return form
+
+
+def _step(form, word, rho, gb):
+    """d(w x) = d(w).x + w dx for word = w x, from form = d(w)."""
+    form = right_multiply(form, word[-1:], rho, gb)
+    form[word[-1]] = poly_add(form[word[-1]], normal_form(word[:-1], gb))
     return form
 
 
@@ -129,39 +123,42 @@ def differential(p, rho, gb):
     """d of a polynomial (given in normal form), as a one-form."""
     if isinstance(p, tuple):
         p = {p: F1}
-    n = rho.n
-    total = zero_form(n)
+    total = zero_form(rho.n)
     for word, c in p.items():
-        form = zero_form(n)
-        prefix = ()
-        for letter in word:
-            form = right_multiply(form, (letter,), rho, gb)
-            form[letter] = poly_add(form[letter],
-                                    normal_form({prefix: F1}, gb))
-            prefix = prefix + (letter,)
+        form = zero_form(rho.n)
+        for k in range(1, len(word) + 1):
+            form = _step(form, word[:k], rho, gb)
         total = form_add(total, form, c)
+    # total is already reduced; this pass puts its words in normal_form's order
     return [normal_form(q, gb) for q in total]
 
 
 def annihilator_check(rho, gb, D):
-    """(dx - dy) . a = 0 for all normal words a of degree 2..D (n = 2)."""
-    form = [{(): F1}, {(): -F1}]
-    for d in range(2, D + 1):
-        for a in normal_words(gb, d):
-            if not form_is_zero(right_multiply(form, a, rho, gb)):
-                return False
+    """(dx - dy) . a = 0 for all normal words a of degree 2..D (n = 2);
+    normal words are prefix-closed, so (dx - dy) . wx = ((dx - dy) . w) . x."""
+    if rho.n != 2:
+        raise InvalidArgument(f"the annihilator check needs n = 2, not {rho.n}")
+    forms = {(): [{(): F1}, {(): -F1}]}
+    for d in range(1, D + 1):
+        forms = {w: right_multiply(forms[w[:-1]], w[-1:], rho, gb)
+                 for w in normal_words(gb, d)}
+        if d >= 2 and not all(map(form_is_zero, forms.values())):
+            return False
     return True
 
 
 def connectedness_check(rho, gb, D):
     """ker d contains no nonzero combination of words of degree 1..D."""
+    forms = {(): zero_form(rho.n)}
     for d in range(1, D + 1):
+        # d of each normal word from d of its prefix, a normal word too
+        forms = {w: _step(forms[w[:-1]], w, rho, gb)
+                 for w in normal_words(gb, d)}
         # one row per word: its differential, coordinates numbered as met
         index = {}
         rows = [{index.setdefault((slot, w), len(index)): c
-                 for slot, p in enumerate(differential(word, rho, gb))
-                 for w, c in p.items()}
-                for word in normal_words(gb, d)]
+                 for slot, p in enumerate(form) for w, c in p.items()}
+                for form in forms.values()]
         if not index or RationalMatrix(rows, cols=len(index)).rank() < len(rows):
             return False
     return True

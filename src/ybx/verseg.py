@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import InsufficientDegree, NormalFormNotFactorable
 from .braidmon import WordActions, _veronese
 from .linr import RationalMatrix, linearize, splus_relations, subspace_equal
-from .ncgb import complete, normal_form_word, normal_words
+from .ncgb import complete, hilbert_series, normal_form_word, normal_words
 from .orbits import canonical_basis, canonical_relations, idempotent_structure
 from .quadset import cartesian_product, check_properties
 
@@ -47,14 +47,13 @@ def _veronese_relations(gb, d):
     gb.require_degree(2 * d, f"the level-{d} Veronese presentation")
     gens = normal_words(gb, d)
     index = {w: i for i, w in enumerate(gens)}
-    n2d = set(normal_words(gb, 2 * d))
     rels = []
     for i, u in enumerate(gens):
         for j, v in enumerate(gens):
             w = u + v
-            if w in n2d:
-                continue
             nor = normal_form_word(w, gb)
+            if nor == w:
+                continue
             a, b = nor[:d], nor[d:]
             if a not in index or b not in index:
                 raise NormalFormNotFactorable(
@@ -129,7 +128,7 @@ def segre_morphism_check(qsX, qsY, D):
                  for i in range(len(kk)) for j in range(len(kk)))
 
     # (b) dimension of each graded component
-    dims_ok = all(len(normal_words(gbP, d)) == n * m for d in range(2, D + 1))
+    dims_ok = all(c == n * m for c in hilbert_series(gbP, D).coefficients[2:])
 
     # (c) degree-2 relation spaces agree
     mixed = _mixed_relations(_relation_space(qsX), _relation_space(qsY), n, m)

@@ -3,12 +3,16 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import diffcalc_oracle
 import linr_oracle
 from ybx import diffcalc, linr, ncgb, orbits
-from ybx.errors import InsufficientDegree, NotIdempotent
+from ybx.errors import InsufficientDegree, InvalidArgument, NotIdempotent, YbxError
 
 F1 = Fraction(1)
 
@@ -122,6 +126,103 @@ def test_annihilator_and_connectedness(sym):
     assert not diffcalc.form_is_zero(form)
     # d is injective on each graded piece up to degree five
     assert diffcalc.connectedness_check(rho, gb, 5)
+
+
+def test_annihilator_check_needs_two_generators():
+    gb = ncgb.complete([{(1, 0): F1, (0, 1): -F1}], 4, alphabet=3)
+    one = {(): F1}
+    rho = diffcalc.RhoMap(3, [[[one if i == k else {} for k in range(3)]
+                               for i in range(3)]] * 3, gb)
+    with pytest.raises(InvalidArgument):
+        diffcalc.annihilator_check(rho, gb, 3)
+
+
+def test_checks_grow_each_word_from_its_prefix(sym, monkeypatch):
+    # at degree 5 the symmetric point has 10 normal words of degree 1..5;
+    # each costs one one-letter product, not one per letter
+    gb, rho, _ = sym
+    products = []
+    mat_mul = diffcalc._mat_mul
+    monkeypatch.setattr(diffcalc, "_mat_mul",
+                        lambda A, B, gb: products.append(len(A)) or mat_mul(A, B, gb))
+    assert diffcalc.connectedness_check(rho, gb, 5)
+    assert products == [1] * 10
+    products.clear()
+    assert diffcalc.annihilator_check(rho, gb, 5)
+    assert products == [1] * 10
+
+
+# random maps on the symmetric basis take their entries from ENTRIES
+X, Y, NEG_X = {(0,): F1}, {(1,): F1}, {(0,): -F1}
+ENTRIES = [{}, X, NEG_X, Y, {(1,): -F1}, {(0,): F1, (1,): -F1}, {(0, 0): F1}, {(0, 1): F1}]
+DIAG = [[[X, {}], [{}, X]], [[Y, {}], [{}, Y]]]
+SWAP = [[[{}, X], [X, {}]], [[{}, Y], [Y, {}]]]
+ALL_X = [[[X, X], [X, X]], [[X, X], [X, X]]]
+# dx . x = -x dx, so d(x^2) = dx . x + x dx = 0
+KILL_X2 = [[[NEG_X, {}], [{}, {}]], [[{}, {}], [{}, {}]]]
+matrices = st.lists(st.lists(st.lists(st.sampled_from(ENTRIES), min_size=2, max_size=2),
+                             min_size=2, max_size=2), min_size=2, max_size=2)
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+WORDS = [w for d in range(4) for w in product(range(2), repeat=d)]
+polys = st.dictionaries(st.sampled_from(WORDS), fractions.filter(bool), max_size=4)
+forms = st.lists(polys, min_size=2, max_size=2)
+words = st.lists(st.integers(0, 1), max_size=4).map(tuple)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except YbxError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same(got, want):
+    assert got == want and repr(got) == repr(want)
+
+
+def assert_matches_oracle(gb, relations, mats, p, form, word):
+    rho = diffcalc.RhoMap(2, mats, gb)
+    old = diffcalc_oracle.RhoMap(2, mats, gb)
+    assert_same(rho.rho, old.rho)
+    for D in range(1, 6):
+        for name in ("annihilator_check", "connectedness_check"):
+            assert_same(outcome(getattr(diffcalc, name), rho, gb, D),
+                        outcome(getattr(diffcalc_oracle, name), old, gb, D))
+    for D in (3, 4, 5):
+        assert_same(outcome(diffcalc.check_rho_map, gb, rho, relations, D),
+                    outcome(diffcalc_oracle.check_rho_map, gb, old, relations, D))
+    for arg in (p, nf(p, gb), word):
+        assert_same(diffcalc.differential(arg, rho, gb),
+                    diffcalc_oracle.differential(arg, old, gb))
+    form = [nf(q, gb) for q in form]
+    assert_same(diffcalc.right_multiply(form, word, rho, gb),
+                diffcalc_oracle.right_multiply(form, word, old, gb))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices, polys, forms, words)
+@example(DIAG, {}, [{}, {}], ()).via("annihilator False")
+@example(SWAP, {}, [{}, {}], ()).via("annihilator False")
+@example(ALL_X, {}, [{}, {}], ()).via("fails the rho conditions")
+@example(KILL_X2, {}, [{}, {}], ()).via("not connected")
+def test_random_maps_match_oracle(mats, p, form, word):
+    gb, _, relations = diffcalc.calcsym()
+    assert_matches_oracle(gb, relations, mats, p, form, word)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(fractions, fractions, fractions, fractions), polys, forms, words)
+def test_family_matches_oracle(params, p, form, word):
+    gb, rho, relations = diffcalc.make_rho_family(*params)
+    assert_matches_oracle(gb, relations, rho.rho, p, form, word)
+
+
+def test_oracle_examples_reach_both_verdicts(sym):
+    gb, _, relations = sym
+    for mats in (DIAG, SWAP):
+        assert not diffcalc.annihilator_check(diffcalc.RhoMap(2, mats, gb), gb, 5)
+    assert not diffcalc.check_rho_map(gb, diffcalc.RhoMap(2, ALL_X, gb), relations, 4)["ok"]
+    assert not diffcalc.connectedness_check(diffcalc.RhoMap(2, KILL_X2, gb), gb, 2)
 
 
 def test_no_degree_lowering_derivations(rid2):

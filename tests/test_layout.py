@@ -1,7 +1,8 @@
 """Module layout of src/ybx: imports sit at the top of each module, the
 package's own modules import one another without a cycle, every
-function the bench traces exists, and the ncgb oracle shares no completion
-code with the module it checks."""
+function the bench traces exists, diffcalc multiplies polynomials in one
+place, and the ncgb oracle shares no completion code with the module it
+checks."""
 
 import ast
 from functools import reduce
@@ -93,6 +94,14 @@ def test_only_ncgb_compares_against_the_degree_bound():
              and any(isinstance(sub, ast.Attribute) and sub.attr == "max_degree"
                      for side in (node.left, *node.comparators) for sub in ast.walk(side))]
     assert not found, f"degree bounds compared outside ncgb at {found}"
+
+
+def test_only_the_matrix_product_multiplies_polynomials():
+    # diffcalc has one product over the algebra; a one-form is a one-row
+    # matrix, so no other loop over _poly_mul is needed
+    found = {f"{module}.{where}" for module, tree in MODULES.items()
+             for where in uses(tree, "_poly_mul")}
+    assert found == {"diffcalc._mat_mul"}, f"_poly_mul used in {sorted(found)}"
 
 
 def test_bench_targets_resolve():

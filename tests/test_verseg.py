@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 import linr_oracle
-from ybx import braidmon, linr, orbits, quadset, verseg
+from ybx import braidmon, linr, ncgb, orbits, quadset, verseg
 from ybx.errors import InsufficientDegree, NotIdempotent
 
 
@@ -28,6 +28,19 @@ def test_veronese_presentation_degree_guard(mixed3):
     rels = orbits.canonical_relations(mixed3).to_polynomials()
     with pytest.raises(InsufficientDegree):
         verseg.veronese_presentation(rels, 3, max_degree=4, alphabet=3)
+
+
+def test_veronese_presentation_lists_only_its_generators(monkeypatch, mixed3):
+    # a product u v of generators is normal when it is its own normal
+    # form, so no word of degree 2d is listed
+    degrees = []
+    words = ncgb.normal_words
+    monkeypatch.setattr(verseg, "normal_words",
+                        lambda gb, d: degrees.append(d) or words(gb, d))
+    rels = orbits.canonical_relations(mixed3).to_polynomials()
+    for d in (2, 3):
+        verseg.veronese_presentation(rels, d, alphabet=3)
+    assert degrees == [2, 3]
 
 
 def test_veronese_isomorphism(mixed3, cycle3):
