@@ -15,17 +15,25 @@ basis that closes early costs the same at any bound.  When every relation
 is a word difference c(u - v), as a solution's are, this runs on words:
 both sides of each input and the two reductions of each overlap word are
 rewritten to normal words, and union-find makes each word of a class but
-the least a rule to the least.  Other input runs on polynomials: the
+the least a rule to the least.  A word's normal word grows from its
+prefix's, kept for the whole call: the last letter is appended, and only
+a lead that ends at the end is rewritten.  Any normal word reachable from
+each side will do, since the classes, and so the reduced basis, are
+unique (the diamond lemma again).  Other input runs on polynomials: the
 reduced S-polynomials go through one exact reduced-echelon pass (ybx.elim)
 with the words as columns, largest first, and each pivot word becomes a lead.
 
-One lead index serves every lookup: each lead length k maps to a table
-{lead: first stored position}.  Reduction looks up word[pos:pos+k] for
-each k, and the index keeps the normal word of each word rewritten to a
-word through it, so the word normal forms of one basis share their chains;
-normal words of degree d grow from those of degree d-1 by one letter,
-keeping a word when no lead is its suffix; the Hilbert series counts normal
-words per automaton state (the longest suffix that is a proper prefix of a
+One lead index serves every lookup, grown in place as rules are added:
+each lead length k maps to a table {lead: first stored position}, and each
+proper prefix and suffix of a lead to its rules.  Reduction looks up
+word[pos:pos+k] for each k, leftmost first, and the index keeps the normal
+word of each word rewritten to a word through it, so the word normal forms
+of one basis share their chains.  These public normal forms keep leftmost
+rewriting: past the bound of a truncated basis a word has no unique
+normal word, and callers get the one leftmost rewriting gives.  Normal
+words of degree d grow from those of degree d-1 by one letter, keeping a
+word when no lead is its suffix; the Hilbert series counts normal words
+per automaton state (the longest suffix that is a proper prefix of a
 lead) instead of listing them.
 
 Homogeneous input only.  Arithmetic is exact, on coefficients that follow
@@ -35,6 +43,7 @@ elim.coeff; the rules of a GroebnerBasis hold Fractions.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 
 from . import elim
 from .errors import (InsufficientDegree, InvalidArgument, NonHomogeneousInput,
@@ -102,22 +111,30 @@ class GroebnerBasis:
 
 
 class LeadIndex:
-    """Rules whose leads are looked up by length: {k: {lead: first position}},
-    and memo: each word _normal_word has met, mapped to its normal word."""
+    """Rules whose leads are looked up by length, {k: {lead: first position}},
+    and by proper prefix and suffix, {word: [rule, ...]}; and memo: each word
+    whose normal word was found through it, mapped to it."""
 
-    def __init__(self, rules):
-        self.rules, self.memo = rules, {}
-        tables = {}
-        for i, (lead, _) in enumerate(rules):
-            tables.setdefault(len(lead), {}).setdefault(lead, i)
-        self.tables = list(tables.items())
+    def __init__(self, rules=()):
+        self.rules, self.tables, self.starts, self.ends = [], {}, {}, {}
+        self.memo = {(): ()}
+        for rule in rules:
+            self.add(rule)
+
+    def add(self, rule):
+        lead = rule[0]
+        self.tables.setdefault(len(lead), {}).setdefault(lead, len(self.rules))
+        self.rules.append(rule)
+        for k in range(1, len(lead)):
+            self.starts.setdefault(lead[:k], []).append(rule)
+            self.ends.setdefault(lead[-k:], []).append(rule)
 
     def find(self, word):
         """(pos, i) for the leftmost lead occurrence in word, and there the
         lowest stored index i; None if word is normal."""
         for pos in range(len(word)):
             best = None
-            for k, table in self.tables:
+            for k, table in self.tables.items():
                 i = table.get(word[pos:pos + k])
                 if i is not None and (best is None or i < best):
                     best = i
@@ -126,7 +143,7 @@ class LeadIndex:
         return None
 
     def ends_with_lead(self, word):
-        return any(word[-k:] in table for k, table in self.tables)
+        return any(word[-k:] in table for k, table in self.tables.items())
 
 
 def _freeze_rules(rules):
@@ -200,17 +217,15 @@ def _desc(word):
     return tuple(-x for x in word)
 
 
-def _register_rule(rule, starts, ends, pending, max_degree):
-    """Register rule's proper lead prefixes and suffixes, and put each overlap
-    (u, rhs_u, v, rhs_v, k) it forms with earlier rules and itself, u's lead
-    ending with v's first k letters, into pending under its length.  Returns
-    whether one is longer than max_degree: those are not kept."""
+def _register_rule(rule, index, pending, max_degree):
+    """Put each overlap (u, rhs_u, v, rhs_v, k) that rule, just added to
+    index, forms with earlier rules and itself, u's lead ending with v's
+    first k letters, into pending under its length.  Returns whether one is
+    longer than max_degree: those are not kept."""
     lead, ks = rule[0], range(1, len(rule[0]))
-    pairs = [(u, rule, k) for k in ks for u in ends.get(lead[:k], ())]
-    for k in ks:
-        starts.setdefault(lead[:k], []).append(rule)
-        ends.setdefault(lead[-k:], []).append(rule)
-    pairs += [(rule, v, k) for k in ks for v in starts.get(lead[-k:], ())]
+    pairs = [(u, rule, k) for k in ks for u in index.ends.get(lead[:k], ())
+             if u is not rule]
+    pairs += [(rule, v, k) for k in ks for v in index.starts.get(lead[-k:], ())]
     longer = False
     for (u, rhs_u), (v, rhs_v), k in pairs:
         d = len(u) + len(v) - k
@@ -235,6 +250,39 @@ def _row_step(polys, overlaps, index):
             for key, row in zip(pivots, red)]
 
 
+def _grow_normal_words(words, index):
+    """Keep in index.memo the normal word of each of words, under rules that
+    rewrite a word to a word and with the words kept there final.  The
+    normal word of z[:-1] with z's last letter appended is normal but where
+    a lead ends at its end, and there z's normal word is that of the word
+    the lead rewrites to.  Every word met is kept; a stack of the words
+    waiting stands in for recursion."""
+    memo, rules, ends = index.memo, index.rules, index.ends
+    tables = sorted(index.tables.items())
+    todo = [(w, None) for w in words]
+    while todo:
+        z, y = todo.pop()
+        if y is not None:           # z rewrites to y, whose normal word is kept
+            memo[z] = memo[y]
+        elif z not in memo:
+            if (c := memo.get(z[:-1])) is None:
+                todo += (z, None), (z[:-1], None)
+                continue
+            c, r = c + z[-1:], None
+            # shortest lead first: a suffix that ends no lead ends the search
+            for k, table in tables:
+                s = c[-k:]
+                if (r := table.get(s)) is not None or s not in ends:
+                    break
+            if r is not None:
+                lead, (u,) = rules[r]
+                y = c[:-len(lead)] + u
+                if (c := memo.get(y)) is None:
+                    todo += (z, y), (y, None)
+                    continue
+            memo[z] = c
+
+
 def _word_step(polys, overlaps, index):
     """_row_step's rules when every input is a word difference and every
     lower rule rewrites a word to a word: the echelon form of word
@@ -250,10 +298,16 @@ def _word_step(polys, overlaps, index):
 
     pairs = [tuple(p) for p in polys]
     pairs += [(a + v[k:], u[:len(u) - k] + b) for u, (a,), v, (b,), k in overlaps]
-    for pair in pairs:
-        a, b = (root(_normal_word(w, index)) for w in pair)
+    memo, start = index.memo, len(index.memo)
+    _grow_normal_words([w for pair in pairs for w in pair], index)
+    for x, y in pairs:
+        a, b = root(memo[x]), root(memo[y])
         if a != b:
             parent[max(a, b)] = min(a, b)
+    # later degrees read the words kept here as final prefixes
+    for w, nf in islice(memo.items(), start, None):
+        if nf in parent:
+            memo[w] = root(nf)
     return [(w, {root(w): 1}) for w in parent]
 
 
@@ -280,17 +334,17 @@ def complete(relations, max_degree, alphabet=0):
                 for polys in inputs.values() for p in polys)
     step = _word_step if words else _row_step
 
-    rules, starts, ends, pending, truncated = [], {}, {}, {}, False
+    index, pending, truncated = LeadIndex(), {}, False
     while inputs or pending:
         d = min([*inputs, *pending])
-        for rule in step(inputs.pop(d, []), pending.pop(d, []), LeadIndex(rules)):
-            rules.append(rule)
-            truncated |= _register_rule(rule, starts, ends, pending, max_degree)
+        for rule in step(inputs.pop(d, []), pending.pop(d, []), index):
+            index.add(rule)
+            truncated |= _register_rule(rule, index, pending, max_degree)
     binomial = all(len(rhs) == 1 and next(iter(rhs.values())) == 1
-                   for _, rhs in rules)
+                   for _, rhs in index.rules)
     return GroebnerBasis(
         alphabet_size=alphabet,
-        rules=_freeze_rules(rules),
+        rules=_freeze_rules(index.rules),
         max_degree=max_degree,
         complete=not truncated,
         binomial=binomial,
@@ -330,7 +384,7 @@ def hilbert_series(gb, D):
     may be too large.
     """
     index, n = gb.index, gb.alphabet_size
-    prefixes = {()} | {lead[:i] for lead, _ in index.rules for i in range(len(lead))}
+    prefixes = {(), *index.starts}
     coeffs = []
     counts = {(): 1}
     for _ in range(D + 1):

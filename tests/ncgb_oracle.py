@@ -8,10 +8,14 @@ completes one degree at a time.  complete_by_rows is ybx.ncgb's degree
 loop as it was before word differences ran on words: every degree, on any
 input, goes through one reduced-echelon pass, and finds the overlaps of
 each degree by scanning every rule (_overlaps_of_length, ybx.ncgb's scan
-before overlaps were bucketed as rules are added).  The shared helpers
-(deg-lex, polynomial arithmetic, the lead index and reduction through it,
-the column key _desc, _freeze_rules, GroebnerBasis) come from ybx.ncgb
-unchanged; no completion code does.
+before overlaps were bucketed as rules are added).  complete_by_words is
+ybx.ncgb's degree loop on word differences as it was before normal words
+grew from their prefixes: every degree builds a lead index of the lower
+rules, and each word is rewritten leftmost from its first letter.  The
+shared helpers (deg-lex, polynomial arithmetic, the lead index, leftmost
+reduction and word rewriting through it, the column key _desc,
+_freeze_rules, GroebnerBasis) come from ybx.ncgb unchanged; no completion
+code does.
 """
 
 from itertools import product
@@ -235,3 +239,81 @@ def hilbert_series(gb, D):
     coeffs = [len(normal_words(gb, d)) for d in range(D + 1)]
     exact = gb.complete or D + 1 <= gb.max_degree
     return HilbertPrefix(coefficients=tuple(coeffs), exact=exact)
+
+
+def _register_rule(rule, starts, ends, pending, max_degree):
+    """Register rule's proper lead prefixes and suffixes, and put each overlap
+    (u, rhs_u, v, rhs_v, k) it forms with earlier rules and itself, u's lead
+    ending with v's first k letters, into pending under its length.  Returns
+    whether one is longer than max_degree: those are not kept."""
+    lead, ks = rule[0], range(1, len(rule[0]))
+    pairs = [(u, rule, k) for k in ks for u in ends.get(lead[:k], ())]
+    for k in ks:
+        starts.setdefault(lead[:k], []).append(rule)
+        ends.setdefault(lead[-k:], []).append(rule)
+    pairs += [(rule, v, k) for k in ks for v in starts.get(lead[-k:], ())]
+    longer = False
+    for (u, rhs_u), (v, rhs_v), k in pairs:
+        d = len(u) + len(v) - k
+        if d > max_degree:
+            longer = True
+        else:
+            pending.setdefault(d, []).append((u, rhs_u, v, rhs_v, k))
+    return longer
+
+
+def _word_step(polys, overlaps, index):
+    """The echelon form of word differences rewrites each word of a class
+    to its least, its root."""
+    parent = {}
+
+    def root(w):
+        while w in parent:
+            up = parent[w]
+            parent[w] = parent.get(up, up)
+            w = up
+        return w
+
+    pairs = [tuple(p) for p in polys]
+    pairs += [(a + v[k:], u[:len(u) - k] + b) for u, (a,), v, (b,), k in overlaps]
+    for pair in pairs:
+        a, b = (root(ncgb._normal_word(w, index)) for w in pair)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    return [(w, {root(w): 1}) for w in parent]
+
+
+def complete_by_words(relations, max_degree, alphabet=0):
+    """ybx.ncgb.complete on relations that are all word differences c(u - v),
+    with a lead index of the lower rules built at every degree."""
+    if max_degree < 3:
+        raise InvalidArgument(f"max_degree must be at least 3, not {max_degree}")
+    inputs = {}
+    for p in relations:
+        p = poly(p)
+        if not p:
+            continue
+        if not is_homogeneous(p) or min(len(w) for w in p) < 2:
+            raise NonHomogeneousInput("relations must be homogeneous of degree >= 2")
+        alphabet = max(alphabet, max(max(w) + 1 for w in p))
+        inputs.setdefault(len(next(iter(p))), []).append(p)
+    if not all(len(p) == 2 and sum(p.values()) == 0
+               for polys in inputs.values() for p in polys):
+        raise InvalidArgument("complete_by_words takes word differences only")
+
+    rules, starts, ends, pending, truncated = [], {}, {}, {}, False
+    while inputs or pending:
+        d = min([*inputs, *pending])
+        index = ncgb.LeadIndex(rules)
+        for rule in _word_step(inputs.pop(d, []), pending.pop(d, []), index):
+            rules.append(rule)
+            truncated |= _register_rule(rule, starts, ends, pending, max_degree)
+    binomial = all(len(rhs) == 1 and next(iter(rhs.values())) == 1
+                   for _, rhs in rules)
+    return GroebnerBasis(
+        alphabet_size=alphabet,
+        rules=_freeze_rules(rules),
+        max_degree=max_degree,
+        complete=not truncated,
+        binomial=binomial,
+    )

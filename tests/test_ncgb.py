@@ -393,20 +393,29 @@ def test_binomial_completion_makes_fractions_only_for_its_result(monkeypatch):
 
 def test_completion_work_does_not_grow_with_the_bound(monkeypatch):
     # the 8-cycle's relations are its Groebner basis: degree 2 and the
-    # overlaps of degree 3 build a lead index each, and no other degree runs
+    # overlaps of degree 3 run a word step each, no other degree runs, and
+    # the call builds one lead index, which it grows
     cycle8 = quadset.make_permutation_solution(list(range(1, 8)) + [0])
-    built = []
+    built, steps = [], []
 
     class CountingIndex(ncgb.LeadIndex):
-        def __init__(self, rules):
+        def __init__(self, *args):
             built.append(None)
-            super().__init__(rules)
+            super().__init__(*args)
+    word_step = ncgb._word_step
+
+    def counting_step(polys, overlaps, index):
+        steps.append(len(next(iter(polys[0]))) if polys else
+                     len(overlaps[0][0]) + len(overlaps[0][2]) - overlaps[0][4])
+        return word_step(polys, overlaps, index)
     monkeypatch.setattr(ncgb, "LeadIndex", CountingIndex)
+    monkeypatch.setattr(ncgb, "_word_step", counting_step)
     bases = {}
     for bound in (6, 600):
         built.clear()
+        steps.clear()
         bases[bound] = orbits.canonical_basis(cycle8, bound)
-        assert len(built) == 2
+        assert steps == [2, 3] and len(built) == 1
     monkeypatch.undo()
     assert bases[6].rules == bases[600].rules
     assert bases[6].complete and bases[600].complete
@@ -463,6 +472,73 @@ def test_completion_matches_the_row_oracle(case):
     n, rels, max_degree = case
     assert repr(ncgb.complete(rels, max_degree, alphabet=n)) == \
         repr(ncgb_oracle.complete_by_rows(rels, max_degree, alphabet=n))
+
+
+@st.composite
+def deep_word_difference_sets(draw):
+    """Relations c(u - v) on 2-4 generators, of degrees 2-4 mixed and now
+    and then one or two above the bound, with scales c of +-1, +-2 and
+    +-1/3, and a bound 3-9."""
+    n = draw(st.integers(2, 4))
+    bound = draw(st.integers(3, 9))
+    rels = []
+    for _ in range(draw(st.integers(1, 6))):
+        degree = draw(st.sampled_from([2, 2, 3, 3, 4, bound + 1, bound + 2]))
+        u, v = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * degree),
+                             min_size=2, max_size=2, unique=True))
+        c = draw(st.sampled_from(SCALES))
+        rels.append({u: c, v: -c})
+    return n, rels, bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(deep_word_difference_sets())
+@example((2, [{(1, 1): 1, (1, 0): -1}], 9))
+@example((2, [{(0, 1): 1, (1, 0): -1},
+              {(1, 1, 1, 1, 1, 1, 1, 1, 1, 1): 1,
+               (0, 1, 0, 1, 0, 1, 0, 1, 0, 0): -1}], 9))
+def test_word_completion_matches_the_word_oracle(case):
+    # normal words grown from their prefixes give the rules that leftmost
+    # rewriting with a lead index per degree gave, past the row oracle's
+    # bound of 6 and for inputs above the bound
+    n, rels, bound = case
+    assert repr(ncgb.complete(rels, bound, alphabet=n)) == \
+        repr(ncgb_oracle.complete_by_words(rels, bound, alphabet=n))
+
+
+def involutive_products():
+    """The 15 products of the five involutive nondegenerate braided
+    solutions on 3 points, each with itself and each with another."""
+    sols = quadset.enumerate_solutions(3, ["involutive", "braided", "left_nondegenerate",
+                                           "right_nondegenerate"])
+    assert len(sols) == 5
+    return [quadset.cartesian_product(a, b)
+            for i, a in enumerate(sols) for b in sols[i:]]
+
+
+def test_involutive_products_match_the_word_oracle():
+    # the completion workload's products at D = 4, and the one it leaves out
+    for qs in involutive_products():
+        rels = orbits.canonical_relations(qs).to_polynomials()
+        assert repr(ncgb.complete(rels, 4, alphabet=9)) == \
+            repr(ncgb_oracle.complete_by_words(rels, 4, alphabet=9))
+
+
+def test_word_completion_needs_no_recursion_per_letter():
+    # x1x1 - x1x0 makes a rule at every degree, so at bound 150 completion
+    # grows words of up to 150 letters under a recursion limit of 120
+    code = ("import sys\n"
+            "from ybx import ncgb\n"
+            "sys.setrecursionlimit(120)\n"
+            "gb = ncgb.complete([{(1, 1): 1, (1, 0): -1}], 150)\n"
+            "print(len(gb.rules), gb.complete)\n")
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(ncgb.__file__)))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["149", "False"]
+    rels = [{(1, 1): 1, (1, 0): -1}]
+    assert repr(ncgb.complete(rels, 40)) == repr(ncgb_oracle.complete_by_words(rels, 40))
 
 
 def test_word_differences_never_reach_elimination(monkeypatch, mixed3, cycle3):
