@@ -226,7 +226,7 @@ def cmd_dims(args):
     return {"gk": "Exponential" if gk.kind == "Exponential"
             else f"Polynomial({gk.degree})",
             "gldim": "Infinite" if gl.kind == "Infinite" else f"Finite({gl.value})",
-            "pbw": all(len(l) == 2 for l, _ in gb.rules)}, 0
+            "pbw": gb.pbw}, 0
 
 
 @command(tail=(arg("--basepoint", type=int, default=1),))

@@ -25,16 +25,15 @@ with the words as columns, largest first, and each pivot word becomes a lead.
 
 One lead index serves every lookup, grown in place as rules are added:
 each lead length k maps to a table {lead: first stored position}, and each
-proper prefix and suffix of a lead to its rules.  Reduction looks up
-word[pos:pos+k] for each k, leftmost first, and the index keeps the normal
-word of each word rewritten to a word through it, so the word normal forms
-of one basis share their chains.  These public normal forms keep leftmost
-rewriting: past the bound of a truncated basis a word has no unique
-normal word, and callers get the one leftmost rewriting gives.  Normal
-words of degree d grow from those of degree d-1 by one letter, keeping a
-word when no lead is its suffix; the Hilbert series counts normal words
-per automaton state (the longest suffix that is a proper prefix of a
-lead) instead of listing them.
+proper prefix and suffix of a lead to its rules.  Polynomial reduction
+looks up word[pos:pos+k] for each k, leftmost first.  Word normal forms
+grow from their prefixes as in completion, kept in the index, and that is
+leftmost rewriting, past the bound too: no lead of a returned basis lies
+in another, so while z[:-1] is not normal z's leftmost lead lies in it,
+and then at most one lead ends z.  Normal words of degree d grow from
+those of degree d-1 by one letter, keeping a word when no lead is its
+suffix; the Hilbert series counts normal words per automaton state (the
+longest suffix that is a proper prefix of a lead) instead of listing them.
 
 Homogeneous input only.  Arithmetic is exact, on coefficients that follow
 elim.coeff; the rules of a GroebnerBasis hold Fractions.
@@ -91,11 +90,15 @@ class GroebnerBasis:
 
     @cached_property
     def index(self):
-        """The rules as (lead, rhs dict) pairs, indexed by lead, with
-        coefficients following elim.coeff; normal_form_word keeps its word
-        normal forms there, so they live as long as the basis."""
+        """The rules indexed by lead, coefficients following elim.coeff;
+        the word normal forms kept there live as long as the basis."""
         return LeadIndex([(lead, {w: elim.coeff(c) for w, c in rhs})
                           for lead, rhs in self.rules])
+
+    @property
+    def pbw(self):
+        """Every lead is quadratic: quadratic relations are their own basis."""
+        return all(len(lead) == 2 for lead, _ in self.rules)
 
     def final_through(self, d):
         """Whether the rules through degree d are those of the full basis.
@@ -186,28 +189,13 @@ def normal_form(p, gb):
     return _normal_form_dict(p, gb.index)
 
 
-def _normal_word(w, index):
-    """The normal word of w under rules that rewrite a word to a word, by
-    leftmost rewriting, kept in index.memo for every word on the way."""
-    memo = index.memo
-    if w in memo:
-        return memo[w]
-    path = [w]
-    while w not in memo and (hit := index.find(w)) is not None:
-        pos, i = hit
-        lead, (u,) = index.rules[i]
-        w = w[:pos] + u + w[pos + len(lead):]
-        path.append(w)
-    nf = memo.get(w, w)
-    memo.update(dict.fromkeys(path, nf))
-    return nf
-
-
 def normal_form_word(w, gb):
     """Normal form of a single word under a binomial basis."""
     if not gb.binomial:
         raise NotBinomial("word normal forms require a binomial basis")
-    return _normal_word(w, gb.index)
+    if w not in (memo := gb.index.memo):
+        _grow_normal_words([w], gb.index)
+    return memo[w]
 
 
 def _desc(word):
@@ -385,8 +373,7 @@ def hilbert_series(gb, D):
     """
     index, n = gb.index, gb.alphabet_size
     prefixes = {(), *index.starts}
-    coeffs = []
-    counts = {(): 1}
+    coeffs, counts = [], {(): 1}
     for _ in range(D + 1):
         coeffs.append(sum(counts.values()))
         nxt = {}
@@ -407,12 +394,9 @@ def is_pbw(relations):
     resolving degree-3 ambiguities decides the question.  On a solution's
     canonical relations it checks the paper's claim R = G => PBW.
     """
-    for p in relations:
-        p = poly(p)
-        if p and any(len(w) != 2 for w in p):
-            raise NonQuadraticInput("relations must be homogeneous quadratic")
-    gb = complete(relations, 3)
-    return all(len(lead) == 2 for lead, _ in gb.rules)
+    if any(len(w) != 2 for p in relations for w in poly(p)):
+        raise NonQuadraticInput("relations must be homogeneous quadratic")
+    return complete(relations, 3).pbw
 
 
 def monoid_multiply(u, v, gb):

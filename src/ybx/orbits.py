@@ -42,10 +42,6 @@ class RelationSet:
         return [{u: Fraction(1), v: Fraction(-1)} for u, v in self.relations]
 
 
-def _pair_index(qs):
-    return [(i, j) for i in range(qs.n) for j in range(qs.n)]
-
-
 def orbit_graph(qs):
     """Vertices are the n^2 pairs in lex order; one edge p -> r(p) each."""
     n = qs.n
@@ -59,7 +55,7 @@ def orbit_graph(qs):
 
 def r_orbits(qs):
     """Weakly-connected components of the orbit graph."""
-    pairs = _pair_index(qs)
+    pairs = [(i, j) for i in range(qs.n) for j in range(qs.n)]
     parent = {p: p for p in pairs}
 
     def find(p):
@@ -69,9 +65,7 @@ def r_orbits(qs):
         return p
 
     for p in pairs:
-        q = qs.r(*p)
-        parent.setdefault(q, q)
-        ra, rb = find(p), find(q)
+        ra, rb = find(p), find(qs.r(*p))
         if ra != rb:
             parent[ra] = rb
 
@@ -142,7 +136,7 @@ def gldiminf_witness(gb):
     The witness is a self-arrow (x,) or a 2-cycle (x, z).
     """
     n = gb.alphabet_size
-    if not all(len(lead) == 2 for lead, _ in gb.rules) or not gb.complete:
+    if not gb.pbw or not gb.complete:
         raise PreconditionViolated("witness search needs a complete quadratic basis")
     N2 = ncgb.normal_words(gb, 2)
     gw = growth.obstruction_graph(N2, n)
@@ -170,16 +164,14 @@ def dimA2_bounds_check(qs, max_d=5):
     quadset.check_properties(qs).require("the dim A_2 check",
                                          "idempotent", "left_nondegenerate")
     n = qs.n
-    # rules through degree 3 are alike at every bound >= 3: PBW is no lead of length 3
     gb = canonical_basis(qs, max(max_d, 3))
-    pbw = all(len(lead) != 3 for lead, _ in gb.rules)
     N2 = ncgb.normal_words(gb, 2)
     dim_a2 = len(N2)
-    report = {"n": n, "dim_A2": dim_a2, "pbw": pbw,
+    report = {"n": n, "dim_A2": dim_a2, "pbw": gb.pbw,
               "lower_ok": n <= dim_a2, "upper_ok": None, "flat_ok": None}
     if not report["lower_ok"]:
         raise CheckFailed(f"dim A_2 = {dim_a2} is below n = {n}")
-    if pbw:
+    if report["pbw"]:
         gn = growth.normal_graph(N2, n)
         if growth.gk_dimension(gn) == growth.GrowthClass.polynomial(1):
             report["upper_ok"] = dim_a2 <= n * (n - 1) // 2 + 1

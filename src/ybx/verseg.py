@@ -108,7 +108,9 @@ def segre_morphism_check(qsX, qsY, D):
     """Verify the Segre morphism data up to degree D.
 
     (a) each F relation maps to zero in the tensor algebra: both tensor
-        components have equal normal forms in their factors;
+        components have equal normal forms in their factors, which
+        idempotent_structure has checked, since the degree-2 normal word
+        of a pair is the least pair of its orbit;
     (b) the degree-d component of the product algebra has dimension n*m
         for 2 <= d <= D, matching the diagonal subalgebra;
     (c) the degree-2 relation space image(id - Psi) of the product
@@ -117,26 +119,20 @@ def segre_morphism_check(qsX, qsY, D):
     """
     n, m = qsX.n, qsY.n
     prod = cartesian_product(qsX, qsY)
-    k = idempotent_structure(qsX)
-    l = idempotent_structure(qsY)
-    gbX, gbY, gbP = (canonical_basis(qs, max(D, 3)) for qs in (qsX, qsY, prod))
-
-    # (a) tensor components of F_{ia,jb} cancel in A (x) B: F's X part
-    # x_i x_j - x_1 x_{k_ij} vanishes in A, its Y part in B
-    vanish = all(normal_form_word((i, j), gb) == normal_form_word((0, kk[i][j]), gb)
-                 for kk, gb in ((k, gbX), (l, gbY))
-                 for i in range(len(kk)) for j in range(len(kk)))
+    # (a) raises CheckFailed unless x_i x_j and x_1 x_{k_ij} share an orbit
+    idempotent_structure(qsX)
+    idempotent_structure(qsY)
 
     # (b) dimension of each graded component
+    gbP = canonical_basis(prod, max(D, 3))
     dims_ok = all(c == n * m for c in hilbert_series(gbP, D).coefficients[2:])
 
     # (c) degree-2 relation spaces agree
     mixed = _mixed_relations(_relation_space(qsX), _relation_space(qsY), n, m)
     rel_ok = subspace_equal(_relation_space(prod), mixed)
 
-    ok = vanish and dims_ok and rel_ok
-    return {"relations_vanish": vanish, "dims_ok": dims_ok,
-            "relation_space_ok": rel_ok, "ok": ok}
+    return {"relations_vanish": True, "dims_ok": dims_ok,
+            "relation_space_ok": rel_ok, "ok": dims_ok and rel_ok}
 
 
 def _relation_space(qs):

@@ -11,11 +11,11 @@ each degree by scanning every rule (_overlaps_of_length, ybx.ncgb's scan
 before overlaps were bucketed as rules are added).  complete_by_words is
 ybx.ncgb's degree loop on word differences as it was before normal words
 grew from their prefixes: every degree builds a lead index of the lower
-rules, and each word is rewritten leftmost from its first letter.  The
-shared helpers (deg-lex, polynomial arithmetic, the lead index, leftmost
-reduction and word rewriting through it, the column key _desc,
-_freeze_rules, GroebnerBasis) come from ybx.ncgb unchanged; no completion
-code does.
+rules, and _normal_word, ybx.ncgb's old leftmost walk, rewrites each word
+from its first letter.  The shared helpers (deg-lex, polynomial
+arithmetic, the lead index, leftmost reduction through it, the column key
+_desc, _freeze_rules, GroebnerBasis) come from ybx.ncgb unchanged; no
+completion or word normal-form code does.
 """
 
 from itertools import product
@@ -262,6 +262,23 @@ def _register_rule(rule, starts, ends, pending, max_degree):
     return longer
 
 
+def _normal_word(w, index):
+    """The normal word of w under rules that rewrite a word to a word, by
+    leftmost rewriting, kept in index.memo for every word on the way."""
+    memo = index.memo
+    if w in memo:
+        return memo[w]
+    path = [w]
+    while w not in memo and (hit := index.find(w)) is not None:
+        pos, i = hit
+        lead, (u,) = index.rules[i]
+        w = w[:pos] + u + w[pos + len(lead):]
+        path.append(w)
+    nf = memo.get(w, w)
+    memo.update(dict.fromkeys(path, nf))
+    return nf
+
+
 def _word_step(polys, overlaps, index):
     """The echelon form of word differences rewrites each word of a class
     to its least, its root."""
@@ -277,7 +294,7 @@ def _word_step(polys, overlaps, index):
     pairs = [tuple(p) for p in polys]
     pairs += [(a + v[k:], u[:len(u) - k] + b) for u, (a,), v, (b,), k in overlaps]
     for pair in pairs:
-        a, b = (root(ncgb._normal_word(w, index)) for w in pair)
+        a, b = (root(_normal_word(w, index)) for w in pair)
         if a != b:
             parent[max(a, b)] = min(a, b)
     return [(w, {root(w): 1}) for w in parent]

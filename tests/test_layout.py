@@ -1,8 +1,8 @@
 """Module layout of src/ybx: imports sit at the top of each module, the
 package's own modules import one another without a cycle, every
 function the bench traces exists, diffcalc multiplies polynomials in one
-place, and the ncgb oracle shares no completion code with the module it
-checks."""
+place, one routine stores word normal forms, and the ncgb oracle shares
+no completion or word normal-form code with the module it checks."""
 
 import ast
 from functools import reduce
@@ -121,9 +121,10 @@ def test_bench_targets_resolve():
     assert targets and not missing, f"bench targets missing from ybx: {missing}"
 
 
-# the completion code the ncgb oracle checks; it may share only the helpers
-# its docstring lists
-COMPLETION_CODE = {"complete", "_word_step", "_row_step", "_register_rule"}
+# the completion and word normal-form code the ncgb oracle checks; it may
+# share only the helpers its docstring lists
+COMPLETION_CODE = {"complete", "_word_step", "_row_step", "_register_rule",
+                   "_grow_normal_words"}
 
 
 def test_ncgb_oracle_shares_no_completion_code():
@@ -136,3 +137,24 @@ def test_ncgb_oracle_shares_no_completion_code():
              and node.module.split(".")[-1] == "ncgb"
              and any(alias.name in COMPLETION_CODE for alias in node.names)]
     assert not found, f"ncgb_oracle.py uses ybx.ncgb's completion at lines {found}"
+
+
+def memo_stores(tree):
+    """The functions that store into a mapping named memo."""
+    def is_memo(node):
+        return (isinstance(node, ast.Name) and node.id == "memo"
+                or isinstance(node, ast.Attribute) and node.attr == "memo")
+    return {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+            and is_memo(node.value)
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("update", "setdefault") and is_memo(node.func.value)}
+
+
+def test_one_routine_stores_word_normal_forms():
+    # _grow_normal_words computes every word normal form; _word_step only
+    # maps the kept words whose normal word became a lead to its root
+    found = {f"{module}.{func}" for module, tree in MODULES.items()
+             for func in memo_stores(tree)}
+    assert found == {"ncgb._grow_normal_words", "ncgb._word_step"}, sorted(found)

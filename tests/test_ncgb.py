@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ybx import diffcalc, ncgb, orbits, quadset, verseg
@@ -593,18 +593,38 @@ def test_word_memo_keeps_normal_forms(case, bound, words):
     assert set(words) <= set(gb.index.memo)
 
 
+@settings(max_examples=150, deadline=None)
+@given(deep_word_difference_sets(),
+       st.lists(st.lists(st.integers(0, 3), max_size=14), min_size=1, max_size=8))
+# x1x1 - x1x0 leaves x1^k x0 - x1^(k+1) unresolved past the bound
+@example((2, [{(1, 1): 1, (1, 0): -1}, {(0, 1, 1, 1): 1, (1, 0, 0, 1): -1}], 3),
+         [[0, 1, 1, 1, 1, 1], [1] * 14, [0, 1] * 7])
+def test_word_normal_forms_rewrite_leftmost_past_the_bound(case, words):
+    # past the bound of a truncated basis a word may have several normal
+    # words; growth from the prefix must give the one leftmost rewriting gives
+    n, rels, bound = case
+    assume(any(len(next(iter(p))) > bound for p in rels))
+    gb = ncgb.complete(rels, bound, alphabet=n)
+    assume(not gb.complete)
+    rules = [(lead, dict(rhs)) for lead, rhs in gb.rules]
+    for w in words:
+        w = tuple(x % n for x in w)
+        (word, c), = ncgb_oracle._normal_form_dict({w: 1}, rules).items()
+        assert c == 1 and ncgb.normal_form_word(w, gb) == word
+
+
 def test_word_memo_lives_on_its_basis(monkeypatch, mixed3):
     gb, twin = solution_gb(mixed3), solution_gb(mixed3)
     containers = {name: len(value) for name, value in vars(ncgb).items()
                   if isinstance(value, (dict, list, set))}
     word = (2, 1, 0, 2, 1, 1)
     first = ncgb.normal_form_word(word, gb)
-    finds = []
-    find = ncgb.LeadIndex.find
-    monkeypatch.setattr(ncgb.LeadIndex, "find",
-                        lambda index, w: finds.append(w) or find(index, w))
-    assert ncgb.normal_form_word(word, gb) == first and not finds
-    assert ncgb.normal_form_word(word, twin) == first and finds
+    grown = []
+    grow = ncgb._grow_normal_words
+    monkeypatch.setattr(ncgb, "_grow_normal_words",
+                        lambda words, index: grown.append(words) or grow(words, index))
+    assert ncgb.normal_form_word(word, gb) == first and not grown
+    assert ncgb.normal_form_word(word, twin) == first and grown == [[word]]
     monkeypatch.undo()
     # the memo is no field: repr, == and hash read the rules alone
     assert repr(gb) == repr(twin) and gb == twin and hash(gb) == hash(twin)

@@ -101,6 +101,18 @@ def test_segre_morphism_checks(rid2, mixed3, cycle3):
             == linr_oracle.segre_mixed_relations(a, b).data
 
 
+def test_segre_computes_each_factor_once(monkeypatch, mixed3):
+    # (a) is the orbit test of idempotent_structure, so only the product
+    # is completed: one basis, and the orbits of each factor and the product
+    calls = []
+    for module, name in ((ncgb, "complete"), (orbits, "r_orbits")):
+        func = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, func=func, name=name, **k:
+                            calls.append(name) or func(*a, **k))
+    assert verseg.segre_morphism_check(mixed3, mixed3, 4)["ok"]
+    assert sorted(calls) == ["complete"] + ["r_orbits"] * 3
+
+
 def test_segre_presentation_matches_product_relations(rid2):
     # the presented relations coincide with the canonical relations of the
     # product solution, read over the product generators
