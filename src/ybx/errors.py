@@ -57,10 +57,6 @@ class ShapeMismatch(YbxError):
     pass
 
 
-class NormalFormNotFactorable(YbxError):
-    pass
-
-
 class PreconditionViolated(YbxError):
     pass
 

@@ -189,14 +189,9 @@ def check_braid(psi):
 
 
 def check_matrix_ybe(rmat):
-    """R12 R13 R23 = R23 R13 R12 on V^(x)3."""
-    n = _tensor_dim(rmat)
-    rows = rmat.vecs
-    r12, r23 = _lift(rows, n, 3, 0), _lift(rows, n, 3, 1)
-    # R13 acts on positions 0 and 2
-    r13 = [{(kl // n * n + y) * n + kl % n: v for kl, v in rows[n * i + j].items()}
-           for i, y, j in product(range(n), repeat=3)]
-    return _compose(r12, _compose(r13, r23)) == _compose(r23, _compose(r13, r12))
+    """R12 R13 R23 = R23 R13 R12 on V^(x)3: with Psi = P R, Psi1 Psi2 Psi1 =
+    P13 R23 R13 R12 and Psi2 Psi1 Psi2 = P13 R12 R13 R23 (Kassel, GTM 155)."""
+    return check_braid(psi_from_r(rmat))
 
 
 def check_idempotent(psi):

@@ -14,7 +14,7 @@ relations of the product solution.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InsufficientDegree, NormalFormNotFactorable
+from .errors import InsufficientDegree
 from .braidmon import WordActions, _veronese
 from .linr import RationalMatrix, linearize, splus_relations, subspace_equal
 from .ncgb import complete, hilbert_series, normal_form_word, normal_words
@@ -54,12 +54,9 @@ def _veronese_relations(gb, d):
             nor = normal_form_word(w, gb)
             if nor == w:
                 continue
-            a, b = nor[:d], nor[d:]
-            if a not in index or b not in index:
-                raise NormalFormNotFactorable(
-                    f"normal form of {w} does not factor through level {d}")
+            # subwords of a normal word are normal, so both halves are generators
             rels.append(_freeze({(i, j): Fraction(1),
-                                 (index[a], index[b]): Fraction(-1)}))
+                                 (index[nor[:d]], index[nor[d:]]): Fraction(-1)}))
     return QuadraticPresentation(tuple(gens), tuple(rels))
 
 
@@ -75,10 +72,7 @@ def veronese_isomorphism_check(qs, d):
     vs = _veronese(qs, d, wa)
     if pres.generators != vs.labels:
         return False
-    got = {((u[0], u[1]), (v[0], v[1]))
-           for rel in pres.relations
-           for (u, cu) in [max(rel, key=lambda t: t[0])]
-           for (v, cv) in [min(rel, key=lambda t: t[0])]}
+    got = {(max(rel)[0], min(rel)[0]) for rel in pres.relations}
     want = set(canonical_relations(vs.base).relations)
     return got == want
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import braidmon_oracle
 from ybx import braidmon, ncgb, quadset
-from ybx.errors import NotBraided
+from ybx.errors import CheckFailed, InsufficientDegree, NotBraided
 
 # the level-2 solution of the mixed3 set: left action of the second
 # label is the 3-cycle, the third its inverse, right actions collapse
@@ -39,18 +39,45 @@ def assert_actions_match_oracle(wa, a, b):
             == braidmon_oracle.word_right_action(a, b, wa)), (a, b)
 
 
+@st.composite
+def tables(draw, max_n=3):
+    """Any r-table on n = 1..max_n points, braided or not."""
+    n = draw(st.integers(1, max_n))
+    letter = st.integers(0, n - 1)
+    return quadset.QuadraticSet(n, draw(st.lists(st.tuples(letter, letter),
+                                                 min_size=n * n, max_size=n * n)))
+
+
+def words(qs, max_len):
+    return st.lists(st.integers(0, qs.n - 1), max_size=max_len).map(tuple)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
-    st.just(n),
-    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-             min_size=n * n, max_size=n * n),
-    st.lists(st.integers(0, n - 1), max_size=4),
-    st.lists(st.integers(0, n - 1), max_size=4))))
-def test_word_actions_match_oracle_on_any_table(case):
+@given(tables(), st.data())
+def test_word_actions_match_oracle_on_any_table(qs, data):
     # braided or not: the one crossing expands the same formulas
-    n, table, a, b = case
-    wa = braidmon.WordActions(quadset.QuadraticSet(n, table), max_degree=3)
-    assert_actions_match_oracle(wa, tuple(a), tuple(b))
+    wa = braidmon.WordActions(qs, max_degree=3)
+    assert_actions_match_oracle(wa, data.draw(words(qs, 4)), data.draw(words(qs, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.data())
+def test_crossing_gives_the_monoid_axioms_on_words_for_any_table(qs, data):
+    # braided or not, which is why check_braided_monoid_axioms tests only descent
+    wa = braidmon.WordActions(qs, max_degree=6)
+    a, b, u = (data.draw(words(qs, 3)) for _ in range(3))
+
+    def left(x, y):
+        return braidmon.word_left_action(x, y, wa)
+
+    def right(x, y):
+        return braidmon.word_right_action(x, y, wa)
+
+    assert left(a + b, u) == left(a, left(b, u))                    # ML1
+    assert right(a, u + b) == right(right(a, u), b)                 # MR1
+    assert left(a, u + b) == left(a, u) + left(right(a, u), b)      # ML2
+    assert right(a + b, u) == right(a, left(b, u)) + right(b, u)    # MR2
+    assert wa.nor(left(a, b) + right(a, b)) == wa.nor(a + b)        # M3
 
 
 def test_word_actions_match_oracle_on_the_paper_class():
@@ -85,6 +112,25 @@ def test_axioms_reject_non_braided():
     with pytest.raises(NotBraided):
         braidmon.check_braided_monoid_axioms(
             braidmon.WordActions(bad, max_degree=4), 2)
+
+
+def test_axioms_catch_an_action_that_does_not_descend(monkeypatch):
+    # past the braided gate, the right action of this table is not well
+    # defined on S(X, r): 10 = 00 there, but (0) <| (10) != (0) <| (00)
+    bad = quadset.QuadraticSet(2, [(1, 1), (0, 0), (0, 0), (0, 0)])
+    monkeypatch.setattr(quadset.PropertyReport, "require", lambda *args: None)
+    with pytest.raises(CheckFailed, match=r"<\| does not descend .* a=\(0,\), b=\(1, 0\)"):
+        braidmon.check_braided_monoid_axioms(braidmon.WordActions(bad, max_degree=4), 2)
+
+
+def test_axioms_need_normal_forms_through_max_len():
+    # a braided set whose basis is truncated at degree 3
+    qs = quadset.QuadraticSet(2, [(1, 1), (0, 1), (1, 0), (0, 0)])
+    wa = braidmon.WordActions(qs, max_degree=3)
+    assert not wa.gb.complete
+    assert braidmon.check_braided_monoid_axioms(wa, 3)
+    with pytest.raises(InsufficientDegree):
+        braidmon.check_braided_monoid_axioms(wa, 4)
 
 
 def test_level2_solution_of_mixed3(mixed3):

@@ -158,3 +158,23 @@ def test_one_routine_stores_word_normal_forms():
     found = {f"{module}.{func}" for module, tree in MODULES.items()
              for func in memo_stores(tree)}
     assert found == {"ncgb._grow_normal_words", "ncgb._word_step"}, sorted(found)
+
+
+def test_every_error_class_is_used():
+    # an error class no other module names has outlived the code that raised it
+    errors = [node.name for node in MODULES["errors"].body
+              if isinstance(node, ast.ClassDef) and node.name != "YbxError"]
+    unused = [error for error in errors
+              if not any(uses(tree, error) for module, tree in MODULES.items()
+                         if module != "errors")]
+    assert errors and not unused, f"error classes named nowhere in ybx: {unused}"
+
+
+def test_monoid_check_reads_the_public_word_actions():
+    # the python -O test of check_braided_monoid_axioms patches these names
+    check = next(node for node in MODULES["braidmon"].body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "check_braided_monoid_axioms")
+    called = {node.func.id for node in ast.walk(check)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert {"word_left_action", "word_right_action"} <= called, sorted(called)
