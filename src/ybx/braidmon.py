@@ -21,6 +21,7 @@ is again a solution on X itself (the prolongation).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .errors import CheckFailed, InvalidArgument
@@ -30,11 +31,15 @@ from .quadset import QuadraticSet, check_properties
 
 
 class WordActions:
-    """A quadratic set with the normal forms of its words through max_degree."""
+    """A quadratic set with the normal forms of its words through max_degree,
+    its canonical basis completed on first use."""
 
     def __init__(self, qs, max_degree):
-        self.qs = qs
-        self.gb = canonical_basis(qs, max_degree)
+        self.qs, self.max_degree = qs, max_degree
+
+    @cached_property
+    def gb(self):
+        return canonical_basis(self.qs, self.max_degree)
 
     def nor(self, word):
         return normal_form_word(word, self.gb)
@@ -98,19 +103,19 @@ class VeroneseSolution:
 
 
 def veronese_solution(qs, d, wa=None):
-    """The d-Veronese solution on the normal words of length d."""
+    """The d-Veronese solution on the normal words of length d; wa is qs's."""
     check_properties(qs).require("Veronese solutions", "braided")
-    return _veronese(qs, d, wa)
+    if wa is not None and wa.qs != qs:
+        raise InvalidArgument("the word actions were built for another set")
+    return _veronese(wa or WordActions(qs, max(2 * d, 3)), d)
 
 
-def _veronese(qs, d, wa):
-    # veronese_solution on a base set already checked to be braided
+def _veronese(wa, d):
+    # veronese_solution on the word actions of a set checked to be braided
     if d < 1:
         raise InvalidArgument(f"the Veronese level must be at least 1, not {d}")
     if d == 1:
-        return VeroneseSolution(1, qs, tuple((i,) for i in range(qs.n)))
-    if wa is None:
-        wa = WordActions(qs, max_degree=max(2 * d, 3))
+        return VeroneseSolution(1, wa.qs, tuple((i,) for i in range(wa.qs.n)))
     wa.gb.require_degree(2 * d, f"the level-{d} Veronese solution")
     labels = tuple(normal_words(wa.gb, d))
     index = {w: i for i, w in enumerate(labels)}
@@ -136,7 +141,7 @@ def prolongation_sequence(qs, d_max):
     check_properties(qs).require("prolongations",
                                  "braided", "idempotent", "left_nondegenerate")
     wa = WordActions(qs, max_degree=max(2 * d_max, 3))
-    sols = [_veronese(qs, d, wa) for d in range(1, d_max + 1)]
+    sols = [_veronese(wa, d) for d in range(1, d_max + 1)]
     period = None
     for d in range(2, d_max + 1):
         if sols[d - 1].base == qs:
@@ -149,4 +154,4 @@ def prolongation_sequence(qs, d_max):
 def idempotence_of_restriction(qs, d):
     """Whether rho_d is idempotent on the level-d normal words."""
     check_properties(qs).require("the restriction check", "idempotent", "braided")
-    return check_properties(_veronese(qs, d, None).base).idempotent
+    return check_properties(_veronese(WordActions(qs, max(2 * d, 3)), d).base).idempotent

@@ -148,12 +148,6 @@ def _load(path):
         return parse_solution(fh.read())
 
 
-def _graphs(gb, n):
-    """The graph of normal words and the obstruction graph of a basis."""
-    n2 = ncgb.normal_words(gb, 2)
-    return growth.normal_graph(n2, n), growth.obstruction_graph(n2, n)
-
-
 def arg(*flags, **options):
     return flags, options
 
@@ -219,9 +213,8 @@ def cmd_hilbert(args):
 
 @command()
 def cmd_dims(args):
-    qs = _load(args.solution)
-    gb = orbits.canonical_basis(qs, args.max_deg)
-    gn, gw = _graphs(gb, qs.n)
+    gb = orbits.canonical_basis(_load(args.solution), args.max_deg)
+    gn, gw = orbits.basis_graphs(gb)
     gk, gl = growth.gk_dimension(gn), growth.global_dimension(gw)
     return {"gk": "Exponential" if gk.kind == "Exponential"
             else f"Polynomial({gk.degree})",
@@ -234,7 +227,7 @@ def cmd_tournament(args):
     qs = _load(args.solution)
     if not 1 <= args.basepoint <= qs.n:
         raise InvalidArgument(f"--basepoint must be in 1..{qs.n}, not {args.basepoint}")
-    gn, _ = _graphs(orbits.canonical_basis(qs, args.max_deg), qs.n)
+    gn, _ = orbits.basis_graphs(orbits.canonical_basis(qs, args.max_deg))
     result = growth.tournament_structure(gn, args.basepoint - 1)
     report = {"matches": result["matches"]}
     if result["relabeling"] is not None:
@@ -333,7 +326,7 @@ def cmd_graph(args):
         g = orbits.orbit_graph(qs)
         labels = [_pair(p) for p in product(range(qs.n), repeat=2)]
     else:
-        gn, gw = _graphs(orbits.canonical_basis(qs, args.max_deg), qs.n)
+        gn, gw = orbits.basis_graphs(orbits.canonical_basis(qs, args.max_deg))
         g = gw if args.gw else gn
         labels = [f"x{i + 1}" for i in range(qs.n)]
     if args.dot:

@@ -185,17 +185,20 @@ def nichols_exterior(rmat):
     """Generators and relations of the exterior calculus on the quadratic
     Nichols algebra of an idempotent braiding.
 
-    Returns a dict with the theta relations (monomial pairs), the wedge
-    rewriting rules, the mixed bimodule rules, and the relation space of
-    the d-theta subalgebra, checked to equal the S_+(R) relations
-    (CheckFailed otherwise).
+    Returns a dict with the theta relations (monomial pairs; InvalidArgument
+    unless pairs span image(Psi)), the wedge rewriting rules, the mixed
+    bimodule rules, and the relation space of the d-theta subalgebra,
+    checked to equal the S_+(R) relations (CheckFailed otherwise).
     """
     n = _tensor_dim(rmat)
     psi = psi_from_r(rmat)
     require_idempotent(psi, "the exterior construction")
 
-    # each pair (i, j) contributes the first output pair of its Psi column
-    theta = sorted({divmod(min(col), n) for col in psi.transpose().vecs})
+    # theta_a theta_b = 0 for each pair (a, b) in the reduced basis of image(Psi)
+    image = psi.transpose().row_space_basis().vecs
+    if any(len(row) != 1 for row in image):
+        raise InvalidArgument("the theta relations need image(Psi) spanned by pairs")
+    theta = sorted(divmod(c, n) for row in image for c in row)
     # wedge[(i, j)] holds R^a_i{}^b_j at (b, a), read off the rows of R
     wedge = {(i, j): {} for i in range(n) for j in range(n)}
     for ab, row in enumerate(rmat.vecs):

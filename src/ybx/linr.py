@@ -6,13 +6,13 @@ x_{i|>j} (x) x_{i<|j}; the R-matrix is P Psi with P the flip.  Four-index
 symbols R^a_i{}^b_j are stored as entry (output pair (a,b), input pair
 (i,j)).
 
-Every matrix is held as sparse rows ({column: coeff} dicts of its nonzero
-entries, coefficients following elim.coeff), so cost follows the nonzeros;
-every rank, kernel and span question goes through the exact sparse
-elimination of ybx.elim.  An operator identity that transposition maps to
-itself (braid relation, Yang-Baxter equation, idempotence) is checked on
-the rows as they are; the braided factorial and image(Psi) are read from
-the columns.  Coefficients that leave the module are Fractions.
+Every matrix and operator is held and composed as sparse rows ({column:
+coeff} dicts of its nonzero entries, coefficients following elim.coeff),
+so cost follows the nonzeros; every rank, kernel and span question goes
+through the exact sparse elimination of ybx.elim.  A column space, such
+as image(Psi), is read as the row space of a transpose.  Operators on
+V^(x)m are built for n^m <= MAX_TENSOR_DIM only.  Coefficients that leave
+the module are Fractions.
 """
 
 from fractions import Fraction
@@ -23,6 +23,7 @@ from .errors import NotIdempotent, ShapeMismatch, SizeTooLarge
 from .quadset import check_properties
 
 F1 = Fraction(1)
+MAX_TENSOR_DIM = 4096     # 8^4, the largest dim V^(x)m an operator is built for
 
 
 class RationalMatrix:
@@ -117,12 +118,11 @@ def _transpose(vecs, width):
 
 
 def _compose(a, b):
-    """Columns of the product a b of two operators given by columns; given
-    rows, the rows of b a."""
+    """The rows of the product b a of two operators given by their rows."""
     out = []
-    for col in b:
+    for row in b:
         acc = {}
-        for k, c in col.items():
+        for k, c in row.items():
             elim.add_to(acc, c, a[k])
         out.append(acc)
     return out
@@ -167,17 +167,17 @@ def linearize(qs):
     return psi, psi_from_r(psi)
 
 
-def _lift(cols, n, m, pos):
-    """The columns of an operator on V (x) V acting at tensor positions
-    (pos, pos+1) of V^(x)m, n = dim V; given rows, the rows."""
+def _lift(rows, n, m, pos):
+    """The rows of an operator on V (x) V, given by its rows, acting at
+    tensor positions (pos, pos+1) of V^(x)m, n = dim V."""
     nn = n * n
     right = n ** (m - pos - 2)
     out = []
-    for col in range(n ** m):
-        a, rest = divmod(col, nn * right)
+    for row in range(n ** m):
+        a, rest = divmod(row, nn * right)
         ij, b = divmod(rest, right)
         base = a * nn * right + b
-        out.append({base + kl * right: v for kl, v in cols[ij].items()})
+        out.append({base + kl * right: v for kl, v in rows[ij].items()})
     return out
 
 
@@ -229,9 +229,7 @@ def psi_from_r(rmat):
 def splus_relations(rmat):
     """Relation space of S_+(R): image of (id - Psi), Psi = P R."""
     psi = psi_from_r(rmat)
-    delta = RationalMatrix.identity(psi.rows).sub(psi)
-    # image = column space; return as row-space basis of the transpose
-    return delta.transpose().row_space_basis()
+    return RationalMatrix.identity(psi.rows).sub(psi).transpose().row_space_basis()
 
 
 def sminus_degenerate_check(psi):
@@ -288,24 +286,23 @@ def braided_factorial(psi, m, sign=1):
     """[m, +-Psi]! = [m, +-Psi] ([m-1, +-Psi]! (x) id) with
     [m, Phi] = id + Phi_{m-1} + Phi_{m-2} Phi_{m-1} + ... + Phi_1...Phi_{m-1}."""
     n = _tensor_dim(psi)
-    if n > 4 or m > 4:
-        raise SizeTooLarge("tensor powers limited to 4^4")
-    fact = _factorial(psi.transpose().vecs, n, m, sign)
-    return RationalMatrix(fact, cols=len(fact)).transpose()
+    return RationalMatrix(_factorial(psi.vecs, n, m, sign), cols=n ** m)
 
 
-def _factorial(cols, n, m, sign):
-    """The columns of [m, +-Psi]!, Psi given by its columns."""
-    phi = cols if sign > 0 else [{r: -v for r, v in col.items()} for col in cols]
+def _factorial(rows, n, m, sign):
+    """The rows of [m, +-Psi]!, Psi given by its rows."""
+    if n ** m > MAX_TENSOR_DIM:
+        raise SizeTooLarge(f"V^(x){m} has dimension {n ** m} > {MAX_TENSOR_DIM}")
+    phi = rows if sign > 0 else [{c: -v for c, v in row.items()} for row in rows]
     fact = [{c: 1} for c in range(n)]
     for k in range(2, m + 1):
         # [k, phi] applied to [k-1, phi]! (x) id, one term at a time
-        term = [{r * n + y: v for r, v in col.items()} for col in fact for y in range(n)]
-        fact = [dict(col) for col in term]
+        term = [{c * n + y: v for c, v in row.items()} for row in fact for y in range(n)]
+        fact = [dict(row) for row in term]
         for pos in range(k - 2, -1, -1):
-            term = _compose(_lift(phi, n, k, pos), term)
-            for total, col in zip(fact, term):
-                elim.add_to(total, 1, col)
+            term = _compose(term, _lift(phi, n, k, pos))
+            for total, row in zip(fact, term):
+                elim.add_to(total, 1, row)
     return fact
 
 
@@ -320,14 +317,11 @@ def nichols_quadratic_check(psi, m):
     """ker [m, -Psi]! equals the degree-m component of the ideal generated
     by image(Psi); exact subspace equality by rank."""
     n = _tensor_dim(psi)
-    if n > 4 or m > 4:
-        raise SizeTooLarge("tensor powers limited to 4^4")
     require_idempotent(psi, "quadraticity")
-    cols = psi.transpose().vecs
-    dim = n ** m
-    kernel = _kernel(_transpose(_factorial(cols, n, m, -1), dim), dim)
-    # V^(x)pos (x) image(Psi) (x) V^(x)(m-pos-2) is the image of Psi at pos
-    ideal = [v for pos in range(m - 1) for v in _lift(cols, n, m, pos)]
+    kernel = _kernel(_factorial(psi.vecs, n, m, -1), n ** m)
+    # V^(x)pos (x) image(Psi) (x) V^(x)(m-pos-2): the rows of Psi^T lifted to pos
+    image = _transpose(psi.vecs, psi.cols)
+    ideal = [v for pos in range(m - 1) for v in _lift(image, n, m, pos)]
     return _same_span(kernel, ideal)
 
 

@@ -1,7 +1,7 @@
 """r-orbits, the orbit graph, the canonical relation set, and the
 verdicts built on them: the idempotent structure and the dim A_2 bounds
-of left-nondegenerate idempotent sets, and the witness for infinite
-global dimension.
+of left-nondegenerate idempotent sets, the witness for infinite global
+dimension, and the two graphs of a basis that these and the CLI read.
 
 Pairs p, q lie in the same r-orbit when r^k(p) = r^m(q) for some k, m;
 equivalently when they fall in the same weakly-connected component of
@@ -129,6 +129,12 @@ def idempotent_structure(qs):
     return tuple(tuple(row) for row in table)
 
 
+def basis_graphs(gb):
+    """The graph of normal words and the obstruction graph of a basis."""
+    n, n2 = gb.alphabet_size, ncgb.normal_words(gb, 2)
+    return growth.normal_graph(n2, n), growth.obstruction_graph(n2, n)
+
+
 def gldiminf_witness(gb):
     """A cycle of the obstruction graph when the growth degree is below
     the generator count; "not applicable" otherwise.
@@ -138,9 +144,8 @@ def gldiminf_witness(gb):
     n = gb.alphabet_size
     if not gb.pbw or not gb.complete:
         raise PreconditionViolated("witness search needs a complete quadratic basis")
-    N2 = ncgb.normal_words(gb, 2)
-    gw = growth.obstruction_graph(N2, n)
-    gk = growth.gk_dimension(growth.normal_graph(N2, n))
+    gn, gw = basis_graphs(gb)
+    gk = growth.gk_dimension(gn)
     if gk.kind != "Polynomial" or gk.degree >= n:
         return "NotApplicable"
     for x in range(n):
@@ -165,14 +170,13 @@ def dimA2_bounds_check(qs, max_d=5):
                                          "idempotent", "left_nondegenerate")
     n = qs.n
     gb = canonical_basis(qs, max(max_d, 3))
-    N2 = ncgb.normal_words(gb, 2)
-    dim_a2 = len(N2)
+    gn, _ = basis_graphs(gb)
+    dim_a2 = len(gn.edges)
     report = {"n": n, "dim_A2": dim_a2, "pbw": gb.pbw,
               "lower_ok": n <= dim_a2, "upper_ok": None, "flat_ok": None}
     if not report["lower_ok"]:
         raise CheckFailed(f"dim A_2 = {dim_a2} is below n = {n}")
     if report["pbw"]:
-        gn = growth.normal_graph(N2, n)
         if growth.gk_dimension(gn) == growth.GrowthClass.polynomial(1):
             report["upper_ok"] = dim_a2 <= n * (n - 1) // 2 + 1
             if not report["upper_ok"]:

@@ -69,7 +69,7 @@ def veronese_isomorphism_check(qs, d):
         return True
     wa = WordActions(qs, max_degree=max(2 * d, 3))
     pres = _veronese_relations(wa.gb, d)
-    vs = _veronese(qs, d, wa)
+    vs = _veronese(wa, d)
     if pres.generators != vs.labels:
         return False
     got = {(max(rel)[0], min(rel)[0]) for rel in pres.relations}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import braidmon_oracle
 from ybx import braidmon, ncgb, quadset
-from ybx.errors import CheckFailed, InsufficientDegree, NotBraided
+from ybx.errors import CheckFailed, InsufficientDegree, InvalidArgument, NotBraided
 
 # the level-2 solution of the mixed3 set: left action of the second
 # label is the 3-cycle, the third its inverse, right actions collapse
@@ -153,6 +153,13 @@ def test_level_d_of_permutation_is_power_of_f():
                 for _ in range(d):
                     fd = [f[i] for i in fd]
                 assert vs.base == quadset.make_permutation_solution(fd)
+
+
+def test_veronese_solution_refuses_word_actions_of_another_set(cycle3, mixed3):
+    with pytest.raises(InvalidArgument, match="another set"):
+        braidmon.veronese_solution(cycle3, 2, braidmon.WordActions(mixed3, 4))
+    wa = braidmon.WordActions(quadset.make_permutation_solution([1, 2, 0]), 4)
+    assert braidmon.veronese_solution(cycle3, 2, wa) == braidmon.veronese_solution(cycle3, 2)
 
 
 def test_prolongation_periods(mixed3):

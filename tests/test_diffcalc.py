@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import diffcalc_oracle
 import linr_oracle
-from ybx import diffcalc, linr, ncgb, orbits
+from ybx import diffcalc, linr, ncgb, orbits, quadset
 from ybx.errors import InsufficientDegree, InvalidArgument, NotIdempotent, YbxError
 
 F1 = Fraction(1)
@@ -257,6 +257,32 @@ def test_nichols_exterior_for_identity_pair(rid2, cycle3, mixed3):
         assert out["wedge_rules"] == want["wedge_rules"]
         assert out["mixed_rules"] == want["mixed_rules"]
         assert out["dtheta_relations"].data == want["dtheta_relations"].data
+
+
+def conjugate(psi, i, j):
+    """A Psi A^-1 for the unipotent A = I + E_ij; it keeps idempotence."""
+    n2 = psi.rows
+    one = linr.RationalMatrix.identity(n2)
+    e_ij = linr.RationalMatrix([{j: 1} if r == i else {} for r in range(n2)], cols=n2)
+    return one.add(e_ij).mul(psi).mul(one.sub(e_ij))
+
+
+def test_nichols_exterior_reads_theta_from_the_image():
+    qs = quadset.make_permutation_solution([1, 0])
+    psi, _ = linr.linearize(qs)
+    flip = linr.flip_matrix(2)
+    # image(Psi) = span{e_01, e_10}; A = I + E_10 fixes it, and A Psi A^-1
+    # has the column e_10 - e_01, so theta is read from the image itself
+    psi_a = conjugate(psi, 1, 0)
+    assert psi_a != psi and linr.check_idempotent(psi_a)
+    out = diffcalc.nichols_exterior(flip.mul(psi_a))
+    assert out["theta_relations"] == linr.nichols_monomials(qs) == [(0, 1), (1, 0)]
+    # A = I + E_01 moves it to span{e_00 + e_01, e_10}: theta_0 theta_0 = 0
+    # is no relation, and no pairs span the image
+    psi_b = conjugate(psi, 0, 1)
+    assert linr.check_idempotent(psi_b)
+    with pytest.raises(InvalidArgument, match="image"):
+        diffcalc.nichols_exterior(flip.mul(psi_b))
 
 
 def test_nichols_exterior_check_survives_optimized_mode():

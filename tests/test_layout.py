@@ -1,8 +1,9 @@
 """Module layout of src/ybx: imports sit at the top of each module, the
 package's own modules import one another without a cycle, every
 function the bench traces exists, diffcalc multiplies polynomials in one
-place, one routine stores word normal forms, and the ncgb oracle shares
-no completion or word normal-form code with the module it checks."""
+place, one routine stores word normal forms, the ncgb oracle shares
+no completion or word normal-form code with the module it checks, and
+linr bounds its tensor powers in one place."""
 
 import ast
 from functools import reduce
@@ -178,3 +179,23 @@ def test_monoid_check_reads_the_public_word_actions():
     called = {node.func.id for node in ast.walk(check)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert {"word_left_action", "word_right_action"} <= called, sorted(called)
+
+
+def transposes(node):
+    """The transpose calls under node: _transpose(...) or x.transpose()."""
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and (getattr(call.func, "id", None) == "_transpose"
+                 or getattr(call.func, "attr", None) == "transpose")]
+
+
+def test_the_braided_factorial_is_bounded_once_and_read_as_rows():
+    # one bound on n^m, where the factorial is built; the factorial and the
+    # Nichols kernel are rows, and image(Psi) is the one column space read
+    linr = MODULES["linr"]
+    assert uses(linr, "SizeTooLarge") == ["_factorial"]
+    funcs = {node.name: node for node in linr.body if isinstance(node, ast.FunctionDef)}
+    assert not transposes(funcs["braided_factorial"]) and not transposes(funcs["_factorial"])
+    check = funcs["nichols_quadratic_check"]
+    kernel = next(call for call in ast.walk(check) if isinstance(call, ast.Call)
+                  and getattr(call.func, "id", None) == "_kernel")
+    assert len(transposes(check)) == 1 and not transposes(kernel)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import linr_oracle
 from ybx import diffcalc, elim, linr, orbits, quadset
-from ybx.errors import NotIdempotent, ShapeMismatch
+from ybx.errors import NotIdempotent, ShapeMismatch, SizeTooLarge
 
 F1 = Fraction(1)
 
@@ -218,6 +218,26 @@ def test_nichols_quadratic(cycle3, mixed3, rid2):
         psi, _ = linr.linearize(qs)
         for m in (3, 4):
             assert linr.nichols_quadratic_check(psi, m)
+
+
+def test_one_tensor_bound_names_the_dimension(monkeypatch):
+    # 9^4 = 6561 > 4096 is refused before any operator on V^(x)4 is built
+    psi, _ = linr.linearize(quadset.make_permutation_solution([*range(1, 9), 0]))
+
+    def no_work(*args):
+        raise AssertionError("factorial work before the bound was checked")
+    # every step of the factorial lifts Psi; the ideal is read after the kernel
+    monkeypatch.setattr(linr, "_lift", no_work)
+    monkeypatch.setattr(linr, "_transpose", no_work)
+    for call in (linr.braided_factorial, linr.nichols_quadratic_check):
+        with pytest.raises(SizeTooLarge, match="6561"):
+            call(psi, 4)
+
+
+def test_nichols_quadratic_past_the_old_cap():
+    # n = 5 at m = 4 is 625 dimensions, under the 4,096 bound
+    psi, _ = linr.linearize(quadset.make_permutation_solution([1, 2, 3, 4, 0]))
+    assert linr.nichols_quadratic_check(psi, 4)
 
 
 def frt_permutation_family(f):

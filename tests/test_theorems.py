@@ -9,23 +9,33 @@ morphism data hold and the Cartesian product is again of the class.  For
 each involutive nondegenerate braided set, A(k, X, r) has the Hilbert
 series of the polynomial ring (Gateva-Ivanova and Van den Bergh).  Every
 class of both kinds at n = 2, 3 satisfies the braided-monoid axioms.
+Linearised, each paper-class set at n <= 4 has a quadratic Nichols
+algebra with the theta relations of r, a Koszul dual complementary to
+ker Psi and a degenerate S_-(R); Nichols quadraticity also holds at
+tensor power 4 on 8-point products.
 All permutation-idempotent algebras r_f of one size are isomorphic, so
 their Hilbert prefixes agree whatever the cycle type of f.
 """
 
+from functools import cache
 from math import comb
 
 import pytest
 
-from ybx import braidmon, ncgb, orbits, quadset, verseg
+from ybx import braidmon, diffcalc, linr, ncgb, orbits, quadset, verseg
 
 PAPER_CLASS = ("braided", "idempotent", "left_nondegenerate")
 INVOLUTIVE = ("braided", "involutive", "left_nondegenerate", "right_nondegenerate")
 
 
+@cache
+def paper_class(n):
+    return quadset.enumerate_solutions(n, PAPER_CLASS)
+
+
 @pytest.mark.parametrize("n, count", [(2, 3), (3, 5), (4, 14)])
 def test_paper_class_theorems(n, count):
-    classes = quadset.enumerate_solutions(n, PAPER_CLASS)
+    classes = paper_class(n)
     assert len(classes) == count
     for qs in classes:
         relations = orbits.canonical_relations(qs).relations
@@ -37,6 +47,28 @@ def test_paper_class_theorems(n, count):
             prolonged = quadset.check_properties(braidmon.veronese_solution(qs, d).base)
             assert all(getattr(prolonged, name) for name in PAPER_CLASS)
         orbits.dimA2_bounds_check(qs)
+
+
+def test_linearised_claims_on_every_paper_class_set():
+    classes = [qs for n in (2, 3, 4) for qs in paper_class(n)]
+    assert len(classes) == 22
+    for qs in classes:
+        psi, rmat = linr.linearize(qs)
+        for m in (3, 4):
+            assert linr.nichols_quadratic_check(psi, m), (qs, m)
+        kernel = psi.nullspace_basis()
+        assert linr.koszul_dual_relations(rmat).rank() + len(kernel) == qs.n ** 2
+        assert linr.sminus_degenerate_check(psi)
+        theta = diffcalc.nichols_exterior(rmat)["theta_relations"]
+        assert theta == linr.nichols_monomials(qs), qs
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_nichols_quadratic_on_eight_point_products(first):
+    # 2 x 4 points: V^(x)4 has the 4,096 dimensions of the tensor bound
+    two, four = paper_class(2)[first], paper_class(4)[-1 - first]
+    psi, _ = linr.linearize(quadset.cartesian_product(two, four))
+    assert linr.nichols_quadratic_check(psi, 4)
 
 
 def test_segre_pairs_of_the_paper_class():
