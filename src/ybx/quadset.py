@@ -10,7 +10,8 @@ The map r is not assumed bijective.
 """
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from functools import cache
+from itertools import permutations, product, repeat
 from math import factorial
 
 from .errors import (DuplicatePair, IndexOutOfRange, InvalidArgument, MissingPair,
@@ -52,7 +53,7 @@ class QuadraticSet:
     def __init__(self, n, r_table):
         # r_table: tuple of n*n pairs, entry i*n+j is r(x_i, x_j), 0-based
         self.n = n
-        self.r_table = tuple(tuple(p) for p in r_table)
+        self.r_table = tuple(map(tuple, r_table))
         if len(self.r_table) != n * n:
             raise MissingPair(f"expected {n * n} entries, got {len(self.r_table)}")
         for k, l in self.r_table:
@@ -120,22 +121,30 @@ def make_named(kind, n):
     raise ValueError(f"unknown named solution {kind!r}")
 
 
-def _braid_pending(table, n, triples):
-    """The triples (x, y, z) on which r12 r23 r12 = r23 r12 r23 reads an
-    unassigned (None) entry of table, or None if it fails on one of them."""
-    pending = []
-    for t in triples:
-        x, y, z = t
-        # r(x, y) = ab, r(b, z) = cd, r(a, c) = ef; r(y, z) = cd2, r(x, c2) = ab2,
-        # r(b2, d2) = ef2; a None entry stays None through `and`
-        ab, cd2 = table[x * n + y], table[y * n + z]
-        cd, ab2 = ab and table[ab[1] * n + z], cd2 and table[x * n + cd2[0]]
-        ef, ef2 = cd and table[ab[0] * n + cd[0]], ab2 and table[ab2[1] * n + cd2[1]]
-        if ef is None or ef2 is None:
-            pending.append(t)
-        elif ef[0] != ab2[0] or ef[1] != ef2[0] or cd[1] != ef2[1]:
-            return None
-    return pending
+def _braid_wait(table, n, p, t):
+    """The first unassigned cell (from p on) that r12 r23 r12 = r23 r12 r23
+    reads in table on the triple t = (x, y, z), else -1 if it holds, -2 if not."""
+    x, y, z = t
+    # r(x, y) = ab, r(b, z) = cd, r(a, c) = ef; r(y, z) = cd2, r(x, c2) = ab2,
+    # r(b2, d2) = ef2; it holds when (e, f, d) = (a2, e2, f2)
+    if (u := x * n + y) >= p:
+        return u
+    a, b = table[u]
+    if (u := b * n + z) >= p:
+        return u
+    c, d = table[u]
+    if (u := a * n + c) >= p:
+        return u
+    e, f = table[u]
+    if (u := y * n + z) >= p:
+        return u
+    c2, d2 = table[u]
+    if (u := x * n + c2) >= p:
+        return u
+    a2, b2 = table[u]
+    if (u := b2 * n + d2) >= p:
+        return u
+    return -1 if e == a2 and (f, d) == table[u] else -2
 
 
 # one exhaustive test per property of an r_table t of n*n pairs, for
@@ -145,7 +154,9 @@ PROPERTY_TESTS = {
     "involutive": lambda t, n: all(t[k * n + l] == ij for ij, (k, l)
                                    in zip(product(range(n), repeat=2), t)),
     "idempotent": lambda t, n: all(t[k * n + l] == (k, l) for k, l in t),
-    "braided": lambda t, n: _braid_pending(t, n, product(range(n), repeat=3)) == [],
+    # _braid_wait returns -1 on every triple of a full table, or -2 on one
+    "braided": lambda t, n: -2 not in map(_braid_wait, repeat(t), repeat(n), repeat(n * n),
+                                          product(range(n), repeat=3)),
     # each row has n distinct left images, each column n distinct right
     # images, each row n distinct image pairs
     "left_nondegenerate":
@@ -206,6 +217,20 @@ def canonical_form(qs):
 NODE_BUDGET = 200_000
 
 
+@cache
+def _frame(n):
+    """enumerate_solutions' constants at n: the pairs; the values free under
+    each bitmask of used ones; the braid triples, by the cell they read first;
+    and the root's ties, each non-identity relabeling as (its action on the
+    pair codes k*n + l, its sources, position 0)."""
+    size = n * n
+    return (tuple(divmod(q, n) for q in range(size)),
+            tuple(tuple(v for v in range(n) if not m >> v & 1) for m in range(1 << n)),
+            tuple(tuple((*divmod(c, n), z) for z in range(n)) for c in range(size)),
+            tuple((tuple(s[q // n] * n + s[q % n] for q in range(size)), _sources(s), 0)
+                  for s in permutations(range(n)))[1:])
+
+
 def enumerate_solutions(n, predicate=()):
     """All r-tables on [1..n]^2 satisfying the property mask, up to relabeling.
 
@@ -213,12 +238,14 @@ def enumerate_solutions(n, predicate=()):
     result is the lex-least r_table of each class, in lex order.  The search
     is an orderly generation: pairs get images in lex order, and a partial
     table is dropped once a relabeling of it is lex-smaller, so only each
-    class's least member is completed.  Each relabeling still tied with the
-    table goes down the search with the position its comparison waits on;
-    one found larger is dropped below the node.  The mask's cheap
-    constraints are checked cell by cell and a braid triple as soon as its
-    six entries are assigned; together they decide every property of the
-    mask, so each completed table is kept.
+    class's least member is completed.  Each relabeling, an action on the
+    pair codes k*n + l, goes down the search while tied with the table, with
+    the position its comparison waits on.  A cell's candidates are its row's
+    free left images times its column's free right images, under the mask's
+    nondegeneracies; its other cheap constraints are checked cell by cell,
+    and a braid triple waits on the first unassigned cell it reads
+    (_braid_wait), checked again only once that cell is assigned.  Together
+    they decide every property of the mask, so each completed table is kept.
     SizeTooLarge is raised at once when the root's n^3 braid triples or
     (n! - 1) * n^2 relabeled entries outnumber NODE_BUDGET (n >= 7), and
     else past NODE_BUDGET nodes (partial tables); a node's cost grows with n.
@@ -235,60 +262,63 @@ def enumerate_solutions(n, predicate=()):
     want_invol, want_idem, want_braid, want_lnd, want_rnd, want_l2c = (
         name in mask for name in PROPERTY_NAMES)
 
-    size = n * n
-    pairs = [divmod(p, n) for p in range(size)]
-    table = [None] * size
-    preimages = [[] for _ in range(size)]  # the assigned cells r maps to q
-    # left_used[i*n+k]: row i has left image k; right_used[j*n+l]: column j has l
-    left_used, right_used = [False] * size, [False] * size
-    pair_used = [False] * (n * size)  # pair_used[i*size+q]: row i has image pairs[q]
+    pairs, free, triples, relabelings = _frame(n)
+    size, lnd, rnd = n * n, ((1 << n) - 1) * want_lnd, ((1 << n) - 1) * want_rnd
+    table, code = [None] * size, [0] * size  # cells from p on are unassigned
+    # row i's left images, column j's right ones, as bits read under their nondegeneracy
+    left_used, right_used = [0] * n, [0] * n
+    wait = [list(b) for b in triples] if want_braid else [()] * size
     found, nodes = [], 0
 
-    def extend(p, triples, tied):
+    def extend(p, tied):
         nonlocal nodes
         nodes += 1
         if nodes > NODE_BUDGET:
             raise SizeTooLarge(f"enumeration at n={n} visited {nodes} nodes, "
                                f"over its budget of {NODE_BUDGET}")
-        still = []  # (sigma, sources, first undecided position); empty at a leaf
-        for sigma, src, pos in tied:
-            while pos < size:
-                mine, kl = table[pos], table[src[pos]]
-                if mine is None or kl is None:
-                    still.append((sigma, src, pos))
-                    break
-                other = (sigma[kl[0]], sigma[kl[1]])
-                if other < mine:
-                    return
-                if other > mine:
+        still = []  # (action, sources, first undecided position); unread at a leaf
+        for act, src, pos in tied:
+            while pos < p and src[pos] < p:
+                other, mine = act[code[src[pos]]], code[pos]
+                if other != mine:
+                    if other < mine:
+                        return
                     break
                 pos += 1
+            else:
+                still.append((act, src, pos))
         if p == size:
             found.append(QuadraticSet(n, table))
             return
         i, j = pairs[p]
-        for q, (k, l) in enumerate(pairs):
-            if (want_lnd and left_used[i * n + k] or want_rnd and right_used[j * n + l]
-                    or want_l2c and pair_used[i * size + q]
-                    # idempotent: r(r(p)) = r(p), every image is a fixed point
-                    or want_idem and (table[q] not in (None, pairs[q])
-                                      or preimages[p] and q != p)
-                    # involutive: r(r(p)) = p, so r is a bijection
-                    or want_invol and (table[q] not in (None, pairs[p]) or preimages[q]
-                                       or preimages[p] and preimages[p][0] != q)):
-                continue
-            table[p] = pairs[q]
-            rest = _braid_pending(table, n, triples) if want_braid else triples
-            if rest is not None:
-                left_used[i * n + k] = right_used[j * n + l] = True
-                pair_used[i * size + q] = True
-                preimages[q].append(p)
-                extend(p + 1, rest, still)
-                preimages[q].pop()
-                left_used[i * n + k] = right_used[j * n + l] = False
-                pair_used[i * size + q] = False
-            table[p] = None
+        # hit: an assigned cell maps to p, read by idempotent and involutive alone
+        bucket, hit = wait[p], (want_idem or want_invol) and p in code[:p]
+        for k in free[left_used[i] & lnd]:
+            for l in free[right_used[j] & rnd]:
+                q = k * n + l
+                if (want_l2c and q in code[i * n:p]
+                        # idempotent: r(r(p)) = r(p), every image is a fixed point
+                        or want_idem and (q < p and code[q] != q or hit and q != p)
+                        # involutive: r(r(p)) = p, so r is a bijection: an earlier cell q
+                        # must map to p; for a later q, neither q nor p may be an image yet
+                        or want_invol and (code[q] != p if q < p else hit or q in code[:p])):
+                    continue
+                table[p], code[p], moved = pairs[q], q, []
+                for t in bucket:  # moved: the later buckets that got one of these
+                    w = _braid_wait(table, n, p + 1, t)
+                    if w == -2:
+                        break
+                    if w >= 0:
+                        wait[w].append(t)
+                        moved.append(w)
+                else:
+                    left_used[i] ^= 1 << k
+                    right_used[j] ^= 1 << l
+                    extend(p + 1, still)
+                    left_used[i] ^= 1 << k
+                    right_used[j] ^= 1 << l
+                for w in moved:
+                    wait[w].pop()
 
-    extend(0, list(product(range(n), repeat=3)),
-           [(sigma, _sources(sigma), 0) for sigma in permutations(range(n))][1:])
+    extend(0, relabelings)
     return found

@@ -9,14 +9,38 @@ QuadraticSet, PropertyReport and the errors come from ybx unchanged.
 
 orderly_enumerate_solutions is the orderly search that replaced
 enumerate_solutions, before its relabeling test was carried down the
-search; it shares the braid routine and relabeling sources of ybx.quadset.
+search.  cell_enumerate_solutions is the orderly search on pair tuples that
+the integer-code search of ybx.quadset replaced: it filters all n^2 images
+of each cell and re-runs _braid_pending over every pending braid triple at
+each candidate, and it also returns its node count.  Both read the
+relabeling sources of ybx.quadset; _braid_pending, the braid routine that
+ybx.quadset used to share with them, is kept here as its own copy.
 """
 
 from itertools import permutations, product
+from math import factorial
 
 from ybx.errors import InvalidArgument, SizeTooLarge
 from ybx.quadset import (NODE_BUDGET, PROPERTY_NAMES, PropertyReport, QuadraticSet,
-                         _braid_pending, _sources)
+                         _sources)
+
+
+def _braid_pending(table, n, triples):
+    """The triples (x, y, z) on which r12 r23 r12 = r23 r12 r23 reads an
+    unassigned (None) entry of table, or None if it fails on one of them."""
+    pending = []
+    for t in triples:
+        x, y, z = t
+        # r(x, y) = ab, r(b, z) = cd, r(a, c) = ef; r(y, z) = cd2, r(x, c2) = ab2,
+        # r(b2, d2) = ef2; a None entry stays None through `and`
+        ab, cd2 = table[x * n + y], table[y * n + z]
+        cd, ab2 = ab and table[ab[1] * n + z], cd2 and table[x * n + cd2[0]]
+        ef, ef2 = cd and table[ab[0] * n + cd[0]], ab2 and table[ab2[1] * n + cd2[1]]
+        if ef is None or ef2 is None:
+            pending.append(t)
+        elif ef[0] != ab2[0] or ef[1] != ef2[0] or cd[1] != ef2[1]:
+            return None
+    return pending
 
 
 def _braided(qs):
@@ -250,3 +274,95 @@ def orderly_enumerate_solutions(n, predicate=()):
 
     extend(0, list(product(range(n), repeat=3)))
     return found
+
+
+def cell_enumerate_solutions(n, predicate=()):
+    """The search that ybx.quadset.enumerate_solutions ran on pair tuples,
+    kept verbatim but for its result, which is (the classes, the nodes
+    visited).  Budgets are this module's NODE_BUDGET.
+
+    All r-tables on [1..n]^2 satisfying the property mask, up to relabeling.
+
+    predicate is an iterable of property names that must all hold.  The
+    result is the lex-least r_table of each class, in lex order.  The search
+    is an orderly generation: pairs get images in lex order, and a partial
+    table is dropped once a relabeling of it is lex-smaller, so only each
+    class's least member is completed.  Each relabeling still tied with the
+    table goes down the search with the position its comparison waits on;
+    one found larger is dropped below the node.  The mask's cheap
+    constraints are checked cell by cell and a braid triple as soon as its
+    six entries are assigned; together they decide every property of the
+    mask, so each completed table is kept.
+    SizeTooLarge is raised at once when the root's n^3 braid triples or
+    (n! - 1) * n^2 relabeled entries outnumber NODE_BUDGET (n >= 7), and
+    else past NODE_BUDGET nodes (partial tables); a node's cost grows with n.
+    """
+    if n < 1:
+        raise InvalidArgument(f"enumeration needs n >= 1, not {n}")
+    mask = frozenset(predicate)
+    unknown = mask - set(PROPERTY_NAMES)
+    if unknown:
+        raise InvalidArgument(f"unknown properties in mask: {sorted(unknown)}")
+    if n ** 3 > NODE_BUDGET or (factorial(n) - 1) * n * n > NODE_BUDGET:
+        raise SizeTooLarge(f"enumeration at n={n} starts from {n}! - 1 relabelings of "
+                           f"{n * n} entries, over its budget of {NODE_BUDGET}")
+    want_invol, want_idem, want_braid, want_lnd, want_rnd, want_l2c = (
+        name in mask for name in PROPERTY_NAMES)
+
+    size = n * n
+    pairs = [divmod(p, n) for p in range(size)]
+    table = [None] * size
+    preimages = [[] for _ in range(size)]  # the assigned cells r maps to q
+    # left_used[i*n+k]: row i has left image k; right_used[j*n+l]: column j has l
+    left_used, right_used = [False] * size, [False] * size
+    pair_used = [False] * (n * size)  # pair_used[i*size+q]: row i has image pairs[q]
+    found, nodes = [], 0
+
+    def extend(p, triples, tied):
+        nonlocal nodes
+        nodes += 1
+        if nodes > NODE_BUDGET:
+            raise SizeTooLarge(f"enumeration at n={n} visited {nodes} nodes, "
+                               f"over its budget of {NODE_BUDGET}")
+        still = []  # (sigma, sources, first undecided position); empty at a leaf
+        for sigma, src, pos in tied:
+            while pos < size:
+                mine, kl = table[pos], table[src[pos]]
+                if mine is None or kl is None:
+                    still.append((sigma, src, pos))
+                    break
+                other = (sigma[kl[0]], sigma[kl[1]])
+                if other < mine:
+                    return
+                if other > mine:
+                    break
+                pos += 1
+        if p == size:
+            found.append(QuadraticSet(n, table))
+            return
+        i, j = pairs[p]
+        for q, (k, l) in enumerate(pairs):
+            if (want_lnd and left_used[i * n + k] or want_rnd and right_used[j * n + l]
+                    or want_l2c and pair_used[i * size + q]
+                    # idempotent: r(r(p)) = r(p), every image is a fixed point
+                    or want_idem and (table[q] not in (None, pairs[q])
+                                      or preimages[p] and q != p)
+                    # involutive: r(r(p)) = p, so r is a bijection
+                    or want_invol and (table[q] not in (None, pairs[p]) or preimages[q]
+                                       or preimages[p] and preimages[p][0] != q)):
+                continue
+            table[p] = pairs[q]
+            rest = _braid_pending(table, n, triples) if want_braid else triples
+            if rest is not None:
+                left_used[i * n + k] = right_used[j * n + l] = True
+                pair_used[i * size + q] = True
+                preimages[q].append(p)
+                extend(p + 1, rest, still)
+                preimages[q].pop()
+                left_used[i * n + k] = right_used[j * n + l] = False
+                pair_used[i * size + q] = False
+            table[p] = None
+
+    extend(0, list(product(range(n), repeat=3)),
+           [(sigma, _sources(sigma), 0) for sigma in permutations(range(n))][1:])
+    return found, nodes

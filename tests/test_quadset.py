@@ -207,6 +207,65 @@ def test_enumerate_matches_oracle_n3(mask):
             == r_tables(quadset_oracle.enumerate_solutions(3, mask)))
 
 
+def test_enumerate_matches_cell_oracle_on_all_masks_n2():
+    for mask in ALL_MASKS:
+        assert (r_tables(quadset.enumerate_solutions(2, mask))
+                == r_tables(quadset_oracle.cell_enumerate_solutions(2, mask)[0])), mask
+
+
+ORDERLY_MASKS_N3 = [
+    ["involutive"],
+    ["left_nondegenerate", "right_nondegenerate"],
+    ["idempotent", "left_nondegenerate"],
+    ["braided"],
+    ["braided", "involutive"],
+    ["braided", "idempotent", "left_nondegenerate"],
+]
+PAPER_CLASS = ["braided", "idempotent", "left_nondegenerate"]
+ESS_CLASS = ["braided", "involutive", "left_nondegenerate", "right_nondegenerate"]
+NODE_COUNT_CASES = [(3, ["left_nondegenerate", "right_nondegenerate"]), (4, PAPER_CLASS)]
+
+
+@pytest.mark.parametrize("n, mask", [(3, mask) for mask in ORDERLY_MASKS_N3 + [
+    ["braided", "left_nondegenerate"], ["braided", "left_2_cancellative"]]]
+    + [(4, ESS_CLASS), (4, PAPER_CLASS)])
+def test_enumerate_matches_cell_oracle(n, mask, monkeypatch):
+    # the same classes, in the same order, as the search on pair tuples that
+    # filtered all n^2 images and re-ran every pending braid triple; on two
+    # masks also the same nodes: a budget of the oracle's count N is enough,
+    # and N - 1 is not
+    want, nodes = quadset_oracle.cell_enumerate_solutions(n, mask)
+    if (n, mask) in NODE_COUNT_CASES:
+        monkeypatch.setattr(quadset, "NODE_BUDGET", nodes)
+    assert r_tables(quadset.enumerate_solutions(n, mask)) == r_tables(want)
+    if (n, mask) in NODE_COUNT_CASES:
+        monkeypatch.setattr(quadset, "NODE_BUDGET", nodes - 1)
+        with pytest.raises(SizeTooLarge, match=f"visited {nodes} nodes, over its budget"):
+            quadset.enumerate_solutions(n, mask)
+
+
+# the braid triples that quadset_oracle.cell_enumerate_solutions evaluates: its
+# _braid_pending re-runs every pending triple at each candidate image
+CELL_SEARCH_BRAID_EVALUATIONS = {(3, ("braided", "involutive")): 32_296,
+                                 (4, tuple(PAPER_CLASS)): 4_813_815}
+
+
+@pytest.mark.parametrize("n, mask", list(CELL_SEARCH_BRAID_EVALUATIONS))
+def test_enumerate_wakes_a_braid_triple_only_on_its_cell(n, mask, monkeypatch):
+    # the search re-checks a braid triple only once the cell it waits on is
+    # assigned: at most a fifth of the cell search's evaluations
+    calls = [0]
+    braid_wait = quadset._braid_wait
+
+    def counted(*args):
+        calls[0] += 1
+        return braid_wait(*args)
+
+    monkeypatch.setattr(quadset, "_braid_wait", counted)
+    quadset.enumerate_solutions(n, list(mask))
+    assert 0 < calls[0] <= CELL_SEARCH_BRAID_EVALUATIONS[n, mask] // 5
+
+
 def test_property_report_matches_oracle_on_all_tables_n2():
     for table in product(product(range(2), repeat=2), repeat=4):
         qs = quadset.QuadraticSet(2, table)
@@ -227,14 +286,7 @@ def test_canonical_form_and_relabel_match_oracle(case):
     assert quadset.relabel(qs, sigma) == quadset_oracle.relabel(qs, sigma)
 
 
-@pytest.mark.parametrize("mask", [
-    ["involutive"],
-    ["left_nondegenerate", "right_nondegenerate"],
-    ["idempotent", "left_nondegenerate"],
-    ["braided"],
-    ["braided", "involutive"],
-    ["braided", "idempotent", "left_nondegenerate"],
-])
+@pytest.mark.parametrize("mask", ORDERLY_MASKS_N3)
 def test_enumerate_matches_orderly_oracle_n3(mask):
     # the same classes in the same order as the search that compared every
     # relabeling from position 0 at every node
