@@ -150,8 +150,3 @@ def prolongation_sequence(qs, d_max):
     distinct = len({s.base for s in sols})
     return ProlongationData(tuple(sols), period, distinct)
 
-
-def idempotence_of_restriction(qs, d):
-    """Whether rho_d is idempotent on the level-d normal words."""
-    check_properties(qs).require("the restriction check", "idempotent", "braided")
-    return check_properties(_veronese(WordActions(qs, max(2 * d, 3)), d).base).idempotent

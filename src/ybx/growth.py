@@ -14,7 +14,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
-from .errors import CheckFailed, PreconditionViolated
+from .errors import CheckFailed, InvalidArgument, PreconditionViolated
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class DirectedGraph:
     def __post_init__(self):
         for u, v in self.edges:
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge ({u}, {v}) out of range")
+                raise InvalidArgument(f"edge ({u}, {v}) out of range")
 
     @cached_property
     def adjacency(self):
@@ -175,7 +175,7 @@ def topological_order(g):
                 if indeg[v] == 0:
                     heappush(ready, v)
     if len(order) != n:
-        raise ValueError("graph is not acyclic")
+        raise InvalidArgument("graph is not acyclic")
     return order
 
 

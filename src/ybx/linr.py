@@ -6,11 +6,12 @@ x_{i|>j} (x) x_{i<|j}; the R-matrix is P Psi with P the flip.  Four-index
 symbols R^a_i{}^b_j are stored as entry (output pair (a,b), input pair
 (i,j)).
 
-Every matrix and operator is held and composed as sparse rows ({column:
-coeff} dicts of its nonzero entries, coefficients following elim.coeff),
-so cost follows the nonzeros; every rank, kernel and span question goes
-through the exact sparse elimination of ybx.elim.  A column space, such
-as image(Psi), is read as the row space of a transpose.  Operators on
+Operators are held and combined as sparse rows ({column: coeff} dicts of
+the nonzeros, coefficients following elim.coeff): products compose rows,
+id +- Psi adds Psi's rows to the identity's, and the flip permutes rows.
+Rank, kernel and span questions go through ybx.elim's exact elimination;
+a column space, such as image(Psi), is the row space of a transpose.
+RationalMatrix only carries a matrix into and out of linr.  Operators on
 V^(x)m are built for n^m <= MAX_TENSOR_DIM only.  Coefficients that leave
 the module are Fractions.
 """
@@ -27,9 +28,9 @@ MAX_TENSOR_DIM = 4096     # 8^4, the largest dim V^(x)m an operator is built for
 
 
 class RationalMatrix:
-    """Exact-rational matrix with rank/kernel/image operations, held as
-    sparse rows: vecs[i] is row i, its nonzero entries following elim.coeff.
-    data is a dense copy, lists of Fractions, built on each read."""
+    """Exact-rational matrix held as sparse rows: vecs[i] is row i, its
+    nonzero entries following elim.coeff; data is a dense Fraction copy,
+    built on each read.  mul and rref stay for the bench tracer."""
 
     __slots__ = ("rows", "cols", "vecs")
 
@@ -47,10 +48,6 @@ class RationalMatrix:
             self.vecs.append({c: y for c, x in row.items() if (y := elim.coeff(x))})
         self.rows, self.cols = len(self.vecs), cols or 0
 
-    @staticmethod
-    def identity(n):
-        return RationalMatrix([{i: 1} for i in range(n)], cols=n)
-
     @property
     def data(self):
         return [[Fraction(row.get(c, 0)) for c in range(self.cols)]
@@ -66,29 +63,8 @@ class RationalMatrix:
             raise ShapeMismatch(f"{self.cols} != {other.rows}")
         return RationalMatrix(_compose(other.vecs, self.vecs), cols=other.cols)
 
-    def add(self, other):
-        return self._plus(other, 1)
-
-    def sub(self, other):
-        return self._plus(other, -1)
-
-    def _plus(self, other, f):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("size mismatch")
-        out = [dict(row) for row in self.vecs]
-        for acc, row in zip(out, other.vecs):
-            elim.add_to(acc, f, row)
-        return RationalMatrix(out, cols=self.cols)
-
     def transpose(self):
         return RationalMatrix(_transpose(self.vecs, self.cols), cols=self.rows)
-
-    def kron(self, other):
-        w = other.cols
-        return RationalMatrix([{c1 * w + c2: a * b for c1, a in r1.items()
-                                for c2, b in r2.items()}
-                               for r1 in self.vecs for r2 in other.vecs],
-                              cols=self.cols * w)
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot columns)."""
@@ -125,6 +101,14 @@ def _compose(a, b):
         for k, c in row.items():
             elim.add_to(acc, c, a[k])
         out.append(acc)
+    return out
+
+
+def _id_plus(rows, f):
+    """The rows of id + f Psi, Psi given by its rows."""
+    out = [{i: 1} for i in range(len(rows))]
+    for acc, row in zip(out, rows):
+        elim.add_to(acc, f, row)
     return out
 
 
@@ -216,7 +200,7 @@ def _tensor_dim(mat):
 
 
 def flip_matrix(n):
-    return psi_from_r(RationalMatrix.identity(n * n))
+    return RationalMatrix([{n * (r % n) + r // n: 1} for r in range(n * n)], cols=n * n)
 
 
 def psi_from_r(rmat):
@@ -227,17 +211,17 @@ def psi_from_r(rmat):
 
 
 def splus_relations(rmat):
-    """Relation space of S_+(R): image of (id - Psi), Psi = P R."""
+    """Relation space of S_+(R): image(id - Psi), the row space of id - Psi^T."""
     psi = psi_from_r(rmat)
-    return RationalMatrix.identity(psi.rows).sub(psi).transpose().row_space_basis()
+    return RationalMatrix(elim.rref(_id_plus(_transpose(psi.vecs, psi.cols), -1))[0],
+                          cols=psi.cols)
 
 
 def sminus_degenerate_check(psi):
     """For idempotent Psi, id + Psi is onto, so all degree-2 products of
     S_-(R) vanish."""
     require_idempotent(psi, "the degeneracy statement")
-    n2 = psi.rows
-    return RationalMatrix.identity(n2).add(psi).rank() == n2
+    return _rank(_id_plus(psi.vecs, 1)) == psi.rows
 
 
 def transpose_yb_relations(rmat):
@@ -352,9 +336,7 @@ def frt_relations(rmat):
         for a, _, b, _, c in by_lo.get((j, l), ()):
             key = ((k, b), (i, a))
             p[key] = p.get(key, 0) - c
-        p = {key: v for key, v in p.items() if v}
-        if p:
-            rels.append(p)
+        rels.append(p)
     return _dedupe(rels)
 
 
@@ -375,18 +357,19 @@ def braided_matrix_relations(rmat):
             for d, _, _, _, v2 in by_lo1_up2_lo2.get((j, b, l), ()):
                 key = ((k, a), (c, d))
                 p[key] = p.get(key, 0) - v1 * v2
-        p = {key: vv for key, vv in p.items() if vv}
-        if p:
-            rels.append(p)
+        rels.append(p)
     return _dedupe(rels)
 
 
 def _dedupe(rels):
-    """Normalize each polynomial monic at its deg-lex-leading monomial, with
-    Fraction coefficients, and drop duplicates, preserving first-seen order."""
+    """Each nonzero polynomial, zero terms dropped, made monic at its deg-lex
+    leading monomial with Fraction coefficients; duplicates dropped in order."""
     seen = set()
     out = []
     for p in rels:
+        p = {k: v for k, v in p.items() if v}
+        if not p:
+            continue
         lead = max(p)
         c = p[lead]
         q = tuple(sorted((k, Fraction(v, c)) for k, v in p.items()))
@@ -395,14 +378,3 @@ def _dedupe(rels):
             out.append(dict(q))
     return out
 
-
-def rmatrix_star(phi, psi):
-    """The braiding sigma_23 (phi (x) psi) sigma_23 on (V (x) W)^(x)2."""
-    n, m = _tensor_dim(phi), _tensor_dim(psi)
-    nm = n * m
-    # sigma_23 is its own transpose, so the rows follow the columns' rule
-    rows = [{(kl // n * m + uv // m) * nm + kl % n * m + uv % m: c1 * c2
-             for kl, c1 in phi.vecs[n * i + j].items()
-             for uv, c2 in psi.vecs[m * a + b].items()}
-            for i, a, j, b in product(range(n), range(m), range(n), range(m))]
-    return RationalMatrix(rows, cols=nm * nm)

@@ -118,7 +118,7 @@ def make_named(kind, n):
         return QuadraticSet(n, [(i, j) for i in range(n) for j in range(n)])
     if kind == "flip":
         return QuadraticSet(n, [(j, i) for i in range(n) for j in range(n)])
-    raise ValueError(f"unknown named solution {kind!r}")
+    raise InvalidArgument(f"unknown named solution {kind!r}")
 
 
 def _braid_wait(table, n, p, t):

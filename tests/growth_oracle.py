@@ -6,12 +6,13 @@ longest_path_length take longest paths with recursive memo closures;
 tournament_structure runs one full-edge-scan search per vertex to find
 what reaches the basepoint.  ybx.growth answers the same questions from
 one Tarjan pass with components in topological order.  The graph and
-result types come from ybx.growth unchanged.
+result types come from ybx.growth unchanged.  topological_order raises
+InvalidArgument on a cycle, the toolkit error ybx.growth raises there.
 """
 
 from itertools import combinations
 
-from ybx.errors import CheckFailed, PreconditionViolated
+from ybx.errors import CheckFailed, InvalidArgument, PreconditionViolated
 from ybx.growth import DirectedGraph, GlDim, GrowthClass
 
 
@@ -177,7 +178,7 @@ def topological_order(g):
                 ready.append(v)
         ready.sort()
     if len(order) != n:
-        raise ValueError("graph is not acyclic")
+        raise InvalidArgument("graph is not acyclic")
     return order
 
 

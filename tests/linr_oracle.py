@@ -336,6 +336,14 @@ def _dedupe(rels):
     return out
 
 
+def flip_matrix(n):
+    """The dense flip P: column (i, j) is the unit vector of (j, i)."""
+    p = RationalMatrix.zeros(n * n, n * n)
+    for i, j in product(range(n), repeat=2):
+        p.data[n * j + i][n * i + j] = F1
+    return p
+
+
 def linearize(qs):
     """The dense braiding Psi of a quadratic set: column (i, j) is the unit
     vector of r(i, j)."""

@@ -197,7 +197,7 @@ def test_prolongation_checks_its_base_once(monkeypatch, mixed3):
 def test_level_solutions_stay_idempotent(mixed3, cycle3):
     for qs in (mixed3, cycle3):
         for d in (2, 3):
-            assert braidmon.idempotence_of_restriction(qs, d)
+            assert quadset.check_properties(braidmon.veronese_solution(qs, d).base).idempotent
 
 
 def test_normalized_map_is_a_braiding_on_normal_words(mixed3):

@@ -260,11 +260,14 @@ def test_nichols_exterior_for_identity_pair(rid2, cycle3, mixed3):
 
 
 def conjugate(psi, i, j):
-    """A Psi A^-1 for the unipotent A = I + E_ij; it keeps idempotence."""
+    """A Psi A^-1 for the unipotent A = I + E_ij; it keeps idempotence.
+    Built with the dense oracle, then carried into linr."""
     n2 = psi.rows
-    one = linr.RationalMatrix.identity(n2)
-    e_ij = linr.RationalMatrix([{j: 1} if r == i else {} for r in range(n2)], cols=n2)
-    return one.add(e_ij).mul(psi).mul(one.sub(e_ij))
+    one = linr_oracle.RationalMatrix.identity(n2)
+    e_ij = linr_oracle.RationalMatrix.zeros(n2, n2)
+    e_ij.data[i][j] = F1
+    out = one.add(e_ij).mul(linr_oracle.RationalMatrix(psi.data)).mul(one.sub(e_ij))
+    return linr.RationalMatrix(out.data, cols=n2)
 
 
 def test_nichols_exterior_reads_theta_from_the_image():

@@ -41,8 +41,6 @@ SET_GATES = {
     "veronese_solution": (lambda qs: braidmon.veronese_solution(qs, 2), ("braided",)),
     "prolongation_sequence": (lambda qs: braidmon.prolongation_sequence(qs, 2),
                               ("braided", "idempotent", "left_nondegenerate")),
-    "idempotence_of_restriction": (lambda qs: braidmon.idempotence_of_restriction(qs, 2),
-                                   ("idempotent", "braided")),
     "koszul_dual_polynomials": (linr.koszul_dual_polynomials, ("idempotent",)),
     "nichols_monomials": (linr.nichols_monomials, ("idempotent",)),
 }

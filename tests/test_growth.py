@@ -8,7 +8,7 @@ from itertools import combinations, product
 import pytest
 
 from ybx import growth, ncgb, orbits, quadset
-from ybx.errors import PreconditionViolated
+from ybx.errors import PreconditionViolated, YbxError
 
 ALL_PAIRS3 = [(i, j) for i in range(3) for j in range(3)]
 
@@ -239,3 +239,15 @@ def test_verdicts_survive_optimized_mode(case):
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.startswith("CheckFailed ")
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: quadset.make_named("twist", 2), "twist"),
+    (lambda: growth.DirectedGraph(2, frozenset({(0, 2)})), "out of range"),
+    (lambda: growth.topological_order(growth.DirectedGraph(2, frozenset({(0, 1), (1, 0)}))),
+     "acyclic"),
+], ids=["unknown-named-solution", "edge-out-of-range", "cyclic-graph"])
+def test_bad_arguments_are_toolkit_errors(call, match):
+    # reported as toolkit errors, which the CLI turns into exit code 2
+    with pytest.raises(YbxError, match=match):
+        call()

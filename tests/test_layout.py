@@ -2,8 +2,9 @@
 package's own modules import one another without a cycle, every
 function the bench traces exists, diffcalc multiplies polynomials in one
 place, one routine stores word normal forms, the ncgb oracle shares
-no completion or word normal-form code with the module it checks, and
-linr bounds its tensor powers in one place."""
+no completion or word normal-form code with the module it checks, linr
+bounds its tensor powers in one place, and linr's RationalMatrix does no
+operator arithmetic."""
 
 import ast
 from functools import reduce
@@ -199,3 +200,14 @@ def test_the_braided_factorial_is_bounded_once_and_read_as_rows():
     kernel = next(call for call in ast.walk(check) if isinstance(call, ast.Call)
                   and getattr(call.func, "id", None) == "_kernel")
     assert len(transposes(check)) == 1 and not transposes(kernel)
+
+
+def test_rational_matrix_is_only_the_boundary_type():
+    """linr combines operators as rows, so RationalMatrix only carries a
+    matrix into and out of linr: no sum, identity or Kronecker product.  mul
+    and rref are kept only for the bench tracer, whose TARGETS name them."""
+    cls = next(node for node in MODULES["linr"].body
+               if isinstance(node, ast.ClassDef) and node.name == "RationalMatrix")
+    methods = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    assert methods == {"__init__", "data", "__eq__", "transpose", "rank", "nullspace_basis",
+                       "row_space_basis", "mul", "rref"}, sorted(methods)

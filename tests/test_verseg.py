@@ -83,6 +83,13 @@ def test_segre_presentation_shape(rid2, mixed3):
         assert dst[0] == 0
 
 
+def id_minus_psi_rows(qs):
+    """The row space of id - Psi, reduced by the dense oracle and carried into linr."""
+    one = linr_oracle.RationalMatrix.identity(qs.n ** 2)
+    rows = one.sub(linr_oracle.linearize(qs)).row_space_basis()
+    return linr.RationalMatrix(rows.data, cols=rows.cols)
+
+
 def test_segre_morphism_checks(rid2, mixed3, cycle3):
     lat = quadset.enumerate_solutions(3, ["braided", "idempotent", "left_nondegenerate"])
     pairs = [(rid2, rid2), (mixed3, mixed3), (mixed3, rid2), (rid2, cycle3),
@@ -95,8 +102,7 @@ def test_segre_morphism_checks(rid2, mixed3, cycle3):
         assert result["ok"]
         # the sparse sigma_23 rows span what the dense vectors span, given
         # the row spaces of id - Psi that the dense oracle reads
-        rel_a, rel_b = (linr.RationalMatrix.identity(qs.n ** 2)
-                        .sub(linr.linearize(qs)[0]).row_space_basis() for qs in (a, b))
+        rel_a, rel_b = map(id_minus_psi_rows, (a, b))
         assert verseg._mixed_relations(rel_a, rel_b, a.n, b.n).row_space_basis().data \
             == linr_oracle.segre_mixed_relations(a, b).data
 
