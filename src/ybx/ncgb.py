@@ -1,44 +1,39 @@
 """Noncommutative Groebner bases under deg-lex, bounded by degree.
 
-Words are tuples of 0-based generator indices; polynomials are dicts
-mapping words to nonzero exact rationals.  Rules rewrite a leading word to
-a polynomial that is smaller in deg-lex.
+Words are tuples of 0-based generator indices, polynomials dicts from words
+to nonzero exact rationals, and rules rewrite a leading word to a smaller
+polynomial.  Inside this module a word w is one integer, its code
+n^|w| + sum of w_i n^(|w|-1-i) in base n = max(alphabet size, 2).  As
+n^|w| <= code < 2 n^|w| <= n^(|w|+1), deg-lex order is integer order.  A
+code c has prefix c // n, last letter c % n and length-k suffix
+n^k + c % n^k; a lead with j letters after it rewrites to a word u as long
+by adding (u - lead) n^j.  Words are encoded once on the way in (complete's
+relations; the words of normal_form, normal_form_word and monoid_multiply,
+whose letters must lie in the alphabet) and decoded once on the way out
+(GroebnerBasis.rules, normal forms, normal words).
 
-Completion runs one degree at a time.  The input is homogeneous, so when
-degree d starts every rule of lower degree is final, and degree d turns
-its inputs and the overlaps of length d into the degree-d rules of the
-reduced Groebner basis, truncated at the bound (Bergman's diamond lemma).
-An overlap is found once, when the later of its two rules is added, and
-waits in a bucket for its length; one past the bound only marks the basis
-truncated.  A degree with no inputs and no overlaps does not run, so a
-basis that closes early costs the same at any bound.  When every relation
-is a word difference c(u - v), as a solution's are, this runs on words:
-both sides of each input and the two reductions of each overlap word are
-rewritten to normal words, and union-find makes each word of a class but
-the least a rule to the least.  A word's normal word grows from its
-prefix's, kept for the whole call: the last letter is appended, and only
-a lead that ends at the end is rewritten.  Any normal word reachable from
-each side will do, since the classes, and so the reduced basis, are
-unique (the diamond lemma again).  Other input runs on polynomials: the
-reduced S-polynomials go through one exact reduced-echelon pass (ybx.elim)
-with the words as columns, largest first, and each pivot word becomes a lead.
+Completion runs one degree at a time; the input is homogeneous, so every
+lower rule is final when degree d turns its inputs and overlaps into its
+rules of the reduced basis, truncated at the bound (Bergman's diamond
+lemma).  An overlap is found once, when the later of its rules is added,
+and waits in a bucket for its length; one past the bound only marks the
+basis truncated.  When every relation is a word difference c(u - v), both
+sides of each input and both reductions of each overlap are rewritten to
+normal words, and union-find makes each word of a class but the least a
+rule to the least: the classes are unique, so any normal words reachable
+will do.  Other input runs on polynomials: the reduced S-polynomials go
+through one exact echelon pass (ybx.elim) on negated codes, so the largest
+word pivots first.
 
-One lead index serves every lookup, grown in place as rules are added:
-each lead length k maps to a table {lead: first stored position}, and each
-proper prefix and suffix of a lead to its rules.  Polynomial reduction
-looks up word[pos:pos+k] for each k, leftmost first.  Word normal forms
-grow from their prefixes as in completion, kept in the index, and that is
-leftmost rewriting, past the bound too: no lead of a returned basis lies
-in another, so while z[:-1] is not normal z's leftmost lead lies in it,
-and then at most one lead ends z.  Normal words of degree d grow from
-those of degree d-1 by one letter, keeping a word when no lead is its
-suffix; the Hilbert series counts normal words per automaton state (the
-longest suffix that is a proper prefix of a lead) instead of listing them.
+One lead index, grown in place, serves every lookup.  A word's normal word
+grows from its prefix's, kept in the index: the last letter is appended,
+and only a lead that ends the word is rewritten.  That is leftmost
+rewriting, past the bound too: no lead of a returned basis lies in another,
+so while z[:-1] is not normal z's leftmost lead lies in it, and then at
+most one lead ends z.  Coefficients follow elim.coeff, but are Fractions
+in the rules of a GroebnerBasis."""
 
-Homogeneous input only.  Arithmetic is exact, on coefficients that follow
-elim.coeff; the rules of a GroebnerBasis hold Fractions.
-"""
-
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -51,13 +46,8 @@ from .errors import (InsufficientDegree, InvalidArgument, NonHomogeneousInput,
 ONE = Fraction(1)
 
 
-def deglex_key(word):
-    return (len(word), word)
-
-
 def poly(terms):
-    """Normalize a {word: coeff} mapping, dropping zeros; coefficients
-    follow elim.coeff."""
+    """{word: coeff} without zeros, coefficients following elim.coeff."""
     return {w: elim.coeff(c) for w, c in terms.items() if c != 0}
 
 
@@ -80,6 +70,24 @@ def is_homogeneous(p):
     return len({len(w) for w in p}) <= 1
 
 
+def _encode(word, n, letters):
+    """The code of word in base n; its letters must lie in range(letters)."""
+    c = 1
+    for x in word:
+        if not 0 <= x < letters:
+            raise InvalidArgument(f"letter {x} of {word} is not in 0..{letters - 1}")
+        c = c * n + x
+    return c
+
+
+def _decode(c, n):
+    word = []
+    while c > 1:
+        word.append(c % n)
+        c //= n
+    return tuple(reversed(word))
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
     alphabet_size: int
@@ -90,10 +98,13 @@ class GroebnerBasis:
 
     @cached_property
     def index(self):
-        """The rules indexed by lead, coefficients following elim.coeff;
-        the word normal forms kept there live as long as the basis."""
-        return LeadIndex([(lead, {w: elim.coeff(c) for w, c in rhs})
-                          for lead, rhs in self.rules])
+        """The rules on codes, coefficients following elim.coeff (ONE, which
+        _freeze_rules writes for 1, is 1); the word normal forms kept there
+        live as long as the basis."""
+        n, a = max(self.alphabet_size, 2), self.alphabet_size
+        return LeadIndex(n, [(_encode(lead, n, a),
+                              {_encode(w, n, a): 1 if c is ONE else elim.coeff(c)
+                               for w, c in rhs}) for lead, rhs in self.rules])
 
     @property
     def pbw(self):
@@ -101,10 +112,8 @@ class GroebnerBasis:
         return all(len(lead) == 2 for lead, _ in self.rules)
 
     def final_through(self, d):
-        """Whether the rules through degree d are those of the full basis.
-        Completion runs one degree at a time, so on a truncated basis this
-        holds through max_degree: normal words and normal forms of words of
-        length d, which read only leads of length <= d, are exact there."""
+        """Whether the rules through degree d are final, as they are through
+        max_degree: normal words and forms of length d read leads of length <= d."""
         return self.complete or d <= self.max_degree
 
     def require_degree(self, d, what):
@@ -114,68 +123,76 @@ class GroebnerBasis:
 
 
 class LeadIndex:
-    """Rules whose leads are looked up by length, {k: {lead: first position}},
-    and by proper prefix and suffix, {word: [rule, ...]}; and memo: each word
-    whose normal word was found through it, mapped to it."""
+    """Rules on codes in base n, their leads looked up by length k in tables,
+    {k: (n^k, {lead: first position})}, and by proper prefix and suffix,
+    {code: [(rule, lead length)]}; powers n^0, n^1, ... past every code
+    measured; memo, each word whose normal word was found, mapped to it; and
+    words, the same on the tuples normal_form_word was given."""
 
-    def __init__(self, rules=()):
+    def __init__(self, n, rules=()):
+        self.n, self.powers = n, [1]
         self.rules, self.tables, self.starts, self.ends = [], {}, {}, {}
-        self.memo = {(): ()}
+        self.memo, self.words = {1: 1}, {}
         for rule in rules:
             self.add(rule)
 
+    def length(self, c):
+        while self.powers[-1] <= c:
+            self.powers.append(self.powers[-1] * self.n)
+        return bisect_right(self.powers, c) - 1
+
     def add(self, rule):
-        lead = rule[0]
-        self.tables.setdefault(len(lead), {}).setdefault(lead, len(self.rules))
+        lead, powers = rule[0], self.powers
+        entry = rule, (k := self.length(lead))
+        self.tables.setdefault(k, (powers[k], {}))[1].setdefault(lead, len(self.rules))
         self.rules.append(rule)
-        for k in range(1, len(lead)):
-            self.starts.setdefault(lead[:k], []).append(rule)
-            self.ends.setdefault(lead[-k:], []).append(rule)
+        for j in range(1, k):
+            self.starts.setdefault(lead // powers[k - j], []).append(entry)
+            self.ends.setdefault(powers[j] + lead % powers[j], []).append(entry)
+        return k
 
     def find(self, word):
-        """(pos, i) for the leftmost lead occurrence in word, and there the
-        lowest stored index i; None if word is normal."""
-        for pos in range(len(word)):
+        """(q, i) for the leftmost lead occurrence in word, q = n^j for the j
+        letters after it and i the lowest stored index there; None if none."""
+        powers = self.powers
+        for r in range(self.length(word), 0, -1):    # r letters from the start on
             best = None
-            for k, table in self.tables.items():
-                i = table.get(word[pos:pos + k])
-                if i is not None and (best is None or i < best):
-                    best = i
+            for k, (p, table) in self.tables.items():
+                if k <= r:
+                    q = powers[r - k]
+                    i = table.get(p + word // q % p)
+                    if i is not None and (best is None or i < best[1]):
+                        best = q, i
             if best is not None:
-                return pos, best
+                return best
         return None
 
     def ends_with_lead(self, word):
-        return any(word[-k:] in table for k, table in self.tables.items())
+        return any(word >= p and p + word % p in table
+                   for p, table in self.tables.values())
 
 
-def _freeze_rules(rules):
-    frozen = []
-    for lead, rhs in sorted(rules, key=lambda r: deglex_key(r[0])):
-        rhs = sorted(rhs.items(), key=lambda t: deglex_key(t[0]))
-        frozen.append((lead, tuple((w, ONE if c == 1 else Fraction(c)) for w, c in rhs)))
-    return tuple(frozen)
+def _freeze_rules(rules, n):
+    return tuple((_decode(lead, n), tuple((_decode(w, n), ONE if c == 1 else Fraction(c))
+                                          for w, c in sorted(rhs.items())))
+                 for lead, rhs in sorted(rules, key=lambda r: r[0]))
 
 
 def _normal_form_dict(p, index):
-    out = {}
-    work = dict(p)
+    """Leftmost reduction of the largest word left, which makes only smaller
+    words: a word found normal is met no more."""
+    out, work = {}, dict(p)
     while work:
-        w = max(work, key=deglex_key)
-        c = work.pop(w)
-        hit = index.find(w)
-        if hit is None:
-            out[w] = out.get(w, 0) + c
-            if not out[w]:
-                del out[w]
+        c = work.pop(w := max(work))
+        if (hit := index.find(w)) is None:
+            if c:
+                out[w] = c
             continue
-        pos, i = hit
+        q, i = hit
         lead, rhs = index.rules[i]
-        a, b = w[:pos], w[pos + len(lead):]
         for u, cu in rhs.items():
-            nw = a + u + b
-            nc = work.get(nw, 0) + c * cu
-            if nc:
+            nw = w + (u - lead) * q
+            if nc := work.get(nw, 0) + c * cu:
                 work[nw] = nc
             else:
                 work.pop(nw, None)
@@ -184,91 +201,88 @@ def _normal_form_dict(p, index):
 
 def normal_form(p, gb):
     """The unique normal form of p modulo the rules of gb."""
-    if isinstance(p, tuple):
-        p = {p: ONE}
-    return _normal_form_dict(p, gb.index)
+    index, p = gb.index, {p: ONE} if isinstance(p, tuple) else p
+    p = {_encode(w, index.n, gb.alphabet_size): c for w, c in p.items()}
+    return {_decode(w, index.n): c for w, c in _normal_form_dict(p, index).items()}
 
 
 def normal_form_word(w, gb):
     """Normal form of a single word under a binomial basis."""
     if not gb.binomial:
         raise NotBinomial("word normal forms require a binomial basis")
-    if w not in (memo := gb.index.memo):
-        _grow_normal_words([w], gb.index)
-    return memo[w]
-
-
-def _desc(word):
-    """The column key of a word: among words of one length the least key
-    is the largest word, so elimination pivots on leading words.  The map
-    is its own inverse."""
-    return tuple(-x for x in word)
+    index = gb.index
+    if (nf := index.words.get(w)) is None:
+        if (c := _encode(w, index.n, gb.alphabet_size)) not in index.memo:
+            _grow_normal_words([c], index)
+        nf = index.words[w] = _decode(index.memo[c], index.n)
+    return nf
 
 
 def _register_rule(rule, index, pending, max_degree):
-    """Put each overlap (u, rhs_u, v, rhs_v, k) that rule, just added to
-    index, forms with earlier rules and itself, u's lead ending with v's
-    first k letters, into pending under its length.  Returns whether one is
-    longer than max_degree: those are not kept."""
-    lead, ks = rule[0], range(1, len(rule[0]))
-    pairs = [(u, rule, k) for k in ks for u in index.ends.get(lead[:k], ())
-             if u is not rule]
-    pairs += [(rule, v, k) for k in ks for v in index.starts.get(lead[-k:], ())]
-    longer = False
-    for (u, rhs_u), (v, rhs_v), k in pairs:
-        d = len(u) + len(v) - k
-        if d > max_degree:
-            longer = True
-        else:
-            pending.setdefault(d, []).append((u, rhs_u, v, rhs_v, k))
+    """Add rule to index, and put each overlap (u, rhs_u, v, rhs_v, q) it
+    forms with earlier rules and itself, u's lead ending with v's first k
+    letters and q = n^(|v| - k), into pending under its length.  Returns
+    whether one is longer than max_degree: those are not kept."""
+    lead, powers, size, longer = rule[0], index.powers, index.add(rule), False
+    for k in range(1, size):
+        q = powers[size - k]
+        for u, su in index.ends.get(lead // q, ()):
+            if u is not rule:
+                if (d := su + size - k) > max_degree:
+                    longer = True
+                else:
+                    pending.setdefault(d, []).append((*u, *rule, q))
+        p = powers[k]
+        for v, sv in index.starts.get(p + lead % p, ()):
+            if (d := size + sv - k) > max_degree:
+                longer = True
+            else:
+                pending.setdefault(d, []).append((*rule, *v, powers[sv - k]))
     return longer
 
 
 def _row_step(polys, overlaps, index):
-    """A degree's new rules: its inputs and the S-polynomials of its overlaps,
-    reduced by the lower rules, in one reduced echelon pass."""
-    # the two reductions of each overlap word u + v[k:]
-    polys += [poly_add({w + v[k:]: c for w, c in rhs_u.items()},
-                       {u[:len(u) - k] + w: c for w, c in rhs_v.items()}, -1)
-              for u, rhs_u, v, rhs_v, k in overlaps]
-    rows = [{_desc(w): c for w, c in _normal_form_dict(p, index).items()}
-            for p in polys]
+    """A degree's new rules: its inputs and the S-polynomials of its overlaps
+    u v[k:], of code u q + v % q, reduced by the lower rules, in one pass."""
+    polys += [poly_add({w * q + v % q: c for w, c in rhs_u.items()},
+                       {u * q + v % q + w - v: c for w, c in rhs_v.items()}, -1)
+              for u, rhs_u, v, rhs_v, q in overlaps]
+    rows = [{-w: c for w, c in _normal_form_dict(p, index).items()} for p in polys]
     red, pivots = elim.rref(rows)
-    return [(_desc(key), {_desc(w): -c for w, c in row.items() if w != key})
+    return [(-key, {-w: -c for w, c in row.items() if w != key})
             for key, row in zip(pivots, red)]
 
 
 def _grow_normal_words(words, index):
     """Keep in index.memo the normal word of each of words, under rules that
-    rewrite a word to a word and with the words kept there final.  The
-    normal word of z[:-1] with z's last letter appended is normal but where
-    a lead ends at its end, and there z's normal word is that of the word
-    the lead rewrites to.  Every word met is kept; a stack of the words
-    waiting stands in for recursion."""
-    memo, rules, ends = index.memo, index.rules, index.ends
-    tables = sorted(index.tables.items())
-    todo = [(w, None) for w in words]
+    rewrite a word to a word and with the words kept there final.  z's
+    prefix's normal word with z's last letter appended is normal but where a
+    lead ends it, and there z's normal word is that of its rewrite y.  A
+    stack of the words waiting stands in for recursion, -y marking a wait."""
+    memo, rules, ends, n = index.memo, index.rules, index.ends, index.n
+    tables = [index.tables[k] for k in sorted(index.tables)]
+    todo = list(words)
     while todo:
-        z, y = todo.pop()
-        if y is not None:           # z rewrites to y, whose normal word is kept
-            memo[z] = memo[y]
-        elif z not in memo:
-            if (c := memo.get(z[:-1])) is None:
-                todo += (z, None), (z[:-1], None)
+        z = todo.pop()
+        if z in memo:
+            continue
+        if z < 0:                   # the word below waits for -z, its rewrite
+            memo[todo.pop()] = memo[-z]
+            continue
+        if (c := memo.get(z // n)) is None:
+            todo += z, z // n
+            continue
+        c, r = c * n + z % n, None
+        # shortest lead first: a suffix that ends no lead ends the search
+        for p, table in tables:
+            if c < p or (r := table.get(s := p + c % p)) is not None or s not in ends:
+                break
+        if r is not None:
+            lead, (u,) = rules[r]
+            if (c := memo.get(y := c + u - lead)) is None:
+                todo += z, -y, y
                 continue
-            c, r = c + z[-1:], None
-            # shortest lead first: a suffix that ends no lead ends the search
-            for k, table in tables:
-                s = c[-k:]
-                if (r := table.get(s)) is not None or s not in ends:
-                    break
-            if r is not None:
-                lead, (u,) = rules[r]
-                y = c[:-len(lead)] + u
-                if (c := memo.get(y)) is None:
-                    todo += (z, y), (y, None)
-                    continue
-            memo[z] = c
+        memo[z] = c
 
 
 def _word_step(polys, overlaps, index):
@@ -278,18 +292,20 @@ def _word_step(polys, overlaps, index):
     parent = {}
 
     def root(w):
-        while w in parent:
-            up = parent[w]
-            parent[w] = parent.get(up, up)
-            w = up
+        while w in parent:              # halving the path as it goes
+            parent[w] = w = parent.get(parent[w], parent[w])
         return w
 
     pairs = [tuple(p) for p in polys]
-    pairs += [(a + v[k:], u[:len(u) - k] + b) for u, (a,), v, (b,), k in overlaps]
+    pairs += [(a * q + (t := v % q), u * q + t + b - v)
+              for u, (a,), v, (b,), q in overlaps]
     memo, start = index.memo, len(index.memo)
     _grow_normal_words([w for pair in pairs for w in pair], index)
     for x, y in pairs:
-        a, b = root(memo[x]), root(memo[y])
+        if (a := memo[x]) in parent:
+            a = root(a)
+        if (b := memo[y]) in parent:
+            b = root(b)
         if a != b:
             parent[max(a, b)] = min(a, b)
     # later degrees read the words kept here as final prefixes
@@ -314,45 +330,37 @@ def complete(relations, max_degree, alphabet=0):
         p = poly(p)
         if not p:
             continue
-        if not is_homogeneous(p) or min(len(w) for w in p) < 2:
+        if not is_homogeneous(p) or min(map(len, p)) < 2:
             raise NonHomogeneousInput("relations must be homogeneous of degree >= 2")
-        alphabet = max(alphabet, max(max(w) + 1 for w in p))
+        alphabet = max(alphabet, max(map(max, p)) + 1)
         inputs.setdefault(len(next(iter(p))), []).append(p)
-    words = all(len(p) == 2 and sum(p.values()) == 0
-                for polys in inputs.values() for p in polys)
-    step = _word_step if words else _row_step
-
-    index, pending, truncated = LeadIndex(), {}, False
+    step = _word_step if all(len(p) == 2 and sum(p.values()) == 0
+                             for polys in inputs.values() for p in polys) else _row_step
+    n = max(alphabet, 2)
+    inputs = {d: [{_encode(w, n, alphabet): c for w, c in p.items()} for p in polys]
+              for d, polys in inputs.items()}
+    index, pending, truncated = LeadIndex(n), {}, False
     while inputs or pending:
         d = min([*inputs, *pending])
         for rule in step(inputs.pop(d, []), pending.pop(d, []), index):
-            index.add(rule)
             truncated |= _register_rule(rule, index, pending, max_degree)
     binomial = all(len(rhs) == 1 and next(iter(rhs.values())) == 1
                    for _, rhs in index.rules)
-    return GroebnerBasis(
-        alphabet_size=alphabet,
-        rules=_freeze_rules(index.rules),
-        max_degree=max_degree,
-        complete=not truncated,
-        binomial=binomial,
-    )
+    return GroebnerBasis(alphabet_size=alphabet, rules=_freeze_rules(index.rules, n),
+                         max_degree=max_degree, complete=not truncated, binomial=binomial)
 
 
 def normal_words(gb, d):
-    """All length-d words avoiding leading words as subwords, deg-lex sorted.
-
-    Each level extends the last one letter at a time: w + (x,) is normal iff
-    w is and no lead is a suffix, and extending lex-sorted words in letter
-    order keeps them lex-sorted.
-    """
+    """All length-d words avoiding leading words as subwords, deg-lex sorted:
+    w + (x,) is normal iff w is and no lead is a suffix, and extending sorted
+    words in letter order keeps them sorted."""
     gb.require_degree(d, f"listing the words of degree {d}")
-    index, n = gb.index, gb.alphabet_size
-    level = [()]
+    index, n = gb.index, gb.index.n
+    level = [1]
     for _ in range(d):
-        level = [w for w in (v + (x,) for v in level for x in range(n))
+        level = [w for v in level for w in range(v * n, v * n + gb.alphabet_size)
                  if not index.ends_with_lead(w)]
-    return level
+    return [_decode(w, n) for w in level]
 
 
 @dataclass(frozen=True)
@@ -362,38 +370,32 @@ class HilbertPrefix:
 
 
 def hilbert_series(gb, D):
-    """Normal-word counts of degrees 0..D, counted without listing words.
-
-    The state of a normal word is its longest suffix that is a proper
-    prefix of a lead.  Whether w + (x,) is normal, and its state, depend
-    only on the state of w and on x, so one pass over the degrees carries
-    a count per state.  On a truncated basis exact is False once D
-    passes max_degree: leads past the bound are missing, so counts there
-    may be too large.
-    """
-    index, n = gb.index, gb.alphabet_size
-    prefixes = {(), *index.starts}
-    coeffs, counts = [], {(): 1}
+    """Normal-word counts of degrees 0..D, counted without listing words:
+    whether w + (x,) is normal, and its state (its longest suffix that is a
+    proper prefix of a lead), depend only on w's state and x, so a count per
+    state is carried.  On a truncated basis exact is False once D passes
+    max_degree: leads past the bound are missing, so counts may be too large."""
+    index, n = gb.index, gb.index.n
+    prefixes = {1, *index.starts}
+    tops = index.powers[max(index.tables, default=0)::-1]    # n^k, longest suffix first
+    coeffs, counts = [], {1: 1}
     for _ in range(D + 1):
         coeffs.append(sum(counts.values()))
         nxt = {}
         for state, c in counts.items():
-            for x in range(n):
-                t = state + (x,)
+            for x in range(gb.alphabet_size):
+                t = state * n + x
                 if not index.ends_with_lead(t):
-                    t = next(t[i:] for i in range(len(t) + 1) if t[i:] in prefixes)
+                    t = next(s for p in tops if p <= t and (s := p + t % p) in prefixes)
                     nxt[t] = nxt.get(t, 0) + c
         counts = nxt
     return HilbertPrefix(coefficients=tuple(coeffs), exact=gb.final_through(D))
 
 
 def is_pbw(relations):
-    """True iff the quadratic relations are already a Groebner basis.
-
-    For quadratic leading words every minimal overlap has length 3, so
-    resolving degree-3 ambiguities decides the question.  On a solution's
-    canonical relations it checks the paper's claim R = G => PBW.
-    """
+    """True iff the quadratic relations are already a Groebner basis: every
+    minimal overlap of quadratic leads has length 3.  On a solution's
+    canonical relations it checks the paper's claim R = G => PBW."""
     if any(len(w) != 2 for p in relations for w in poly(p)):
         raise NonQuadraticInput("relations must be homogeneous quadratic")
     return complete(relations, 3).pbw
@@ -408,18 +410,16 @@ def monoid_multiply(u, v, gb):
 
 
 def left_cancellative_check(gb, d):
-    """Check x * u = x * v => u = v on normal words of length <= d.
-
-    Returns True or a counterexample (x, u, v).
-    """
+    """Check x * u = x * v => u = v on normal words of length <= d: on a
+    solution's canonical basis, the paper's claim that the monoid S(X, r) of
+    a left-nondegenerate idempotent solution is left cancellative.  Returns
+    True or a counterexample (x, u, v)."""
     gb.require_degree(d + 1, "the cancellativity check")
     for length in range(1, d + 1):
         words = normal_words(gb, length)
         for x in range(gb.alphabet_size):
             seen = {}
             for u in words:
-                img = monoid_multiply((x,), u, gb)
-                if img in seen and seen[img] != u:
-                    return (x, seen[img], u)
-                seen[img] = u
+                if (v := seen.setdefault(monoid_multiply((x,), u, gb), u)) != u:
+                    return (x, v, u)
     return True

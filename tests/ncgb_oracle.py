@@ -12,18 +12,101 @@ before overlaps were bucketed as rules are added).  complete_by_words is
 ybx.ncgb's degree loop on word differences as it was before normal words
 grew from their prefixes: every degree builds a lead index of the lower
 rules, and _normal_word, ybx.ncgb's old leftmost walk, rewrites each word
-from its first letter.  The shared helpers (deg-lex, polynomial
-arithmetic, the lead index, leftmost reduction through it, the column key
-_desc, _freeze_rules, GroebnerBasis) come from ybx.ncgb unchanged; no
-completion or word normal-form code does.
+from its first letter.  Both run on words as tuples, as ybx.ncgb did
+before it held a word as one base-n integer: deglex_key, the lead index
+LeadIndex, leftmost reduction through it (_normal_form_by_index), the
+column key _desc and _freeze_rules are copies of ybx.ncgb's tuple code of
+that time.  Only polynomial arithmetic, GroebnerBasis and HilbertPrefix
+come from ybx.ncgb; no completion, lead index or word normal-form code does.
 """
 
+from fractions import Fraction
 from itertools import product
 
-from ybx import elim, ncgb
-from ybx.ncgb import (ONE, GroebnerBasis, HilbertPrefix, _freeze_rules,
-                      deglex_key, is_homogeneous, poly, poly_add, poly_scale)
+from ybx import elim
+from ybx.ncgb import (ONE, GroebnerBasis, HilbertPrefix, is_homogeneous, poly,
+                      poly_add, poly_scale)
 from ybx.errors import InsufficientDegree, InvalidArgument, NonHomogeneousInput
+
+
+def deglex_key(word):
+    return (len(word), word)
+
+
+class LeadIndex:
+    """Rules whose leads are looked up by length, {k: {lead: first position}},
+    and by proper prefix and suffix, {word: [rule, ...]}; and memo: each word
+    whose normal word was found through it, mapped to it."""
+
+    def __init__(self, rules=()):
+        self.rules, self.tables, self.starts, self.ends = [], {}, {}, {}
+        self.memo = {(): ()}
+        for rule in rules:
+            self.add(rule)
+
+    def add(self, rule):
+        lead = rule[0]
+        self.tables.setdefault(len(lead), {}).setdefault(lead, len(self.rules))
+        self.rules.append(rule)
+        for k in range(1, len(lead)):
+            self.starts.setdefault(lead[:k], []).append(rule)
+            self.ends.setdefault(lead[-k:], []).append(rule)
+
+    def find(self, word):
+        """(pos, i) for the leftmost lead occurrence in word, and there the
+        lowest stored index i; None if word is normal."""
+        for pos in range(len(word)):
+            best = None
+            for k, table in self.tables.items():
+                i = table.get(word[pos:pos + k])
+                if i is not None and (best is None or i < best):
+                    best = i
+            if best is not None:
+                return pos, best
+        return None
+
+    def ends_with_lead(self, word):
+        return any(word[-k:] in table for k, table in self.tables.items())
+
+
+def _freeze_rules(rules):
+    frozen = []
+    for lead, rhs in sorted(rules, key=lambda r: deglex_key(r[0])):
+        rhs = sorted(rhs.items(), key=lambda t: deglex_key(t[0]))
+        frozen.append((lead, tuple((w, ONE if c == 1 else Fraction(c)) for w, c in rhs)))
+    return tuple(frozen)
+
+
+def _normal_form_by_index(p, index):
+    out = {}
+    work = dict(p)
+    while work:
+        w = max(work, key=deglex_key)
+        c = work.pop(w)
+        hit = index.find(w)
+        if hit is None:
+            out[w] = out.get(w, 0) + c
+            if not out[w]:
+                del out[w]
+            continue
+        pos, i = hit
+        lead, rhs = index.rules[i]
+        a, b = w[:pos], w[pos + len(lead):]
+        for u, cu in rhs.items():
+            nw = a + u + b
+            nc = work.get(nw, 0) + c * cu
+            if nc:
+                work[nw] = nc
+            else:
+                work.pop(nw, None)
+    return out
+
+
+def _desc(word):
+    """The column key of a word: among words of one length the least key
+    is the largest word, so elimination pivots on leading words.  The map
+    is its own inverse."""
+    return tuple(-x for x in word)
 
 
 def poly_lm(p):
@@ -195,13 +278,13 @@ def complete_by_rows(relations, max_degree, alphabet=0):
             polys += [poly_add({w + v[k:]: c for w, c in rhs_u.items()},
                                {u[:len(u) - k] + w: c for w, c in rhs_v.items()}, -1)
                       for u, rhs_u, v, rhs_v, k in _overlaps_of_length(rules, d, starts)]
-        index = ncgb.LeadIndex(rules)
-        rows = [{ncgb._desc(w): c for w, c in ncgb._normal_form_dict(p, index).items()}
+        index = LeadIndex(rules)
+        rows = [{_desc(w): c for w, c in _normal_form_by_index(p, index).items()}
                 for p in polys]
         red, pivots = elim.rref(rows)
         for key, row in zip(pivots, red):
-            lead = ncgb._desc(key)
-            rule = (lead, {ncgb._desc(w): -c for w, c in row.items() if w != key})
+            lead = _desc(key)
+            rule = (lead, {_desc(w): -c for w, c in row.items() if w != key})
             rules.append(rule)
             for k in range(1, d):
                 starts.setdefault((lead[:k], d), []).append(rule)
@@ -321,7 +404,7 @@ def complete_by_words(relations, max_degree, alphabet=0):
     rules, starts, ends, pending, truncated = [], {}, {}, {}, False
     while inputs or pending:
         d = min([*inputs, *pending])
-        index = ncgb.LeadIndex(rules)
+        index = LeadIndex(rules)
         for rule in _word_step(inputs.pop(d, []), pending.pop(d, []), index):
             rules.append(rule)
             truncated |= _register_rule(rule, starts, ends, pending, max_degree)

@@ -123,10 +123,12 @@ def test_bench_targets_resolve():
     assert targets and not missing, f"bench targets missing from ybx: {missing}"
 
 
-# the completion and word normal-form code the ncgb oracle checks; it may
-# share only the helpers its docstring lists
+# the completion, lead index and word normal-form code the ncgb oracle
+# checks, and the tuple helpers it keeps copies of; it may share only the
+# helpers its docstring lists
 COMPLETION_CODE = {"complete", "_word_step", "_row_step", "_register_rule",
-                   "_grow_normal_words"}
+                   "_grow_normal_words", "LeadIndex", "_normal_form_dict", "_desc",
+                   "deglex_key", "_freeze_rules"}
 
 
 def test_ncgb_oracle_shares_no_completion_code():
@@ -142,10 +144,11 @@ def test_ncgb_oracle_shares_no_completion_code():
 
 
 def memo_stores(tree):
-    """The functions that store into a mapping named memo."""
+    """The functions that store into a mapping named memo, or into the
+    words attribute of an object."""
     def is_memo(node):
         return (isinstance(node, ast.Name) and node.id == "memo"
-                or isinstance(node, ast.Attribute) and node.attr == "memo")
+                or isinstance(node, ast.Attribute) and node.attr in ("memo", "words"))
     return {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
             for node in ast.walk(func)
             if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
@@ -155,11 +158,13 @@ def memo_stores(tree):
 
 
 def test_one_routine_stores_word_normal_forms():
-    # _grow_normal_words computes every word normal form; _word_step only
-    # maps the kept words whose normal word became a lead to its root
+    # _grow_normal_words computes every word normal form, on codes; _word_step
+    # only maps the kept words whose normal word became a lead to its root,
+    # and normal_form_word only keeps the tuple it decoded from one
     found = {f"{module}.{func}" for module, tree in MODULES.items()
              for func in memo_stores(tree)}
-    assert found == {"ncgb._grow_normal_words", "ncgb._word_step"}, sorted(found)
+    assert found == {"ncgb._grow_normal_words", "ncgb._word_step",
+                     "ncgb.normal_form_word"}, sorted(found)
 
 
 def test_every_error_class_is_used():

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -14,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ybx import diffcalc, ncgb, orbits, quadset, verseg
-from ybx.errors import (InsufficientDegree, NonHomogeneousInput,
+from ybx.errors import (InsufficientDegree, InvalidArgument, NonHomogeneousInput,
                         NonQuadraticInput, NotBinomial)
 from conftest import mixed3_solution
 import ncgb_oracle
@@ -51,6 +52,11 @@ def word_classes_oracle(pairs, n, length):
     return classes
 
 
+def code(word, n):
+    """ybx.ncgb's integer code of a word in base n, from its definition."""
+    return n ** len(word) + sum(x * n ** (len(word) - 1 - i) for i, x in enumerate(word))
+
+
 def solution_gb(qs, max_degree=6):
     rels = orbits.canonical_relations(qs).to_polynomials()
     return ncgb.complete(rels, max_degree, alphabet=qs.n)
@@ -68,7 +74,7 @@ def test_normal_form_is_class_minimum(qs_maker):
     assert gb.complete and gb.binomial
     for length in (2, 3, 4):
         for comp in word_classes_oracle(pairs, qs.n, length):
-            least = min(comp, key=ncgb.deglex_key)
+            least = min(comp, key=ncgb_oracle.deglex_key)
             for w in comp:
                 assert ncgb.normal_form_word(w, gb) == least
 
@@ -405,8 +411,14 @@ def test_completion_work_does_not_grow_with_the_bound(monkeypatch):
     word_step = ncgb._word_step
 
     def counting_step(polys, overlaps, index):
-        steps.append(len(next(iter(polys[0]))) if polys else
-                     len(overlaps[0][0]) + len(overlaps[0][2]) - overlaps[0][4])
+        # the step's degree is the length of an input word, or of the first
+        # overlap word u v[k:], whose code is u q + v % q
+        if polys:
+            word = next(iter(polys[0]))
+        else:
+            u, _, v, _, q = overlaps[0]
+            word = u * q + v % q
+        steps.append(index.length(word))
         return word_step(polys, overlaps, index)
     monkeypatch.setattr(ncgb, "LeadIndex", CountingIndex)
     monkeypatch.setattr(ncgb, "_word_step", counting_step)
@@ -541,6 +553,46 @@ def test_word_completion_needs_no_recursion_per_letter():
     assert repr(ncgb.complete(rels, 40)) == repr(ncgb_oracle.complete_by_words(rels, 40))
 
 
+def test_word_completion_memory_stays_small():
+    # the same 149 rules: a word is one integer code, so the words the
+    # completion keeps, prefixes included, cost one small int each
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    try:
+        gb = ncgb.complete([{(1, 1): 1, (1, 0): -1}], 150)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(gb.rules) == 149 and not gb.complete
+    assert peak < 4 * 2 ** 20, f"completion peaked at {peak / 2 ** 20:.1f} MiB"
+
+
+def test_letters_outside_the_alphabet_are_refused(mixed3):
+    # a code has no digit for a letter outside 0..n-1, so such a word is an
+    # error, not a word of its own
+    gb = solution_gb(mixed3)
+    unary = ncgb.complete([], 3, alphabet=1)
+    for basis, word in [(gb, (0, 3)), (gb, (3,)), (gb, (1, -1)), (gb, (-1,)),
+                        (unary, (1,)), (unary, (0, 0, 1))]:
+        with pytest.raises(InvalidArgument):
+            ncgb.normal_form_word(word, basis)
+        with pytest.raises(InvalidArgument):
+            ncgb.normal_form(word, basis)
+        with pytest.raises(InvalidArgument):
+            ncgb.normal_form({(0,): 1, word: 2}, basis)
+        with pytest.raises(InvalidArgument):
+            ncgb.monoid_multiply((0,), word, basis)
+    with pytest.raises(InvalidArgument):
+        ncgb.complete([{(0, -1): 1, (0, 0): -1}], 3)
+    # words inside it still work
+    assert ncgb.normal_form_word((0, 0, 0), unary) == (0, 0, 0)
+    assert ncgb.monoid_multiply((2,), (1, 0), gb) == ncgb.normal_form_word((2, 1, 0), gb)
+
+
 def test_word_differences_never_reach_elimination(monkeypatch, mixed3, cycle3):
     class Eliminated(Exception):
         pass
@@ -590,7 +642,10 @@ def test_word_memo_keeps_normal_forms(case, bound, words):
     for w in words + [u + v for u in words for v in words] + words[::-1]:
         (word, c), = ncgb.normal_form({w: 1}, gb).items()
         assert ncgb.normal_form_word(w, gb) == word
-    assert set(words) <= set(gb.index.memo)
+    base = max(gb.alphabet_size, 2)
+    memo = gb.index.memo
+    for w in words:
+        assert memo[code(w, base)] == code(ncgb.normal_form_word(w, gb), base)
 
 
 @settings(max_examples=150, deadline=None)
@@ -624,7 +679,7 @@ def test_word_memo_lives_on_its_basis(monkeypatch, mixed3):
     monkeypatch.setattr(ncgb, "_grow_normal_words",
                         lambda words, index: grown.append(words) or grow(words, index))
     assert ncgb.normal_form_word(word, gb) == first and not grown
-    assert ncgb.normal_form_word(word, twin) == first and grown == [[word]]
+    assert ncgb.normal_form_word(word, twin) == first and grown == [[code(word, 3)]]
     monkeypatch.undo()
     # the memo is no field: repr, == and hash read the rules alone
     assert repr(gb) == repr(twin) and gb == twin and hash(gb) == hash(twin)
@@ -645,11 +700,17 @@ def test_lead_lookup_matches_rule_scan(leads, word):
     # repeated leads are kept: completion input may repeat a leading word
     rules = [(tuple(lead), {(k,): Fraction(k + 1)}) for k, lead in enumerate(leads)]
     word = tuple(word)
-    index = ncgb.LeadIndex(rules)
+    index = ncgb.LeadIndex(3, [(code(lead, 3), rhs) for lead, rhs in rules])
+    after = {3 ** j: j for j in range(len(word) + 1)}
 
     def as_scan(hit):
-        return None if hit is None else (hit[0], *rules[hit[1]])
-    assert as_scan(index.find(word)) == ncgb_oracle._reduce_once(word, rules)
+        # the lead at index i, with q = 3^j for the j letters after it
+        if hit is None:
+            return None
+        q, i = hit
+        lead, rhs = rules[i]
+        return len(word) - len(lead) - after[q], lead, rhs
+    assert as_scan(index.find(code(word, 3))) == ncgb_oracle._reduce_once(word, rules)
 
 
 def test_verdicts_survive_optimized_mode():
