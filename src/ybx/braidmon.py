@@ -20,7 +20,7 @@ is the d-Veronese solution, which for left-nondegenerate idempotent sets
 is again a solution on X itself (the prolongation).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import product
 
@@ -95,11 +95,8 @@ def check_braided_monoid_axioms(wa, max_len):
     return True
 
 
-@dataclass(frozen=True)
-class VeroneseSolution:
-    d: int
-    base: QuadraticSet
-    labels: tuple         # normal words of length d, deg-lex order
+# base: the level-d solution on labels, the normal words of length d in deg-lex order
+VeroneseSolution = namedtuple("VeroneseSolution", "d base labels")
 
 
 def veronese_solution(qs, d, wa=None):
@@ -127,11 +124,8 @@ def _veronese(wa, d):
     return VeroneseSolution(d, QuadraticSet(len(labels), table), labels)
 
 
-@dataclass(frozen=True)
-class ProlongationData:
-    solutions: tuple      # VeroneseSolution for d = 1..d_max
-    period: int           # smallest p with r^(p+1) = r, or None if not seen
-    distinct_count: int
+# solutions for d = 1..d_max; period: least p with r^(p+1) = r, or None if not seen
+ProlongationData = namedtuple("ProlongationData", "solutions period distinct_count")
 
 
 def prolongation_sequence(qs, d_max):

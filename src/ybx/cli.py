@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import braidmon, diffcalc, growth, linr, ncgb, orbits, quadset, verseg
-from .errors import InvalidArgument, ParseError, YbxError
+from .errors import InvalidArgument, NotABijection, ParseError, YbxError
 
 # a size-n table has n^2 entries; this caps it at 65,536
 MAX_SIZE = 256
@@ -57,12 +57,15 @@ def parse_solution(text):
             f = [int(p) - 1 for p in parts]
         except ValueError:
             raise ParseError("permutation values must be integers", num)
-        return quadset.make_permutation_solution(f)
+        try:
+            return quadset.make_permutation_solution(f)
+        except NotABijection:
+            raise ParseError(f"{' '.join(parts)} is not a permutation of 1..{n}", num)
     if kind in ("identity", "flip"):
         if parts:
             raise ParseError(f"'{kind}' takes no values", num)
         return quadset.make_named(kind, n)
-    entries = []
+    table = {}
     for num, line in body:
         parts = line.split()
         if parts[0] != "map" or len(parts) != 5:
@@ -71,8 +74,16 @@ def parse_solution(text):
             i, j, k, l = (int(p) - 1 for p in parts[1:])
         except ValueError:
             raise ParseError("map indices must be integers", num)
-        entries.append(((i, j), (k, l)))
-    return quadset.make_solution(n, entries)
+        if not (0 <= i < n and 0 <= j < n and 0 <= k < n and 0 <= l < n):
+            raise ParseError(f"map indices must be between 1 and {n}", num)
+        if (i, j) in table:
+            raise ParseError(f"pair ({i + 1}, {j + 1}) given twice", num)
+        table[i, j] = (k, l)
+    pairs = list(product(range(n), repeat=2))
+    if len(table) < n * n:
+        i, j = next(p for p in pairs if p not in table)
+        raise ParseError(f"no image for pair ({i + 1}, {j + 1})", num)
+    return quadset.QuadraticSet(n, [table[p] for p in pairs])
 
 
 def render_solution(qs):

@@ -9,7 +9,7 @@ and then equals 1 + the longest path length.  All three verdicts read
 the strongly connected components of one Tarjan pass.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -17,15 +17,13 @@ from itertools import combinations
 from .errors import CheckFailed, InvalidArgument, PreconditionViolated
 
 
-@dataclass(frozen=True)
-class DirectedGraph:
-    vertex_count: int
-    edges: frozenset      # of (u, v) pairs, self-arrows allowed
-
-    def __post_init__(self):
-        for u, v in self.edges:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+# edges: a frozenset of (u, v) pairs, self-arrows allowed; __dict__ caches adjacency
+class DirectedGraph(namedtuple("DirectedGraph", "vertex_count edges")):
+    def __new__(cls, vertex_count, edges):
+        for u, v in edges:
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise InvalidArgument(f"edge ({u}, {v}) out of range")
+        return super().__new__(cls, vertex_count, edges)
 
     @cached_property
     def adjacency(self):
@@ -36,10 +34,9 @@ class DirectedGraph:
         return adj
 
 
-@dataclass(frozen=True)
-class GrowthClass:
-    kind: str             # "Exponential" or "Polynomial"
-    degree: int = None    # set for Polynomial
+# kind: "Exponential" or "Polynomial"; degree: set for Polynomial
+class GrowthClass(namedtuple("GrowthClass", "kind degree", defaults=(None,))):
+    __slots__ = ()
 
     @staticmethod
     def exponential():
@@ -50,10 +47,9 @@ class GrowthClass:
         return GrowthClass("Polynomial", m)
 
 
-@dataclass(frozen=True)
-class GlDim:
-    kind: str             # "Finite" or "Infinite"
-    value: int = None
+# kind: "Finite" or "Infinite"; value: set for Finite
+class GlDim(namedtuple("GlDim", "kind value", defaults=(None,))):
+    __slots__ = ()
 
     @staticmethod
     def finite(d):

@@ -34,6 +34,7 @@ most one lead ends z.  Coefficients follow elim.coeff, but are Fractions
 in the rules of a GroebnerBasis."""
 
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -363,10 +364,8 @@ def normal_words(gb, d):
     return [_decode(w, n) for w in level]
 
 
-@dataclass(frozen=True)
-class HilbertPrefix:
-    coefficients: tuple
-    exact: bool
+# coefficients: normal-word counts of degrees 0..D; exact: whether all are final
+HilbertPrefix = namedtuple("HilbertPrefix", "coefficients exact")
 
 
 def hilbert_series(gb, D):

@@ -10,33 +10,28 @@ orbit contributes one relation per non-minimal member, rewriting it to
 the deg-lex least member.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import growth, ncgb, quadset
 from .errors import CheckFailed, PreconditionViolated
 
 
-@dataclass(frozen=True)
-class Orbit:
-    members: frozenset       # of pairs
-    minimal: tuple
-    fixed_points: frozenset
+# members and fixed_points: frozensets of pairs; minimal: the least member
+Orbit = namedtuple("Orbit", "members minimal fixed_points")
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
-    orbits: tuple
-    orbit_of: dict
+# orbits: tuple of Orbit by minimal member; orbit_of: pair -> its orbit's index
+class OrbitDecomposition(namedtuple("OrbitDecomposition", "orbits orbit_of")):
+    __slots__ = ()
 
     def __len__(self):
         return len(self.orbits)
 
 
-@dataclass(frozen=True)
-class RelationSet:
-    # binomials u - v with u > v deg-lex, v the orbit minimum
-    relations: tuple         # of (u, v) pairs of length-2 words
+# relations: (u, v) pairs of length-2 words, binomials u - v with v the orbit minimum
+class RelationSet(namedtuple("RelationSet", "relations")):
+    __slots__ = ()
 
     def to_polynomials(self):
         return [{u: Fraction(1), v: Fraction(-1)} for u, v in self.relations]

@@ -9,7 +9,7 @@ the text boundary (cli module).  Action tables are built on first read.
 The map r is not assumed bijective.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import permutations, product, repeat
 from math import factorial
@@ -24,17 +24,13 @@ REQUIREMENTS = {"braided": (NotBraided, "a braided set"),
                 "left_nondegenerate": (NotLeftNondegenerate, "a left-nondegenerate set")}
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    involutive: bool
-    idempotent: bool
-    braided: bool
-    left_nondegenerate: bool
-    right_nondegenerate: bool
-    left_2_cancellative: bool
+# one verdict per property, in PROPERTY_NAMES order
+class PropertyReport(namedtuple("PropertyReport", "involutive idempotent braided "
+                                "left_nondegenerate right_nondegenerate left_2_cancellative")):
+    __slots__ = ()
 
     def as_dict(self):
-        return {name: getattr(self, name) for name in PROPERTY_NAMES}
+        return self._asdict()
 
     def require(self, what, *names):
         """Raise the error of the first named property that fails, worded

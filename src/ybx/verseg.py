@@ -11,7 +11,7 @@ z_{ia} z_{jb} to z_{11} z_{k l}; this coincides with the canonical
 relations of the product solution.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InsufficientDegree
@@ -22,10 +22,8 @@ from .orbits import canonical_basis, canonical_relations, idempotent_structure
 from .quadset import cartesian_product, check_properties
 
 
-@dataclass(frozen=True)
-class QuadraticPresentation:
-    generators: tuple     # labels: base-algebra words or product symbols
-    relations: tuple      # NcPolynomials over generator indices, frozen items
+# generators: words or product symbols; relations: frozen NcPolynomials over their indices
+QuadraticPresentation = namedtuple("QuadraticPresentation", "generators relations")
 
 
 def _freeze(p):

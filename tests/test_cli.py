@@ -315,6 +315,27 @@ def test_trailing_body_is_a_parse_error(capsys, tmp_path, body, line, message):
     assert code == 2 and err == f"error: line {line}: {message}\n"
 
 
+MAPS_2 = ["map 1 1 1 1", "map 1 2 1 2", "map 2 1 2 1"]
+
+
+@pytest.mark.parametrize("size,body,message", [
+    (2, MAPS_2 + ["map 2 2 2 3"], "line 6: map indices must be between 1 and 2"),
+    (2, MAPS_2 + ["map 2 3 2 2"], "line 6: map indices must be between 1 and 2"),
+    (2, ["map 0 1 1 1"], "line 3: map indices must be between 1 and 2"),
+    (2, ["map 1 1 1 1", "# a comment", "map 1 1 2 2"], "line 5: pair (1, 1) given twice"),
+    (2, MAPS_2, "line 5: no image for pair (2, 2)"),
+    (2, MAPS_2[1:] + ["map 2 2 1 1"], "line 5: no image for pair (1, 1)"),
+    (3, ["permutation 1 1 2"], "line 3: 1 1 2 is not a permutation of 1..3"),
+    (3, ["permutation 1 2 4"], "line 3: 1 2 4 is not a permutation of 1..3"),
+    (3, ["permutation 0 1 2"], "line 3: 0 1 2 is not a permutation of 1..3"),
+])
+def test_table_errors_name_the_line_and_1_based_values(capsys, tmp_path, size, body, message):
+    path = tmp_path / "table.ybx"
+    path.write_text("\n".join(["ybx v1", f"size {size}", *body]) + "\n")
+    code, err = run_error(capsys, "check", str(path))
+    assert (code, err) == (2, f"error: {message}\n")
+
+
 def test_size_above_the_cap_is_a_parse_error(capsys, tmp_path):
     # checked before any table is built: identity would ask for 10^16 pairs
     path = tmp_path / "huge.ybx"

@@ -1,11 +1,15 @@
 """Exact stdout and exit code of the CLI on the cycle3/mixed3/rid2 fixtures.
 
 Key:value text reports (no --json), the linear and graph flag
-combinations, tournament basepoints, a masked enumeration and -o FILE.
+combinations, tournament basepoints, a masked enumeration and -o FILE,
+and one report from a fresh interpreter.
 Long outputs are stored as the sha256 of their stdout.
 """
 
 import hashlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +94,20 @@ def test_golden_stdout(capsys, fixtures, argv, code, want):
     got_code, out = run(capsys, *argv.format(**fixtures).split())
     assert got_code == code
     assert (_digest(out) if want.startswith("sha256:") else out) == want
+
+
+# a fresh interpreter runs the record definitions and the imports in the
+# order a ybx command does, which in-process tests see only once
+COLD_START = ("import sys; sys.path.insert(0, sys.argv[1]); "
+              "from ybx import cli; cli.main(sys.argv[2:])")
+
+
+def test_cold_interpreter_prints_the_golden_report(fixtures):
+    argv, code, want = next(g for g in GOLDEN if g[0] == "dims {mixed3}")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-I", "-c", COLD_START, str(src),
+                           *argv.format(**fixtures).split()], capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, want.encode(), b"")
 
 
 def test_tournament_basepoint_without_self_arrow(capsys, fixtures):

@@ -3,8 +3,9 @@ package's own modules import one another without a cycle, every
 function the bench traces exists, diffcalc multiplies polynomials in one
 place, one routine stores word normal forms, the ncgb oracle shares
 no completion or word normal-form code with the module it checks, linr
-bounds its tensor powers in one place, and linr's RationalMatrix does no
-operator arithmetic."""
+bounds its tensor powers in one place, linr's RationalMatrix does no
+operator arithmetic, and the result records are named tuples, with
+ncgb.GroebnerBasis the one dataclass."""
 
 import ast
 from functools import reduce
@@ -216,3 +217,22 @@ def test_rational_matrix_is_only_the_boundary_type():
     methods = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
     assert methods == {"__init__", "data", "__eq__", "transpose", "rank", "nullspace_basis",
                        "row_space_basis", "mul", "rref"}, sorted(methods)
+
+
+def test_records_are_named_tuples_but_the_groebner_basis():
+    # a dataclass decoration generates and execs its methods at import, and
+    # dataclasses pulls in inspect; the records are named tuples instead.
+    # GroebnerBasis stays a dataclass because bench/test_checks.py builds
+    # broken bases from it with dataclasses.replace
+    decorated = [f"{module}.{node.name}" for module, tree in MODULES.items()
+                 for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                 for deco in node.decorator_list
+                 if "dataclass" in ast.unparse(deco)]
+    assert decorated == ["ncgb.GroebnerBasis"], decorated
+    slow = [f"{module}.py:{node.lineno}" for module, tree in MODULES.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and {alias.name.split(".")[0] for alias in node.names} & {"typing", "inspect"}
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] in ("typing", "inspect")]
+    assert not slow, f"typing or inspect imported at {slow}"
