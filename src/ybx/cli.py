@@ -280,8 +280,8 @@ def cmd_linear(args):
         psi, rmat = linr.linearize(qs)
     report = {}
     if ybe:
-        report["braid"] = linr.check_braid(psi)
-        report["ybe"] = linr.check_matrix_ybe(rmat)
+        # the YBE of R = P Psi is the braid relation of Psi: one check, two keys
+        report["braid"] = report["ybe"] = linr.check_braid(psi)
         report["idempotent"] = linr.check_idempotent(psi)
     if args.frt:
         report["frt"] = [_pretty_tu(p, "t") for p in linr.frt_relations(rmat)]

@@ -77,7 +77,7 @@ class RationalMatrix:
 
     def nullspace_basis(self):
         """Basis of the right kernel, as a list of column vectors (lists)."""
-        return RationalMatrix(_kernel(self.vecs, self.cols), cols=self.cols).data
+        return RationalMatrix(_kernel(self.vecs, self.cols).values(), cols=self.cols).data
 
     def row_space_basis(self):
         """Nonzero rows of the reduced row echelon form."""
@@ -117,12 +117,12 @@ def _rank(rows):
 
 
 def _kernel(rows, width):
-    """Basis of {v : row . v = 0 for every row}, one sparse vector per
-    non-pivot column."""
+    """Basis of {v : row . v = 0 for every row}, keyed by the non-pivot
+    columns in order: vector c is 1 at c and 0 at every other free column."""
     red, pivots = elim.rref(rows)
     free = sorted(set(range(width)) - set(pivots))
-    return [{fc: 1, **{p: -row[fc] for p, row in zip(pivots, red) if fc in row}}
-            for fc in free]
+    return {fc: {fc: 1, **{p: -row[fc] for p, row in zip(pivots, red) if fc in row}}
+            for fc in free}
 
 
 def _same_span(a, b):
@@ -173,8 +173,8 @@ def check_braid(psi):
 
 
 def check_matrix_ybe(rmat):
-    """R12 R13 R23 = R23 R13 R12 on V^(x)3: with Psi = P R, Psi1 Psi2 Psi1 =
-    P13 R23 R13 R12 and Psi2 Psi1 Psi2 = P13 R12 R13 R23 (Kassel, GTM 155)."""
+    """R12 R13 R23 = R23 R13 R12 on V^(x)3, the braid relation of Psi = P R:
+    Psi1 Psi2 Psi1 = P13 R23 R13 R12, Psi2 Psi1 Psi2 = P13 R12 R13 R23 (Kassel)."""
     return check_braid(psi_from_r(rmat))
 
 
@@ -298,15 +298,22 @@ def nichols_monomials(qs):
 
 
 def nichols_quadratic_check(psi, m):
-    """ker [m, -Psi]! equals the degree-m component of the ideal generated
-    by image(Psi); exact subspace equality by rank."""
+    """ker [m, -Psi]! equals I_m, the degree-m part of the ideal of image(Psi):
+    every generator of I_m lies in the kernel, and I_m has its dimension."""
     n = _tensor_dim(psi)
     require_idempotent(psi, "quadraticity")
     kernel = _kernel(_factorial(psi.vecs, n, m, -1), n ** m)
     # V^(x)pos (x) image(Psi) (x) V^(x)(m-pos-2): the rows of Psi^T lifted to pos
     image = _transpose(psi.vecs, psi.cols)
     ideal = [v for pos in range(m - 1) for v in _lift(image, n, m, pos)]
-    return _same_span(kernel, ideal)
+    # v is in the kernel iff v - sum of v[c] kernel[c] over free columns c is 0
+    for v in ideal:
+        rest = dict(v)
+        for c in kernel.keys() & v.keys():
+            elim.add_to(rest, -v[c], kernel[c])
+        if rest:
+            return False
+    return _rank(ideal) == len(kernel)
 
 
 def _index(rmat, *slots):
@@ -363,18 +370,19 @@ def braided_matrix_relations(rmat):
 
 def _dedupe(rels):
     """Each nonzero polynomial, zero terms dropped, made monic at its deg-lex
-    leading monomial with Fraction coefficients; duplicates dropped in order."""
+    leading monomial; duplicates, found on exact values, dropped in order.
+    Fraction coefficients are made only for the relations kept."""
     seen = set()
     out = []
     for p in rels:
         p = {k: v for k, v in p.items() if v}
         if not p:
             continue
-        lead = max(p)
-        c = p[lead]
-        q = tuple(sorted((k, Fraction(v, c)) for k, v in p.items()))
+        c = p[max(p)]
+        inv = c if c in (1, -1) else F1 / c
+        q = tuple(sorted((k, v * inv) for k, v in p.items()))
         if q not in seen:
             seen.add(q)
-            out.append(dict(q))
+            out.append({k: Fraction(v) for k, v in q})
     return out
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybx import cli, quadset
+from ybx import cli, linr, quadset
 from ybx.errors import ParseError, YbxError
 from conftest import MIXED3_TABLE
 
@@ -383,3 +383,24 @@ def test_any_token_text_parses_or_fails_cleanly(header, size, body):
                 cli.main(["check", path])
     assert (exc.value.code or 0) in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def test_default_linear_checks_the_braid_once(capsys, files, monkeypatch):
+    # the YBE of R = P Psi is the braid relation of Psi, so the default mode
+    # prints one check_braid under both keys and never calls check_matrix_ybe
+    calls = []
+    braid = linr.check_braid
+
+    def counted(psi):
+        calls.append("check_braid")
+        return braid(psi)
+
+    def refused(rmat):
+        raise AssertionError("check_matrix_ybe repeats check_braid")
+    monkeypatch.setattr(linr, "check_braid", counted)
+    monkeypatch.setattr(linr, "check_matrix_ybe", refused)
+    for name in ("cycle3", "mixed3"):
+        calls.clear()
+        code, out = run(capsys, "linear", files[name])
+        assert code == 0 and out == "braid: True\nidempotent: True\nybe: True\n"
+        assert calls == ["check_braid"]

@@ -486,3 +486,84 @@ def test_psi_from_r_is_the_flip_product(cycle3, mixed3):
         psi, rmat = linr.linearize(qs)
         assert linr.psi_from_r(rmat) == psi == \
             linr.RationalMatrix(dense(linr.flip_matrix(qs.n)).mul(dense(rmat)).data)
+
+
+# ------------------------------------------------ rational idempotents no set gives
+
+def inverse(mat):
+    """The dense inverse of an invertible square matrix, or None."""
+    k = mat.rows
+    one = linr_oracle.RationalMatrix.identity(k)
+    red, pivots = linr_oracle.RationalMatrix(
+        [row + unit for row, unit in zip(mat.data, one.data)]).rref()
+    if pivots != list(range(k)):
+        return None
+    return linr_oracle.RationalMatrix([row[k:] for row in red.data])
+
+
+def conjugate_idempotents(seed, count):
+    """Psi = M D M^-1 on V (x) V, dim V = 2: D a random 0/1 diagonal and M a
+    random invertible matrix of small rationals, so Psi has Fraction entries
+    and, in general, several per column."""
+    rng = random.Random(seed)
+    nn = 4
+    entries = [Fraction(0), Fraction(0), F1, -F1, Fraction(2), Fraction(1, 2),
+               Fraction(-2, 3)]
+    out = []
+    while len(out) < count:
+        m = linr_oracle.RationalMatrix(
+            [[rng.choice(entries) for _ in range(nn)] for _ in range(nn)])
+        m_inv = inverse(m)
+        if m_inv is None:
+            continue
+        d = linr_oracle.RationalMatrix.zeros(nn, nn)
+        for i in range(nn):
+            d.data[i][i] = Fraction(rng.randint(0, 1))
+        out.append(m.mul(d).mul(m_inv))
+    return out
+
+
+def test_nichols_check_on_rational_idempotents_matches_dense_oracle():
+    # quadraticity is decided through the kernel's free columns plus one
+    # dimension; the oracle compares spans by rank.  Conjugates of a 0/1
+    # diagonal are idempotent but rarely braided, so both verdicts occur
+    one = linr_oracle.RationalMatrix.identity
+    verdicts = []
+    for k, psi in enumerate(conjugate_idempotents(seed=26, count=30)):
+        assert linr_oracle.check_idempotent(psi)
+        for m in (3, 4) if k < 8 else (3,):
+            got = linr.nichols_quadratic_check(sparse(psi), m)
+            assert got == linr_oracle.nichols_quadratic_check(psi, m)
+            verdicts.append(got)
+            # [m, -Psi]! is id plus products of the Psi_i, each with image in
+            # I_m, so its kernel always lies in I_m: containment of I_m in the
+            # kernel and equal dimensions each give the verdict alone
+            ideal = linr_oracle.RationalMatrix(
+                [row for pos in range(m - 1) for row in
+                 one(2 ** pos).kron(psi.transpose()).kron(one(2 ** (m - pos - 2))).data])
+            kernel = linr_oracle.braided_factorial(psi, m, -1).nullspace_basis()
+            assert linr_oracle.subspace_contains(
+                ideal, linr_oracle.RationalMatrix(kernel, cols=2 ** m))
+    assert set(verdicts) == {True, False}, verdicts.count(True)
+
+
+def test_relations_of_a_fraction_valued_r_match_dense_oracle():
+    # R = P Psi for a rational idempotent Psi, and a random R with Fraction
+    # entries on n = 3; the relations are compared with the dense oracle's,
+    # and every coefficient leaving linr is a Fraction
+    rng = random.Random(7)
+    rmats = [linr_oracle.flip_matrix(2).mul(psi)
+             for psi in conjugate_idempotents(seed=11, count=6)]
+    rmats.append(linr_oracle.RationalMatrix(
+        [[rng.choice(ENTRIES) for _ in range(9)] for _ in range(9)]))
+    rmats = [old for old in rmats
+             if any(x.denominator > 1 for row in old.data for x in row)]
+    assert len(rmats) >= 4
+    values = []
+    for old in rmats:
+        rmat = sparse(old)
+        frt, bmat = linr.frt_relations(rmat), linr.braided_matrix_relations(rmat)
+        assert frt == linr_oracle.frt_relations(old)
+        assert bmat == linr_oracle.braided_matrix_relations(old)
+        values += [c for p in frt + bmat for c in p.values()]
+    assert values and all(type(c) is Fraction for c in values)
