@@ -10,7 +10,9 @@ n^k + c % n^k; a lead with j letters after it rewrites to a word u as long
 by adding (u - lead) n^j.  Words are encoded once on the way in (complete's
 relations; the words of normal_form, normal_form_word and monoid_multiply,
 whose letters must lie in the alphabet) and decoded once on the way out
-(GroebnerBasis.rules, normal forms, normal words).
+(GroebnerBasis.rules, normal forms, normal words).  A basis that complete
+returns keeps the code index completion grew; only a basis built another
+way encodes its rules again, into its own index on first use.
 
 Completion runs one degree at a time; the input is homogeneous, so every
 lower rule is final when degree d turns its inputs and overlaps into its
@@ -67,10 +69,6 @@ def poly_scale(p, c):
     return {w: a * c for w, a in p.items()} if c else {}
 
 
-def is_homogeneous(p):
-    return len({len(w) for w in p}) <= 1
-
-
 def _encode(word, n, letters):
     """The code of word in base n; its letters must lie in range(letters)."""
     c = 1
@@ -100,12 +98,16 @@ class GroebnerBasis:
     @cached_property
     def index(self):
         """The rules on codes, coefficients following elim.coeff (ONE, which
-        _freeze_rules writes for 1, is 1); the word normal forms kept there
-        live as long as the basis."""
+        _freeze_rules writes for 1, is 1), and the word normal forms found; complete
+        stores the index it grew, so only a basis built otherwise encodes its rules."""
         n, a = max(self.alphabet_size, 2), self.alphabet_size
         return LeadIndex(n, [(_encode(lead, n, a),
                               {_encode(w, n, a): 1 if c is ONE else elim.coeff(c)
                                for w, c in rhs}) for lead, rhs in self.rules])
+
+    def __getstate__(self):
+        # a pickle or a copy holds the fields alone and builds its own index
+        return {k: v for k, v in vars(self).items() if k != "index"}
 
     @property
     def pbw(self):
@@ -250,7 +252,7 @@ def _row_step(polys, overlaps, index):
               for u, rhs_u, v, rhs_v, q in overlaps]
     rows = [{-w: c for w, c in _normal_form_dict(p, index).items()} for p in polys]
     red, pivots = elim.rref(rows)
-    return [(-key, {-w: -c for w, c in row.items() if w != key})
+    return [(-key, {-w: elim.coeff(-c) for w, c in row.items() if w != key})
             for key, row in zip(pivots, red)]
 
 
@@ -326,18 +328,16 @@ def complete(relations, max_degree, alphabet=0):
     """
     if max_degree < 3:
         raise InvalidArgument(f"max_degree must be at least 3, not {max_degree}")
-    inputs = {}
+    inputs, differences = {}, True
     for p in relations:
-        p = poly(p)
-        if not p:
+        if not (p := poly(p)):
             continue
-        if not is_homogeneous(p) or min(map(len, p)) < 2:
+        if (d := len(next(iter(p)))) < 2 or any(len(w) != d for w in p):
             raise NonHomogeneousInput("relations must be homogeneous of degree >= 2")
         alphabet = max(alphabet, max(map(max, p)) + 1)
-        inputs.setdefault(len(next(iter(p))), []).append(p)
-    step = _word_step if all(len(p) == 2 and sum(p.values()) == 0
-                             for polys in inputs.values() for p in polys) else _row_step
-    n = max(alphabet, 2)
+        differences = differences and len(p) == 2 and sum(p.values()) == 0
+        inputs.setdefault(d, []).append(p)
+    step, n = _word_step if differences else _row_step, max(alphabet, 2)
     inputs = {d: [{_encode(w, n, alphabet): c for w, c in p.items()} for p in polys]
               for d, polys in inputs.items()}
     index, pending, truncated = LeadIndex(n), {}, False
@@ -347,8 +347,10 @@ def complete(relations, max_degree, alphabet=0):
             truncated |= _register_rule(rule, index, pending, max_degree)
     binomial = all(len(rhs) == 1 and next(iter(rhs.values())) == 1
                    for _, rhs in index.rules)
-    return GroebnerBasis(alphabet_size=alphabet, rules=_freeze_rules(index.rules, n),
-                         max_degree=max_degree, complete=not truncated, binomial=binomial)
+    gb = GroebnerBasis(alphabet_size=alphabet, rules=_freeze_rules(index.rules, n),
+                       max_degree=max_degree, complete=not truncated, binomial=binomial)
+    gb.__dict__["index"] = index        # the cached index, with its codes and memo
+    return gb
 
 
 def normal_words(gb, d):

@@ -49,49 +49,40 @@ def orbit_graph(qs):
 
 
 def r_orbits(qs):
-    """Weakly-connected components of the orbit graph."""
-    pairs = [(i, j) for i in range(qs.n) for j in range(qs.n)]
-    parent = {p: p for p in pairs}
+    """Weakly-connected components of the orbit graph, by union-find on the
+    pair codes i*n + j."""
+    n, table = qs.n, qs.r_table
+    parent = list(range(n * n))
 
     def find(p):
         while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
+            parent[p] = p = parent[parent[p]]
         return p
 
-    for p in pairs:
-        ra, rb = find(p), find(qs.r(*p))
+    for p, (k, l) in enumerate(table):
+        ra, rb = find(p), find(k * n + l)
         if ra != rb:
             parent[ra] = rb
 
     groups = {}
-    for p in pairs:
+    for p in range(n * n):
         groups.setdefault(find(p), []).append(p)
-
-    orbits = []
-    for members in groups.values():
-        fixed = frozenset(p for p in members if qs.r(*p) == p)
-        orbits.append(Orbit(members=frozenset(members),
-                            minimal=min(members),
-                            fixed_points=fixed))
-    orbits.sort(key=lambda o: o.minimal)
-    orbit_of = {}
-    for idx, orb in enumerate(orbits):
-        for p in orb.members:
-            orbit_of[p] = idx
-    return OrbitDecomposition(orbits=tuple(orbits), orbit_of=orbit_of)
+    # both come in code order, which is lex order on pairs: least member first
+    pairs = [divmod(p, n) for p in range(n * n)]
+    orbits = tuple(Orbit(members=frozenset(pairs[p] for p in members),
+                         minimal=pairs[members[0]],
+                         fixed_points=frozenset(pairs[p] for p in members
+                                                if table[p] == pairs[p]))
+                   for members in groups.values())
+    return OrbitDecomposition(orbits=orbits, orbit_of={
+        p: idx for idx, orb in enumerate(orbits) for p in orb.members})
 
 
 def canonical_relations(qs):
     """One binomial u - min per non-minimal pair u; n^2 - M relations."""
-    dec = r_orbits(qs)
-    rels = []
-    for orb in dec.orbits:
-        for p in sorted(orb.members):
-            if p != orb.minimal:
-                rels.append((p, orb.minimal))
-    rels.sort()
-    return RelationSet(relations=tuple(rels))
+    return RelationSet(relations=tuple(sorted(
+        (p, orb.minimal) for orb in r_orbits(qs).orbits for p in orb.members
+        if p != orb.minimal)))
 
 
 def canonical_basis(qs, max_degree):

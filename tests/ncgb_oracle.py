@@ -24,13 +24,16 @@ from fractions import Fraction
 from itertools import product
 
 from ybx import elim
-from ybx.ncgb import (ONE, GroebnerBasis, HilbertPrefix, is_homogeneous, poly,
-                      poly_add, poly_scale)
+from ybx.ncgb import ONE, GroebnerBasis, HilbertPrefix, poly, poly_add, poly_scale
 from ybx.errors import InsufficientDegree, InvalidArgument, NonHomogeneousInput
 
 
 def deglex_key(word):
     return (len(word), word)
+
+
+def is_homogeneous(p):
+    return len({len(w) for w in p}) <= 1
 
 
 class LeadIndex:

@@ -15,14 +15,24 @@ of each cell and re-runs _braid_pending over every pending braid triple at
 each candidate, and it also returns its node count.  Both read the
 relabeling sources of ybx.quadset; _braid_pending, the braid routine that
 ybx.quadset used to share with them, is kept here as its own copy.
+
+braided_by_wait is the exhaustive braid test of ybx.quadset before it got
+its own loop: the search's triple test _braid_wait, mapped over every
+triple of a full table.
 """
 
-from itertools import permutations, product
+from itertools import permutations, product, repeat
 from math import factorial
 
 from ybx.errors import InvalidArgument, SizeTooLarge
 from ybx.quadset import (NODE_BUDGET, PROPERTY_NAMES, PropertyReport, QuadraticSet,
-                         _sources)
+                         _braid_wait, _sources)
+
+
+def braided_by_wait(t, n):
+    """_braid_wait returns -1 on every triple of a full table, or -2 on one."""
+    return -2 not in map(_braid_wait, repeat(t), repeat(n), repeat(n * n),
+                         product(range(n), repeat=3))
 
 
 def _braid_pending(table, n, triples):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybx import cli, linr, quadset
+from ybx import cli, linr, ncgb, quadset
 from ybx.errors import ParseError, YbxError
 from conftest import MIXED3_TABLE
 
@@ -404,3 +404,22 @@ def test_default_linear_checks_the_braid_once(capsys, files, monkeypatch):
         code, out = run(capsys, "linear", files[name])
         assert code == 0 and out == "braid: True\nidempotent: True\nybe: True\n"
         assert calls == ["check_braid"]
+
+
+@pytest.mark.parametrize("argv", [["hilbert"], ["veronese", "-d", "3"]])
+def test_one_lead_index_per_basis(capsys, files, monkeypatch, argv):
+    # complete grows one code index and hands it to the basis: the command
+    # builds no second index from the decoded rules
+    built = []
+
+    class CountingIndex(ncgb.LeadIndex):
+        def __init__(self, *args):
+            built.append(None)
+            super().__init__(*args)
+
+    def refused(gb):
+        raise AssertionError("the basis encodes its rules again")
+    monkeypatch.setattr(ncgb, "LeadIndex", CountingIndex)
+    monkeypatch.setattr(ncgb.GroebnerBasis.index, "func", refused)
+    code, _ = run(capsys, argv[0], files["cycle3"], *argv[1:])
+    assert code == 0 and len(built) == 1

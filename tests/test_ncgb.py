@@ -1,7 +1,9 @@
+import dataclasses
 import gc
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -736,3 +738,87 @@ def test_verdicts_survive_optimized_mode():
     want = [[list(ncgb.normal_form_word(w + w, gb)) for w in words],
             list(ncgb.hilbert_series(gb, 5).coefficients)]
     assert json.loads(out) == want
+
+
+def typed(p):
+    """A polynomial with the type of each coefficient, which must agree too."""
+    return {w: (c, type(c)) for w, c in p.items()}
+
+
+def assert_same_readings(gb, twin, words, polys):
+    """gb and twin, equal bases with their own indexes, give the same normal
+    forms, word normal forms, normal words and Hilbert series."""
+    for p in [{w: 1} for w in words] + polys:
+        assert typed(ncgb.normal_form(p, gb)) == typed(ncgb.normal_form(p, twin))
+    if gb.binomial:
+        for w in words:
+            assert ncgb.normal_form_word(w, gb) == ncgb.normal_form_word(w, twin)
+    for d in range(gb.max_degree + 1):
+        assert ncgb.normal_words(gb, d) == ncgb.normal_words(twin, d)
+    assert ncgb.hilbert_series(gb, gb.max_degree + 2) == \
+        ncgb.hilbert_series(twin, gb.max_degree + 2)
+
+
+def check_handed_index(n, rels, bound, words):
+    """complete's basis holds the index completion grew; against the index
+    rebuilt from its rules it has the same rules, coefficient types, leads
+    and prefixes and suffixes, and gives the same readings."""
+    gb = ncgb.complete(rels, bound, alphabet=n)
+    handed, rebuilt = vars(gb)["index"], ncgb.GroebnerBasis.index.func(gb)
+    assert gb.index is handed and handed is not rebuilt
+    assert len(handed.rules) == len(rebuilt.rules) == len(gb.rules)
+    assert ({lead: typed(rhs) for lead, rhs in handed.rules}
+            == {lead: typed(rhs) for lead, rhs in rebuilt.rules})
+    assert ({k: set(table) for k, (_, table) in handed.tables.items()}
+            == {k: set(table) for k, (_, table) in rebuilt.tables.items()})
+    assert handed.starts.keys() == rebuilt.starts.keys()
+    assert handed.ends.keys() == rebuilt.ends.keys()
+    twin = dataclasses.replace(gb)
+    assert "index" not in vars(twin)
+    twin.__dict__["index"] = rebuilt
+    words = [tuple(x % n for x in w) for w in words]
+    words += [w for d in range(4) for w in product(range(n), repeat=d)]
+    assert_same_readings(gb, twin, words, [p for p in rels if any(p.values())])
+    return gb, words
+
+
+# word path, complete; word path, truncated, with an input above the bound;
+# rows (2 x1x0 - 4 x0x1 rewrites x1x0 to the integral Fraction 2 x0x1 in the
+# echelon pass), complete; rows, truncated, with an input above the bound
+HANDED_CASES = {
+    "words complete": (3, [{(1, 0): 1, (0, 2): -1}, {(1, 1): 1, (0, 0): -1},
+                           {(1, 2): 1, (0, 1): -1}, {(2, 0): 1, (0, 1): -1},
+                           {(2, 1): 1, (0, 2): -1}, {(2, 2): 1, (0, 0): -1}], 6, True),
+    "words truncated": (2, [{(1, 1): 1, (1, 0): -1},
+                            {(1, 1, 1, 1): 1, (0, 0, 0, 0): -1}], 3, False),
+    "rows complete": (2, [{(1, 0): 2, (0, 1): -4}], 4, True),
+    "rows truncated": (2, [{(1, 1): 1, (1, 0): 1, (0, 0): -1},
+                           {(1, 1, 1, 1): 3, (0, 1, 0, 1): 1}], 3, False),
+}
+
+
+@pytest.mark.parametrize("case", HANDED_CASES)
+def test_complete_hands_its_index_to_the_basis(case):
+    n, rels, bound, complete = HANDED_CASES[case]
+    long_words = [[1] * 7, [0, 1] * 4, [1, 0, 1, 1, 0, 2, 1]]
+    gb, words = check_handed_index(n, rels, bound, long_words)
+    assert gb.complete is complete
+    assert gb.binomial is case.startswith("words")
+    # a basis built another way builds its index from its own rules
+    (lead, _), smaller = gb.rules[0], dataclasses.replace(gb, rules=gb.rules[1:])
+    assert "index" not in vars(smaller)
+    assert len(smaller.index.rules) == len(gb.rules) - 1
+    assert dict(smaller.index.rules) == dict(ncgb.GroebnerBasis.index.func(smaller).rules)
+    assert ncgb.normal_form(lead, smaller) == {lead: 1}
+    assert ncgb.normal_form(lead, gb) != {lead: 1}
+    # a pickle carries the fields alone: the copy is equal and rebuilds its index
+    copy = pickle.loads(pickle.dumps(gb))
+    assert copy == gb and repr(copy) == repr(gb) and "index" not in vars(copy)
+    assert_same_readings(gb, copy, words, rels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(relation_sets(), deep_word_difference_sets()),
+       st.lists(st.lists(st.integers(0, 3), max_size=11), max_size=4))
+def test_handed_index_reads_as_the_rebuilt_one(case, words):
+    check_handed_index(*case, words)

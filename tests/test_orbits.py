@@ -2,8 +2,13 @@ import os
 import random
 import subprocess
 import sys
+from functools import cache
 from itertools import product
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import orbits_oracle
 from ybx import orbits, quadset
 
 
@@ -45,6 +50,37 @@ def test_orbits_match_component_oracle_random():
             qs = quadset.QuadraticSet(n, random_table(n, rng))
             dec = orbits.r_orbits(qs)
             assert {orb.members for orb in dec.orbits} == components_oracle(qs)
+
+
+@cache
+def braided_classes():
+    """The lex-least member of every braided class at n <= 3."""
+    return [qs for n in (1, 2, 3) for qs in quadset.enumerate_solutions(n, ["braided"])]
+
+
+@st.composite
+def any_tables(draw):
+    """r-tables on 1-4 points: arbitrary, the braided classes at n <= 3, and
+    the braided r_f(x, y) = (f(y), y) of any map f."""
+    way = draw(st.sampled_from(["any", "braided", "r_f"]))
+    if way == "braided":
+        return draw(st.sampled_from(braided_classes()))
+    n = draw(st.integers(1, 4))
+    if way == "r_f":
+        f = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        return quadset.QuadraticSet(n, [(f[j], j) for i in range(n) for j in range(n)])
+    pairs = list(product(range(n), repeat=2))
+    return quadset.QuadraticSet(n, draw(st.lists(st.sampled_from(pairs),
+                                                 min_size=n * n, max_size=n * n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_tables())
+def test_orbits_match_the_tuple_oracle(qs):
+    # the same members, least members, fixed points and orbit_of; equal
+    # reprs mean the frozensets and the dict iterate in the same order
+    dec, want = orbits.r_orbits(qs), orbits_oracle.r_orbits(qs)
+    assert dec == want and repr(dec) == repr(want)
 
 
 def test_orbit_graph_shape(cycle3):

@@ -85,6 +85,36 @@ def test_braided_matches_oracle_on_random_tables():
         assert quadset.check_properties(qs).braided == braided_oracle(qs)
 
 
+@st.composite
+def full_tables(draw):
+    """r-tables on 1-5 points: arbitrary ones, and braided r_f(x, y) =
+    (f(y), y) or Cartesian products of them, with at most one cell changed."""
+    n = draw(st.integers(1, 5))
+    pairs = list(product(range(n), repeat=2))
+    if draw(st.booleans()):
+        return n, tuple(draw(st.lists(st.sampled_from(pairs), min_size=n * n,
+                                      max_size=n * n)))
+    sizes = draw(st.sampled_from([s for s in ([n], [2, 2]) if s[0] ** len(s) == n]))
+    qs = None
+    for m in sizes:
+        f = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+        r_f = quadset.QuadraticSet(m, [(f[j], j) for i in range(m) for j in range(m)])
+        qs = r_f if qs is None else quadset.cartesian_product(qs, r_f)
+    table = list(qs.r_table)
+    if draw(st.booleans()):
+        table[draw(st.integers(0, n * n - 1))] = draw(st.sampled_from(pairs))
+    return n, tuple(table)
+
+
+@settings(max_examples=400, deadline=None)
+@given(full_tables())
+def test_braided_test_matches_the_wait_oracle(case):
+    n, table = case
+    want = quadset_oracle.braided_by_wait(table, n)
+    assert quadset.PROPERTY_TESTS["braided"](table, n) == want
+    assert quadset.check_properties(quadset.QuadraticSet(n, table)).braided == want
+
+
 def test_cartesian_product_preserves_structure(cycle3, mixed3):
     prod = quadset.cartesian_product(cycle3, mixed3)
     assert prod.n == 9
