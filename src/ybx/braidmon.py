@@ -47,10 +47,11 @@ class WordActions:
 
 def _cross(qs, a, b):
     """(a |> b, a <| b), by the crossing described above."""
+    n, t = qs.n, qs.r_table
     b, right_word = list(b), []
     for c in reversed(a):
         for i, x in enumerate(b):
-            b[i], c = qs.left[c][x], qs.right[c][x]
+            b[i], c = t[c * n + x]
         right_word.append(c)
     return tuple(b), tuple(reversed(right_word))
 

@@ -38,8 +38,8 @@ def parse_solution(text):
     if len(lines) < 2 or not lines[1][1].startswith("size "):
         raise ParseError("expected 'size <n>'", lines[1][0] if len(lines) > 1 else 2)
     try:
-        n = int(lines[1][1].split()[1])
-    except (IndexError, ValueError):
+        n = int(lines[1][1].removeprefix("size "))
+    except ValueError:
         raise ParseError("bad size line", lines[1][0])
     if not 1 <= n <= MAX_SIZE:
         raise ParseError(f"size must be between 1 and {MAX_SIZE}", lines[1][0])

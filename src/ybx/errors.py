@@ -9,10 +9,6 @@ class MissingPair(YbxError):
     pass
 
 
-class DuplicatePair(YbxError):
-    pass
-
-
 class IndexOutOfRange(YbxError):
     pass
 

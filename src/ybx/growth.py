@@ -208,11 +208,12 @@ def tournament_structure(gn, basepoint):
     pairs = n * (n - 1) // 2
     cond_growth = (gk_dimension(gn) == GrowthClass.polynomial(1)
                    and len(gn.edges) == pairs + 1)
-    # an acyclic graph with one arrow per pair of vertices is a tournament
+    # an acyclic graph with one arrow per pair of vertices is a tournament; such a
+    # graph is acyclic iff it has n components, which then list its one topological order
     plain = DirectedGraph(n, frozenset((u, v) for u, v in gn.edges if u != v))
-    cond_shape = (gn.edges - plain.edges == {(basepoint, basepoint)}
-                  and len(plain.edges) == pairs and not has_cycle(plain))
-    relabeling = topological_order(plain) if cond_shape else None
+    comps = _components(plain)[0] if len(plain.edges) == pairs else ()
+    cond_shape = gn.edges - plain.edges == {(basepoint, basepoint)} and len(comps) == n
+    relabeling = [members[0] for members, _ in comps] if cond_shape else None
     if cond_growth != cond_shape:
         raise CheckFailed("growth, tournament shape and relabeling disagree")
     return {"matches": cond_shape, "relabeling": relabeling}

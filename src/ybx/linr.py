@@ -146,7 +146,7 @@ def subspace_contains(a, b):
 def linearize(qs):
     """The braiding Psi and R-matrix R = P Psi of a quadratic set."""
     n = qs.n
-    cols = [{n * k + l: 1} for k, l in (qs.r(i, j) for i in range(n) for j in range(n))]
+    cols = [{n * k + l: 1} for k, l in qs.r_table]
     psi = RationalMatrix(cols, cols=n * n).transpose()
     return psi, psi_from_r(psi)
 
@@ -261,8 +261,8 @@ def koszul_dual_polynomials(qs):
     koszul_dual_relations, which also takes R-matrices no solution gives."""
     check_properties(qs).require("Koszul duality here", "idempotent")
     pre = {}
-    for a, b in product(range(qs.n), repeat=2):
-        pre.setdefault(qs.r(a, b), []).append((a, b))
+    for p, img in enumerate(qs.r_table):
+        pre.setdefault(img, []).append(divmod(p, qs.n))
     return [{p: F1 for p in pre[img]} for img in sorted(pre)]
 
 
@@ -294,7 +294,7 @@ def nichols_monomials(qs):
     """The set-theoretic Nichols relations theta_a theta_b = 0, one per
     image pair (a, b) of r, sorted."""
     check_properties(qs).require("quadratic Nichols relations", "idempotent")
-    return sorted({qs.r(i, j) for i in range(qs.n) for j in range(qs.n)})
+    return sorted(set(qs.r_table))
 
 
 def nichols_quadratic_check(psi, m):

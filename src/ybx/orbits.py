@@ -40,12 +40,8 @@ class RelationSet(namedtuple("RelationSet", "relations")):
 def orbit_graph(qs):
     """Vertices are the n^2 pairs in lex order; one edge p -> r(p) each."""
     n = qs.n
-    edges = set()
-    for i in range(n):
-        for j in range(n):
-            k, l = qs.r(i, j)
-            edges.add((i * n + j, k * n + l))
-    return growth.DirectedGraph(n * n, frozenset(edges))
+    return growth.DirectedGraph(n * n, frozenset((p, k * n + l)
+                                                 for p, (k, l) in enumerate(qs.r_table)))
 
 
 def r_orbits(qs):
@@ -100,11 +96,11 @@ def idempotent_structure(qs):
     """
     quadset.check_properties(qs).require("idempotent structure",
                                          "idempotent", "left_nondegenerate")
-    n = qs.n
+    n, t = qs.n, qs.r_table
     inv0 = [0] * n
     for j in range(n):
-        inv0[qs.left[0][j]] = j
-    table = [[inv0[qs.left[i][j]] for j in range(n)] for i in range(n)]
+        inv0[t[j][0]] = j
+    table = [[inv0[t[i * n + j][0]] for j in range(n)] for i in range(n)]
     # characterization: x_1 x_{k_ij} and x_i x_j share an orbit
     dec = r_orbits(qs)
     for i in range(n):

@@ -4,7 +4,8 @@ A quadratic set is a finite set X = {x_1, ..., x_n} together with a map
 r on ordered pairs, written r(x, y) = (x|>y, x<|y).  The left component
 defines a family of left actions L_x, the right component right actions
 R_y.  Indices are 0-based internally; all 1-based conversion happens at
-the text boundary (cli module).  Action tables are built on first read.
+the text boundary (cli module).  A solution is the pair (n, r_table) and
+nothing more: both actions are read off r_table.
 
 The map r is not assumed bijective.
 """
@@ -14,9 +15,8 @@ from functools import cache
 from itertools import permutations, product
 from math import factorial
 
-from .errors import (DuplicatePair, IndexOutOfRange, InvalidArgument, MissingPair,
-                     NotABijection, NotBraided, NotIdempotent, NotLeftNondegenerate,
-                     SizeTooLarge)
+from .errors import (IndexOutOfRange, InvalidArgument, MissingPair, NotABijection,
+                     NotBraided, NotIdempotent, NotLeftNondegenerate, SizeTooLarge)
 
 # the properties a construction may require: the error each raises, and its wording
 REQUIREMENTS = {"braided": (NotBraided, "a braided set"),
@@ -41,62 +41,21 @@ class PropertyReport(namedtuple("PropertyReport", "involutive idempotent braided
                 raise error(f"{what} needs {noun}")
 
 
-class QuadraticSet:
-    """Immutable finite quadratic set; its action tables are built on first read."""
+# a solution (X, r), immutable: r_table holds the n*n pairs r(x_i, x_j) at i*n+j, 0-based
+class QuadraticSet(namedtuple("QuadraticSet", "n r_table")):
+    __slots__ = ()
 
-    __slots__ = ("n", "r_table", "left", "right")
-
-    def __init__(self, n, r_table):
-        # r_table: tuple of n*n pairs, entry i*n+j is r(x_i, x_j), 0-based
-        self.n = n
-        self.r_table = tuple(map(tuple, r_table))
-        if len(self.r_table) != n * n:
-            raise MissingPair(f"expected {n * n} entries, got {len(self.r_table)}")
-        for k, l in self.r_table:
+    def __new__(cls, n, r_table):
+        r_table = tuple(map(tuple, r_table))
+        if len(r_table) != n * n:
+            raise MissingPair(f"expected {n * n} entries, got {len(r_table)}")
+        for k, l in r_table:
             if not (0 <= k < n and 0 <= l < n):
                 raise IndexOutOfRange(f"image ({k}, {l}) out of range for n={n}")
-
-    def __getattr__(self, name):
-        # reached only while the slots are unset; later reads are plain slot reads
-        if name not in ("left", "right"):
-            raise AttributeError(f"'QuadraticSet' object has no attribute {name!r}")
-        rows = [self.r_table[i * self.n:(i + 1) * self.n] for i in range(self.n)]
-        self.left = tuple(tuple(k for k, _ in row) for row in rows)
-        self.right = tuple(tuple(l for _, l in row) for row in rows)
-        return getattr(self, name)
-
-    def __reduce__(self):
-        return QuadraticSet, (self.n, self.r_table)
+        return tuple.__new__(cls, (n, r_table))
 
     def r(self, i, j):
         return self.r_table[i * self.n + j]
-
-    def __eq__(self, other):
-        return (isinstance(other, QuadraticSet)
-                and self.n == other.n and self.r_table == other.r_table)
-
-    def __hash__(self):
-        return hash((self.n, self.r_table))
-
-    def __repr__(self):
-        return f"QuadraticSet(n={self.n}, r_table={self.r_table!r})"
-
-
-def make_solution(n, entries):
-    """Build a QuadraticSet from ((i,j),(k,l)) entries, 0-based."""
-    if n < 1:
-        raise IndexOutOfRange("n must be positive")
-    table = {}
-    for (i, j), (k, l) in entries:
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexOutOfRange(f"source pair ({i}, {j}) out of range")
-        if (i, j) in table:
-            raise DuplicatePair(f"pair ({i}, {j}) given twice")
-        table[(i, j)] = (k, l)
-    missing = [(i, j) for i in range(n) for j in range(n) if (i, j) not in table]
-    if missing:
-        raise MissingPair(f"no image for pair {missing[0]}")
-    return QuadraticSet(n, [table[(i, j)] for i in range(n) for j in range(n)])
 
 
 def make_permutation_solution(f):
@@ -192,13 +151,11 @@ def cartesian_product(a, b):
     z_{ia} = (x_i, y_a) gets index i*m + a; both components act in parallel.
     """
     n, m = a.n, b.n
-    table = []
-    for i, ai in product(range(n), range(m)):
-        for j, bj in product(range(n), range(m)):
-            k, l = a.r(i, j)
-            u, v = b.r(ai, bj)
-            table.append((k * m + u, l * m + v))
-    return QuadraticSet(n * m, table)
+    # the rows of a and b that row (i, ai) of the product pairs up, cell by cell
+    rows = [(a.r_table[i * n:i * n + n], b.r_table[ai * m:ai * m + m])
+            for i, ai in product(range(n), range(m))]
+    return QuadraticSet(n * m, [(k * m + u, l * m + v) for row_a, row_b in rows
+                                for (k, l), (u, v) in product(row_a, row_b)])
 
 
 def _sources(sigma):

@@ -9,11 +9,11 @@ ybx.braidmon.WordActions; only its `qs` is read.
 
 
 def _left_letter(qs, c, b):
-    return qs.left[c][b]
+    return qs.r(c, b)[0]
 
 
 def _right_letter(qs, c, b):
-    return qs.right[c][b]
+    return qs.r(c, b)[1]
 
 
 def _word_left_on_letter(qs, a, b):

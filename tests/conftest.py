@@ -15,7 +15,8 @@ MIXED3_TABLE = {
 
 
 def mixed3_solution():
-    return quadset.make_solution(3, MIXED3_TABLE.items())
+    return quadset.QuadraticSet(3, [MIXED3_TABLE[i, j]
+                                    for i in range(3) for j in range(3)])
 
 
 @pytest.fixture

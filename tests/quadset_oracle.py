@@ -76,8 +76,9 @@ def check_properties(qs):
     pairs = [(i, j) for i in range(n) for j in range(n)]
     idempotent = all(qs.r(*qs.r(i, j)) == qs.r(i, j) for i, j in pairs)
     involutive = all(qs.r(*qs.r(i, j)) == (i, j) for i, j in pairs)
-    left_nondeg = all(sorted(row) == list(range(n)) for row in qs.left)
-    right_nondeg = all(sorted(qs.right[i][j] for i in range(n)) == list(range(n))
+    left_nondeg = all(sorted(qs.r(i, j)[0] for j in range(n)) == list(range(n))
+                      for i in range(n))
+    right_nondeg = all(sorted(qs.r(i, j)[1] for i in range(n)) == list(range(n))
                        for j in range(n))
     left_2_cancel = all(len({qs.r(i, j) for j in range(n)}) == n for i in range(n))
     return PropertyReport(

@@ -73,11 +73,13 @@ def test_criterion_2_mixed_example_end_to_end():
         # level-2 solution matches the expected table, with the cyclic
         # left action on the second generator
         vs = braidmon.veronese_solution(qs, 2)
-        assert vs.base == quadset.make_solution(3, {
+        level2 = {
             (0, 0): (0, 0), (1, 2): (0, 0), (2, 1): (0, 0),
             (1, 0): (1, 0), (0, 1): (1, 0), (2, 2): (1, 0),
-            (2, 0): (2, 0), (0, 2): (2, 0), (1, 1): (2, 0)}.items())
-        assert vs.base.left[1] == (1, 2, 0)
+            (2, 0): (2, 0), (0, 2): (2, 0), (1, 1): (2, 0)}
+        assert vs.base == quadset.QuadraticSet(3, [level2[i, j]
+                                                   for i in range(3) for j in range(3)])
+        assert tuple(vs.base.r(1, j)[0] for j in range(3)) == (1, 2, 0)
         # prolongations alternate between r and the level-2 solution
         data = braidmon.prolongation_sequence(qs, 4)
         assert [s.base == qs for s in data.solutions] == \

@@ -136,10 +136,11 @@ def test_axioms_need_normal_forms_through_max_len():
 def test_level2_solution_of_mixed3(mixed3):
     vs = braidmon.veronese_solution(mixed3, 2)
     assert vs.labels == ((0, 0), (0, 1), (0, 2))
-    expected = quadset.make_solution(3, LEVEL2_TABLE.items())
+    expected = quadset.QuadraticSet(3, [LEVEL2_TABLE[i, j]
+                                        for i in range(3) for j in range(3)])
     assert vs.base == expected
-    assert vs.base.left[1] == (1, 2, 0)
-    assert vs.base.left[2] == (2, 0, 1)
+    assert tuple(vs.base.r(1, j)[0] for j in range(3)) == (1, 2, 0)
+    assert tuple(vs.base.r(2, j)[0] for j in range(3)) == (2, 0, 1)
 
 
 def test_level_d_of_permutation_is_power_of_f():

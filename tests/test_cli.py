@@ -70,6 +70,7 @@ def test_parse_forms(cycle3, rid2):
     "ybx v2\nsize 2\nidentity\n",
     "ybx v1\nidentity\n",
     "ybx v1\nsize two\nidentity\n",
+    "ybx v1\nsize 2 junk\nidentity\n",
     "ybx v1\nsize 2\n",
     "ybx v1\nsize 2\npermutation 2\n",
     "ybx v1\nsize 2\nmap 1 1 1\n",
@@ -328,6 +329,7 @@ MAPS_2 = ["map 1 1 1 1", "map 1 2 1 2", "map 2 1 2 1"]
     (3, ["permutation 1 1 2"], "line 3: 1 1 2 is not a permutation of 1..3"),
     (3, ["permutation 1 2 4"], "line 3: 1 2 4 is not a permutation of 1..3"),
     (3, ["permutation 0 1 2"], "line 3: 0 1 2 is not a permutation of 1..3"),
+    ("2 junk", ["identity"], "line 2: bad size line"),
 ])
 def test_table_errors_name_the_line_and_1_based_values(capsys, tmp_path, size, body, message):
     path = tmp_path / "table.ybx"

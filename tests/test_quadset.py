@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 import quadset_oracle
 from ybx import quadset
-from ybx.errors import (DuplicatePair, IndexOutOfRange, MissingPair,
-                        NotABijection, SizeTooLarge)
+from ybx.errors import IndexOutOfRange, MissingPair, NotABijection, SizeTooLarge
 
 
 def random_table(n, rng):
@@ -50,9 +49,10 @@ def test_mixed3_properties(mixed3):
     assert rep.left_nondegenerate
     assert not rep.right_nondegenerate
     # left actions are the transpositions (1 2), (0 1), (0 2)
-    assert mixed3.left == ((0, 2, 1), (1, 0, 2), (2, 1, 0))
+    assert (tuple(tuple(mixed3.r(i, j)[0] for j in range(3)) for i in range(3))
+            == ((0, 2, 1), (1, 0, 2), (2, 1, 0)))
     # all right actions collapse to the first element
-    assert all(v == 0 for row in mixed3.right for v in row)
+    assert all(mixed3.r(i, j)[1] == 0 for i in range(3) for j in range(3))
 
 
 def test_named_solutions():
@@ -65,15 +65,15 @@ def test_named_solutions():
     assert not rep.idempotent
 
 
-def test_make_solution_errors():
-    with pytest.raises(MissingPair):
-        quadset.make_solution(2, [(((0, 0)), (0, 0))])
-    with pytest.raises(DuplicatePair):
-        quadset.make_solution(1, [((0, 0), (0, 0)), ((0, 0), (0, 0))])
-    with pytest.raises(IndexOutOfRange):
-        quadset.make_solution(1, [((0, 1), (0, 0))])
-    with pytest.raises(IndexOutOfRange):
+def test_quadratic_set_errors():
+    with pytest.raises(MissingPair, match=r"^expected 4 entries, got 1$"):
+        quadset.QuadraticSet(2, [(0, 0)])
+    with pytest.raises(MissingPair, match=r"^expected 1 entries, got 2$"):
+        quadset.QuadraticSet(1, [(0, 0), (0, 0)])
+    with pytest.raises(IndexOutOfRange, match=r"^image \(0, 1\) out of range for n=1$"):
         quadset.QuadraticSet(1, [(0, 1)])
+    with pytest.raises(IndexOutOfRange, match=r"^image \(-1, 0\) out of range for n=2$"):
+        quadset.QuadraticSet(2, [(0, 0), (0, 0), (0, 0), (-1, 0)])
     with pytest.raises(NotABijection):
         quadset.make_permutation_solution([0, 0])
 
@@ -352,23 +352,18 @@ def tables_of_size(n):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 4).flatmap(tables_of_size))
-def test_property_report_and_lazy_tables_match_oracle(case):
+def test_property_report_matches_oracle_and_keeps_the_value(case):
     n, table = case
-    lazy, read = quadset.QuadraticSet(n, table), quadset.QuadraticSet(n, table)
-    assert (quadset.check_properties(lazy).as_dict()
+    checked, read = quadset.QuadraticSet(n, table), quadset.QuadraticSet(n, table)
+    assert (quadset.check_properties(checked).as_dict()
             == quadset_oracle.check_properties(read).as_dict())
-    with pytest.raises(AttributeError):  # the check built no action table
-        quadset.QuadraticSet.left.__get__(lazy)
-    assert all((lazy.left[i][j], lazy.right[i][j]) == lazy.r(i, j)
-               for i in range(n) for j in range(n))
-    assert lazy.left == read.left and lazy.right == read.right
     fresh = quadset.QuadraticSet(n, table)
-    assert fresh == read and hash(fresh) == hash(read) and repr(fresh) == repr(read)
-    assert pickle.dumps(fresh) == pickle.dumps(read)
+    for used in (read, checked):
+        assert fresh == used and hash(fresh) == hash(used) and repr(fresh) == repr(used)
+        assert pickle.dumps(fresh) == pickle.dumps(used)
     for qs in (fresh, read):
         again = pickle.loads(pickle.dumps(qs))
         assert again == qs and hash(again) == hash(qs) and repr(again) == repr(qs)
-        assert again.left == read.left and again.right == read.right
 
 
 def test_braided_filter_agrees_with_braided_mask_n3():

@@ -17,6 +17,10 @@ VERONESE = braidmon.VeroneseSolution(d=1, base=BASE, labels=((0,), (1,)))
 
 # (a record, its repr, an equal record built apart, a different record)
 RECORDS = [
+    (BASE,
+     "QuadraticSet(n=2, r_table=((1, 0), (0, 1), (1, 0), (0, 1)))",
+     quadset.QuadraticSet(2, [[1, 0], [0, 1], [1, 0], [0, 1]]),
+     quadset.make_permutation_solution([0, 1])),
     (quadset.PropertyReport(True, False, True, True, False, True),
      "PropertyReport(involutive=True, idempotent=False, braided=True, "
      "left_nondegenerate=True, right_nondegenerate=False, left_2_cancellative=True)",
@@ -99,6 +103,13 @@ def test_record_fields_are_read_only(record, text, equal, other):
     if not isinstance(record, growth.DirectedGraph):    # its __dict__ caches adjacency
         with pytest.raises(AttributeError):
             record.extra = 1
+
+
+def test_quadratic_set_is_the_tuple_of_its_fields():
+    fields = (2, ((1, 0), (0, 1), (1, 0), (0, 1)))
+    assert isinstance(BASE, tuple) and quadset.QuadraticSet.__slots__ == ()
+    assert BASE == fields and hash(BASE) == hash(fields)
+    assert (BASE.n, BASE.r_table) == fields and BASE.r(0, 1) == (0, 1)
 
 
 def test_directed_graph_refuses_edges_out_of_range():
