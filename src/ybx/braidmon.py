@@ -27,7 +27,7 @@ from itertools import product
 from .errors import CheckFailed, InvalidArgument
 from .ncgb import normal_form_word, normal_words
 from .orbits import canonical_basis
-from .quadset import QuadraticSet, check_properties
+from .quadset import QuadraticSet, require_properties
 
 
 class WordActions:
@@ -82,7 +82,7 @@ def check_braided_monoid_axioms(wa, max_len):
     depend on the order they are filled, and each swap of the crossing is a
     defining relation xy = r(x, y).  On S(X, r) they then follow from descent,
     the one condition that depends on r."""
-    check_properties(wa.qs).require("word actions", "braided")
+    require_properties(wa.qs, "word actions", "braided")
     wa.gb.require_degree(max_len, "the braided-monoid check")
     nor = wa.nor
     words = [w for k in range(max_len + 1) for w in product(range(wa.qs.n), repeat=k)]
@@ -102,7 +102,7 @@ VeroneseSolution = namedtuple("VeroneseSolution", "d base labels")
 
 def veronese_solution(qs, d, wa=None):
     """The d-Veronese solution on the normal words of length d; wa is qs's."""
-    check_properties(qs).require("Veronese solutions", "braided")
+    require_properties(qs, "Veronese solutions", "braided")
     if wa is not None and wa.qs != qs:
         raise InvalidArgument("the word actions were built for another set")
     return _veronese(wa or WordActions(qs, max(2 * d, 3)), d)
@@ -133,8 +133,7 @@ def prolongation_sequence(qs, d_max):
     """The prolongations (X, r^(d)) for d = 1..d_max with periodicity data."""
     if d_max < 1:
         raise InvalidArgument(f"the prolongation bound must be at least 1, not {d_max}")
-    check_properties(qs).require("prolongations",
-                                 "braided", "idempotent", "left_nondegenerate")
+    require_properties(qs, "prolongations", "braided", "idempotent", "left_nondegenerate")
     wa = WordActions(qs, max_degree=max(2 * d_max, 3))
     sols = [_veronese(wa, d) for d in range(1, d_max + 1)]
     period = None

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Solution file format (1-based indices):
+Solution file format (1-based indices, ASCII decimal digits):
 
     ybx v1
     size <n>
@@ -26,6 +26,15 @@ from .errors import InvalidArgument, NotABijection, ParseError, YbxError
 MAX_SIZE = 256
 
 
+def _decimals(words, base, message, line):
+    # the words as ints less base, if all are ASCII decimal numerals: int() alone
+    # also reads signs, underscores and non-ASCII digits
+    digits = "".join(words)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(message, line)
+    return [int(w) - base for w in words]
+
+
 def parse_solution(text):
     lines = []
     for num, raw in enumerate(text.splitlines(), start=1):
@@ -37,10 +46,8 @@ def parse_solution(text):
                          lines[0][0] if lines else 1)
     if len(lines) < 2 or not lines[1][1].startswith("size "):
         raise ParseError("expected 'size <n>'", lines[1][0] if len(lines) > 1 else 2)
-    try:
-        n = int(lines[1][1].removeprefix("size "))
-    except ValueError:
-        raise ParseError("bad size line", lines[1][0])
+    size = lines[1][1].removeprefix("size ").strip()
+    n, = _decimals([size], 0, "bad size line", lines[1][0])
     if not 1 <= n <= MAX_SIZE:
         raise ParseError(f"size must be between 1 and {MAX_SIZE}", lines[1][0])
     body = lines[2:]
@@ -53,10 +60,7 @@ def parse_solution(text):
     if kind == "permutation":
         if len(parts) != n:
             raise ParseError(f"permutation needs {n} values", num)
-        try:
-            f = [int(p) - 1 for p in parts]
-        except ValueError:
-            raise ParseError("permutation values must be integers", num)
+        f = _decimals(parts, 1, "permutation values must be integers", num)
         try:
             return quadset.make_permutation_solution(f)
         except NotABijection:
@@ -70,10 +74,7 @@ def parse_solution(text):
         parts = line.split()
         if parts[0] != "map" or len(parts) != 5:
             raise ParseError("expected 'map i j k l'", num)
-        try:
-            i, j, k, l = (int(p) - 1 for p in parts[1:])
-        except ValueError:
-            raise ParseError("map indices must be integers", num)
+        i, j, k, l = _decimals(parts[1:], 1, "map indices must be integers", num)
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n and 0 <= l < n):
             raise ParseError(f"map indices must be between 1 and {n}", num)
         if (i, j) in table:

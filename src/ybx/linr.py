@@ -21,7 +21,7 @@ from itertools import product
 
 from . import elim
 from .errors import NotIdempotent, ShapeMismatch, SizeTooLarge
-from .quadset import check_properties
+from .quadset import require_properties
 
 F1 = Fraction(1)
 MAX_TENSOR_DIM = 4096     # 8^4, the largest dim V^(x)m an operator is built for
@@ -185,7 +185,7 @@ def check_idempotent(psi):
 
 
 def require_idempotent(psi, what):
-    """The matrix-level twin of PropertyReport.require(what, "idempotent")."""
+    """The matrix-level twin of quadset.require_properties(qs, what, "idempotent")."""
     if not check_idempotent(psi):
         raise NotIdempotent(f"{what} needs an idempotent Psi")
 
@@ -259,7 +259,7 @@ def koszul_dual_polynomials(qs):
     explicit presentation of the Koszul dual for an idempotent solution, read
     off r without building an operator; on a linearized solution it spans
     koszul_dual_relations, which also takes R-matrices no solution gives."""
-    check_properties(qs).require("Koszul duality here", "idempotent")
+    require_properties(qs, "Koszul duality here", "idempotent")
     pre = {}
     for p, img in enumerate(qs.r_table):
         pre.setdefault(img, []).append(divmod(p, qs.n))
@@ -293,7 +293,7 @@ def _factorial(rows, n, m, sign):
 def nichols_monomials(qs):
     """The set-theoretic Nichols relations theta_a theta_b = 0, one per
     image pair (a, b) of r, sorted."""
-    check_properties(qs).require("quadratic Nichols relations", "idempotent")
+    require_properties(qs, "quadratic Nichols relations", "idempotent")
     return sorted(set(qs.r_table))
 
 

@@ -94,8 +94,8 @@ def idempotent_structure(qs):
     Requires an idempotent left-nondegenerate set; rows are 0-based and
     the table covers all i (row 0 is the identity row k[0][j] = j).
     """
-    quadset.check_properties(qs).require("idempotent structure",
-                                         "idempotent", "left_nondegenerate")
+    quadset.require_properties(qs, "idempotent structure",
+                               "idempotent", "left_nondegenerate")
     n, t = qs.n, qs.r_table
     inv0 = [0] * n
     for j in range(n):
@@ -148,8 +148,8 @@ def dimA2_bounds_check(qs, max_d=5):
     dim A_2 = n, dim A_d = n for all checked degrees.  A failed bound
     raises CheckFailed.
     """
-    quadset.check_properties(qs).require("the dim A_2 check",
-                                         "idempotent", "left_nondegenerate")
+    quadset.require_properties(qs, "the dim A_2 check",
+                               "idempotent", "left_nondegenerate")
     n = qs.n
     gb = canonical_basis(qs, max(max_d, 3))
     gn, _ = basis_graphs(gb)

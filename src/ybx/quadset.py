@@ -35,10 +35,15 @@ class PropertyReport(namedtuple("PropertyReport", "involutive idempotent braided
     def require(self, what, *names):
         """Raise the error of the first named property that fails, worded
         "{what} needs ..."."""
-        for name in names:
-            if not getattr(self, name):
-                error, noun = REQUIREMENTS[name]
-                raise error(f"{what} needs {noun}")
+        _require(what, ((name, getattr(self, name)) for name in names))
+
+
+def _require(what, verdicts):
+    # the one raise of a missing property: the first (name, holds) that fails
+    for name, holds in verdicts:
+        if not holds:
+            error, noun = REQUIREMENTS[name]
+            raise error(f"{what} needs {noun}")
 
 
 # a solution (X, r), immutable: r_table holds the n*n pairs r(x_i, x_j) at i*n+j, 0-based
@@ -102,6 +107,23 @@ def _braid_wait(table, n, p, t):
     return -1 if e == a2 and (f, d) == table[u] else -2
 
 
+def _wake(bucket, table, n, p, wait):
+    """Check bucket's braid triples on table, assigned before p, and append each
+    that still waits to the bucket of its cell.  Returns the buckets appended to,
+    or None, with those appends undone, once a triple fails."""
+    moved = []
+    for t in bucket:
+        w = _braid_wait(table, n, p, t)
+        if w == -2:
+            for w in moved:
+                wait[w].pop()
+            return None
+        if w >= 0:
+            wait[w].append(t)
+            moved.append(w)
+    return moved
+
+
 def _braided(t, n):
     """r12 r23 r12 = r23 r12 r23 on all n^3 triples, read as _braid_wait reads them."""
     for x in range(n):
@@ -120,7 +142,7 @@ def _braided(t, n):
 
 
 # one exhaustive test per property of an r_table t of n*n pairs, for
-# check_properties
+# check_properties and require_properties
 PROPERTY_TESTS = {
     # r(r(x, y)) = (x, y), and r(r(x, y)) = r(x, y)
     "involutive": lambda t, n: all(t[k * n + l] == ij for ij, (k, l)
@@ -143,6 +165,11 @@ def check_properties(qs):
     """Exhaustive property check over all pairs/triples."""
     return PropertyReport(**{name: test(qs.r_table, qs.n)
                              for name, test in PROPERTY_TESTS.items()})
+
+
+def require_properties(qs, what, *names):
+    """PropertyReport.require on qs, running only the named tests, in order."""
+    _require(what, ((name, PROPERTY_TESTS[name](qs.r_table, qs.n)) for name in names))
 
 
 def cartesian_product(a, b):
@@ -212,8 +239,10 @@ def enumerate_solutions(n, predicate=()):
     free left images times its column's free right images, under the mask's
     nondegeneracies; its other cheap constraints are checked cell by cell,
     and a braid triple waits on the first unassigned cell it reads
-    (_braid_wait), checked again only once that cell is assigned.  Together
-    they decide every property of the mask, so each completed table is kept.
+    (_braid_wait), checked again only once that cell is assigned (_wake), so a
+    candidate whose cell no triple waits on does no undo bookkeeping.  Together
+    they decide every property of the mask, so each completed table is kept,
+    built once as the named tuple: its cells, taken from pairs, are in range.
     SizeTooLarge is raised at once when the root's n^3 braid triples or
     (n! - 1) * n^2 relabeled entries outnumber NODE_BUDGET (n >= 7), and
     else past NODE_BUDGET nodes (partial tables); a node's cost grows with n.
@@ -256,7 +285,7 @@ def enumerate_solutions(n, predicate=()):
             else:
                 still.append((act, src, pos))
         if p == size:
-            found.append(QuadraticSet(n, table))
+            found.append(QuadraticSet._make((n, tuple(table))))
             return
         i, j = pairs[p]
         # hit: an assigned cell maps to p, read by idempotent and involutive alone
@@ -271,20 +300,15 @@ def enumerate_solutions(n, predicate=()):
                         # must map to p; for a later q, neither q nor p may be an image yet
                         or want_invol and (code[q] != p if q < p else hit or q in code[:p])):
                     continue
-                table[p], code[p], moved = pairs[q], q, []
-                for t in bucket:  # moved: the later buckets that got one of these
-                    w = _braid_wait(table, n, p + 1, t)
-                    if w == -2:
-                        break
-                    if w >= 0:
-                        wait[w].append(t)
-                        moved.append(w)
-                else:
-                    left_used[i] ^= 1 << k
-                    right_used[j] ^= 1 << l
-                    extend(p + 1, still)
-                    left_used[i] ^= 1 << k
-                    right_used[j] ^= 1 << l
+                table[p], code[p] = pairs[q], q
+                moved = _wake(bucket, table, n, p + 1, wait) if bucket else ()
+                if moved is None:
+                    continue
+                left_used[i] ^= 1 << k
+                right_used[j] ^= 1 << l
+                extend(p + 1, still)
+                left_used[i] ^= 1 << k
+                right_used[j] ^= 1 << l
                 for w in moved:
                     wait[w].pop()
 

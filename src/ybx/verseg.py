@@ -19,7 +19,7 @@ from .braidmon import WordActions, _veronese
 from .linr import RationalMatrix, linearize, splus_relations, subspace_equal
 from .ncgb import complete, hilbert_series, normal_form_word, normal_words
 from .orbits import canonical_basis, canonical_relations, idempotent_structure
-from .quadset import cartesian_product, check_properties
+from .quadset import cartesian_product, require_properties
 
 
 # generators: words or product symbols; relations: frozen NcPolynomials over their indices
@@ -61,8 +61,8 @@ def _veronese_relations(gb, d):
 def veronese_isomorphism_check(qs, d):
     """Compare the d-Veronese presentation of the algebra with the
     canonical relations of the d-Veronese solution, under v_i <-> x_i."""
-    check_properties(qs).require("the identification",
-                                 "braided", "idempotent", "left_nondegenerate")
+    require_properties(qs, "the identification",
+                       "braided", "idempotent", "left_nondegenerate")
     if d == 1:
         return True
     wa = WordActions(qs, max_degree=max(2 * d, 3))

@@ -118,7 +118,7 @@ def test_axioms_catch_an_action_that_does_not_descend(monkeypatch):
     # past the braided gate, the right action of this table is not well
     # defined on S(X, r): 10 = 00 there, but (0) <| (10) != (0) <| (00)
     bad = quadset.QuadraticSet(2, [(1, 1), (0, 0), (0, 0), (0, 0)])
-    monkeypatch.setattr(quadset.PropertyReport, "require", lambda *args: None)
+    monkeypatch.setattr(braidmon, "require_properties", lambda *args: None)
     with pytest.raises(CheckFailed, match=r"<\| does not descend .* a=\(0,\), b=\(1, 0\)"):
         braidmon.check_braided_monoid_axioms(braidmon.WordActions(bad, max_degree=4), 2)
 
@@ -182,9 +182,9 @@ def test_prolongation_periods(mixed3):
 
 def test_prolongation_checks_its_base_once(monkeypatch, mixed3):
     calls = []
-    check = braidmon.check_properties
-    monkeypatch.setattr(braidmon, "check_properties",
-                        lambda qs: calls.append(qs) or check(qs))
+    check = braidmon.require_properties
+    monkeypatch.setattr(braidmon, "require_properties",
+                        lambda qs, *args: calls.append(qs) or check(qs, *args))
     braidmon.prolongation_sequence(mixed3, 4)
     assert calls == [mixed3]
     # the Veronese solution alone still checks its base

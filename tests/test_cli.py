@@ -77,6 +77,15 @@ def test_parse_forms(cycle3, rid2):
     "ybx v1\nsize 2\nmap 1 1 1 x\n",
     "ybx v1\nsize 2\nidentity extra\n",
     "ybx v1\nsize 2\npermutation 1 2\nmap 1 1 1 1\n",
+    # values are ASCII decimal digits: no underscore, sign or other script's digit
+    "ybx v1\nsize 0_2\nidentity\n",
+    "ybx v1\nsize +2\nidentity\n",
+    "ybx v1\nsize \uff12\nidentity\n",
+    "ybx v1\nsize 2\npermutation 2 +1\n",
+    "ybx v1\nsize 2\npermutation 2 0_1\n",
+    "ybx v1\nsize 2\nmap 1 1 1 1\nmap 1 2 +1 2\nmap 2 1 2 1\nmap 2 2 2 2\n",
+    "ybx v1\nsize 2\nmap 1 1 1 1\nmap 1 2 1 2\nmap 2 1 2 1\nmap 2 2 2 \uff12\n",
+    "ybx v1\nsize 2\nmap 1 1 1 1\nmap 1 2 1 2\nmap 2 1 2 1\nmap 2 2 2 0_2\n",
 ])
 def test_parse_errors(text):
     with pytest.raises(ParseError):
@@ -330,6 +339,9 @@ MAPS_2 = ["map 1 1 1 1", "map 1 2 1 2", "map 2 1 2 1"]
     (3, ["permutation 1 2 4"], "line 3: 1 2 4 is not a permutation of 1..3"),
     (3, ["permutation 0 1 2"], "line 3: 0 1 2 is not a permutation of 1..3"),
     ("2 junk", ["identity"], "line 2: bad size line"),
+    ("0_2", ["map 0_2 +2 \uff12 2"], "line 2: bad size line"),
+    (2, MAPS_2 + ["map 2 +2 2 2"], "line 6: map indices must be integers"),
+    (2, ["permutation 2 +1"], "line 3: permutation values must be integers"),
 ])
 def test_table_errors_name_the_line_and_1_based_values(capsys, tmp_path, size, body, message):
     path = tmp_path / "table.ybx"

@@ -208,11 +208,11 @@ BROKEN_VERDICTS = {
         "growth.DirectedGraph(3, frozenset({(0, 1), (1, 2)})))\n"),
     # the constant map has a single orbit, so dim A_2 = 1 < n
     "lower": (
-        "quadset.check_properties = lambda qs: PASS\n"
+        "quadset.require_properties = lambda *args: None\n"
         "orbits.dimA2_bounds_check(quadset.QuadraticSet(3, [(0, 0)] * 9))\n"),
     # the identity map has dim A_2 = 9 and free growth, reported as degree 1
     "upper": (
-        "quadset.check_properties = lambda qs: PASS\n"
+        "quadset.require_properties = lambda *args: None\n"
         "growth.gk_dimension = lambda g: growth.GrowthClass.polynomial(1)\n"
         "table = [(i, j) for i in range(3) for j in range(3)]\n"
         "orbits.dimA2_bounds_check(quadset.QuadraticSet(3, table))\n"),
@@ -229,7 +229,6 @@ def test_verdicts_survive_optimized_mode(case):
     code = (
         "from ybx import growth, ncgb, orbits, quadset\n"
         "from ybx.errors import CheckFailed\n"
-        "PASS = quadset.PropertyReport(*[True] * 6)\n"
         "try:\n"
         + "".join("    " + line + "\n" for line in BROKEN_VERDICTS[case].splitlines())
         + "except CheckFailed as exc:\n"

@@ -236,3 +236,10 @@ def test_records_are_named_tuples_but_the_groebner_basis():
             or isinstance(node, ast.ImportFrom) and node.level == 0
             and node.module.split(".")[0] in ("typing", "inspect")]
     assert not slow, f"typing or inspect imported at {slow}"
+
+
+def test_no_assert_in_the_library():
+    # python -O strips assert statements, so no verdict of the library may rest on one
+    found = [f"{name}.py:{node.lineno}" for name, tree in MODULES.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements at {found}"

@@ -253,7 +253,7 @@ ORDERLY_MASKS_N3 = [
 ]
 PAPER_CLASS = ["braided", "idempotent", "left_nondegenerate"]
 ESS_CLASS = ["braided", "involutive", "left_nondegenerate", "right_nondegenerate"]
-NODE_COUNT_CASES = [(3, ["left_nondegenerate", "right_nondegenerate"]), (4, PAPER_CLASS)]
+NODE_COUNT_CASES = [(3, mask) for mask in ORDERLY_MASKS_N3] + [(4, PAPER_CLASS)]
 
 
 @pytest.mark.parametrize("n, mask", [(3, mask) for mask in ORDERLY_MASKS_N3 + [
@@ -261,9 +261,9 @@ NODE_COUNT_CASES = [(3, ["left_nondegenerate", "right_nondegenerate"]), (4, PAPE
     + [(4, ESS_CLASS), (4, PAPER_CLASS)])
 def test_enumerate_matches_cell_oracle(n, mask, monkeypatch):
     # the same classes, in the same order, as the search on pair tuples that
-    # filtered all n^2 images and re-ran every pending braid triple; on two
-    # masks also the same nodes: a budget of the oracle's count N is enough,
-    # and N - 1 is not
+    # filtered all n^2 images and re-ran every pending braid triple; on the
+    # orderly masks at n = 3 and the paper's class at n = 4 also the same
+    # nodes: a budget of the oracle's count N is enough, and N - 1 is not
     want, nodes = quadset_oracle.cell_enumerate_solutions(n, mask)
     if (n, mask) in NODE_COUNT_CASES:
         monkeypatch.setattr(quadset, "NODE_BUDGET", nodes)
@@ -294,6 +294,19 @@ def test_enumerate_wakes_a_braid_triple_only_on_its_cell(n, mask, monkeypatch):
     monkeypatch.setattr(quadset, "_braid_wait", counted)
     quadset.enumerate_solutions(n, list(mask))
     assert 0 < calls[0] <= CELL_SEARCH_BRAID_EVALUATIONS[n, mask] // 5
+
+
+@pytest.mark.parametrize("n, masks", [(2, ALL_MASKS), (3, ORDERLY_MASKS_N3)])
+def test_enumerated_tables_are_plain_quadratic_sets(n, masks):
+    # the search builds each kept table without QuadraticSet's checks: it must
+    # still be the very value those checks build
+    for mask in masks:
+        for qs in quadset.enumerate_solutions(n, mask):
+            built = quadset.QuadraticSet(qs.n, qs.r_table)
+            assert type(qs) is quadset.QuadraticSet
+            assert qs == built and hash(qs) == hash(built) and repr(qs) == repr(built)
+            again = pickle.loads(pickle.dumps(qs))
+            assert type(again) is quadset.QuadraticSet and again == built
 
 
 def test_property_report_matches_oracle_on_all_tables_n2():

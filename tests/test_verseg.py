@@ -62,10 +62,10 @@ def test_veronese_isomorphism_requires_structure():
 
 def test_veronese_isomorphism_checks_its_base_once(monkeypatch, cycle3):
     calls = []
-    check = quadset.check_properties
+    check = quadset.require_properties
     for module in (verseg, braidmon):
-        monkeypatch.setattr(module, "check_properties",
-                            lambda qs: calls.append(qs) or check(qs))
+        monkeypatch.setattr(module, "require_properties",
+                            lambda qs, *args: calls.append(qs) or check(qs, *args))
     assert verseg.veronese_isomorphism_check(cycle3, 2)
     assert calls == [cycle3]
 
