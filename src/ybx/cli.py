@@ -69,7 +69,7 @@ def parse_solution(text):
         if parts:
             raise ParseError(f"'{kind}' takes no values", num)
         return quadset.make_named(kind, n)
-    table = {}
+    table = [None] * (n * n)  # r(x_i, x_j) at i*n + j, each checked as it is read
     for num, line in body:
         parts = line.split()
         if parts[0] != "map" or len(parts) != 5:
@@ -77,14 +77,13 @@ def parse_solution(text):
         i, j, k, l = _decimals(parts[1:], 1, "map indices must be integers", num)
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n and 0 <= l < n):
             raise ParseError(f"map indices must be between 1 and {n}", num)
-        if (i, j) in table:
+        if table[i * n + j] is not None:
             raise ParseError(f"pair ({i + 1}, {j + 1}) given twice", num)
-        table[i, j] = (k, l)
-    pairs = list(product(range(n), repeat=2))
-    if len(table) < n * n:
-        i, j = next(p for p in pairs if p not in table)
+        table[i * n + j] = (k, l)
+    if None in table:
+        i, j = divmod(table.index(None), n)
         raise ParseError(f"no image for pair ({i + 1}, {j + 1})", num)
-    return quadset.QuadraticSet(n, [table[p] for p in pairs])
+    return quadset.QuadraticSet._make((n, tuple(table)))
 
 
 def render_solution(qs):
@@ -186,7 +185,7 @@ def command(head=SOLUTION, tail=(), max_deg=True):
 
 @command()
 def cmd_check(args):
-    rep = quadset.check_properties(_load(args.solution)).as_dict()
+    rep = quadset.check_properties(_load(args.solution))._asdict()
     return rep, 0 if rep["braided"] else 1
 
 
@@ -277,13 +276,15 @@ def cmd_linear(args):
     qs = _load(args.solution)
     ybe = args.ybe or not any((args.frt, args.bmat, args.koszul,
                                args.nichols, args.transpose))
-    if ybe or args.frt or args.bmat or args.transpose:  # not --koszul, --nichols
-        psi, rmat = linr.linearize(qs)
+    if args.frt or args.bmat or args.transpose:
+        _, rmat = linr.linearize(qs)
     report = {}
     if ybe:
-        # the YBE of R = P Psi is the braid relation of Psi: one check, two keys
-        report["braid"] = report["ybe"] = linr.check_braid(psi)
-        report["idempotent"] = linr.check_idempotent(psi)
+        # Psi sends each basis pair to the pair r sends it to, so its braid
+        # relation (the YBE of R = P Psi) and Psi^2 = Psi are r's own
+        test = quadset.PROPERTY_TESTS
+        report["braid"] = report["ybe"] = test["braided"](qs.r_table, qs.n)
+        report["idempotent"] = test["idempotent"](qs.r_table, qs.n)
     if args.frt:
         report["frt"] = [_pretty_tu(p, "t") for p in linr.frt_relations(rmat)]
     if args.bmat:

@@ -11,7 +11,6 @@ the deg-lex least member.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 
 from . import growth, ncgb, quadset
 from .errors import CheckFailed, PreconditionViolated
@@ -34,7 +33,7 @@ class RelationSet(namedtuple("RelationSet", "relations")):
     __slots__ = ()
 
     def to_polynomials(self):
-        return [{u: Fraction(1), v: Fraction(-1)} for u, v in self.relations]
+        return [{u: 1, v: -1} for u, v in self.relations]
 
 
 def orbit_graph(qs):
@@ -84,8 +83,8 @@ def canonical_relations(qs):
 def canonical_basis(qs, max_degree):
     """The Groebner basis of A(k, X, r): the canonical relations completed
     through max_degree."""
-    return ncgb.complete([{u: 1, v: -1} for u, v in canonical_relations(qs).relations],
-                         max_degree, alphabet=qs.n)
+    return ncgb.complete(canonical_relations(qs).to_polynomials(), max_degree,
+                         alphabet=qs.n)
 
 
 def idempotent_structure(qs):

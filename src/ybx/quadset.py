@@ -24,28 +24,6 @@ REQUIREMENTS = {"braided": (NotBraided, "a braided set"),
                 "left_nondegenerate": (NotLeftNondegenerate, "a left-nondegenerate set")}
 
 
-# one verdict per property, in PROPERTY_NAMES order
-class PropertyReport(namedtuple("PropertyReport", "involutive idempotent braided "
-                                "left_nondegenerate right_nondegenerate left_2_cancellative")):
-    __slots__ = ()
-
-    def as_dict(self):
-        return self._asdict()
-
-    def require(self, what, *names):
-        """Raise the error of the first named property that fails, worded
-        "{what} needs ..."."""
-        _require(what, ((name, getattr(self, name)) for name in names))
-
-
-def _require(what, verdicts):
-    # the one raise of a missing property: the first (name, holds) that fails
-    for name, holds in verdicts:
-        if not holds:
-            error, noun = REQUIREMENTS[name]
-            raise error(f"{what} needs {noun}")
-
-
 # a solution (X, r), immutable: r_table holds the n*n pairs r(x_i, x_j) at i*n+j, 0-based
 class QuadraticSet(namedtuple("QuadraticSet", "n r_table")):
     __slots__ = ()
@@ -159,17 +137,22 @@ PROPERTY_TESTS = {
         lambda t, n: len({(p // n, kl) for p, kl in enumerate(t)}) == n * n,
 }
 PROPERTY_NAMES = tuple(PROPERTY_TESTS)
+# one verdict per property, in PROPERTY_NAMES order
+PropertyReport = namedtuple("PropertyReport", PROPERTY_TESTS)
 
 
 def check_properties(qs):
     """Exhaustive property check over all pairs/triples."""
-    return PropertyReport(**{name: test(qs.r_table, qs.n)
-                             for name, test in PROPERTY_TESTS.items()})
+    return PropertyReport._make(test(qs.r_table, qs.n) for test in PROPERTY_TESTS.values())
 
 
 def require_properties(qs, what, *names):
-    """PropertyReport.require on qs, running only the named tests, in order."""
-    _require(what, ((name, PROPERTY_TESTS[name](qs.r_table, qs.n)) for name in names))
+    """Raise the error of the first named property that qs lacks, worded
+    "{what} needs ...", running only the named tests, in order."""
+    for name in names:
+        if not PROPERTY_TESTS[name](qs.r_table, qs.n):
+            error, noun = REQUIREMENTS[name]
+            raise error(f"{what} needs {noun}")
 
 
 def cartesian_product(a, b):

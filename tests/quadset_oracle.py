@@ -164,7 +164,7 @@ def enumerate_solutions(n, predicate=()):
     def extend(idx):
         if idx == len(pairs):
             qs = QuadraticSet(n, [table[p] for p in pairs])
-            rep = check_properties(qs).as_dict()
+            rep = check_properties(qs)._asdict()
             if all(rep[name] for name in mask):
                 found.append(qs)
             return
@@ -256,7 +256,7 @@ def orderly_enumerate_solutions(n, predicate=()):
             return
         if p == size:
             qs = QuadraticSet(n, table)
-            rep = check_properties(qs).as_dict()
+            rep = check_properties(qs)._asdict()
             if all(rep[name] for name in mask):
                 found.append(qs)
             return

@@ -1,6 +1,9 @@
 import io
 import json
 import os
+import random
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -399,25 +402,76 @@ def test_any_token_text_parses_or_fails_cleanly(header, size, body):
     assert "Traceback" not in err.getvalue()
 
 
-def test_default_linear_checks_the_braid_once(capsys, files, monkeypatch):
-    # the YBE of R = P Psi is the braid relation of Psi, so the default mode
-    # prints one check_braid under both keys and never calls check_matrix_ybe
-    calls = []
-    braid = linr.check_braid
+# (table name, n, r_table, default `ybx linear` output); the last two are the
+# flip, which is not idempotent, and an idempotent set that is not braided
+LINEAR_SETS = [
+    ("cycle3", None, None, "braid: True\nidempotent: True\nybe: True\n"),
+    ("mixed3", None, None, "braid: True\nidempotent: True\nybe: True\n"),
+    ("flip2", 2, quadset.make_named("flip", 2).r_table,
+     "braid: True\nidempotent: False\nybe: True\n"),
+    ("unbraided3", 3, ((0, 0), (1, 0), (2, 0), (1, 0), (0, 0), (2, 0), (2, 0), (0, 0), (1, 0)),
+     "braid: False\nidempotent: True\nybe: False\n"),
+]
 
-    def counted(psi):
-        calls.append("check_braid")
-        return braid(psi)
 
-    def refused(rmat):
-        raise AssertionError("check_matrix_ybe repeats check_braid")
-    monkeypatch.setattr(linr, "check_braid", counted)
-    monkeypatch.setattr(linr, "check_matrix_ybe", refused)
-    for name in ("cycle3", "mixed3"):
-        calls.clear()
-        code, out = run(capsys, "linear", files[name])
-        assert code == 0 and out == "braid: True\nidempotent: True\nybe: True\n"
-        assert calls == ["check_braid"]
+def test_default_linear_builds_no_operator(capsys, files, tmp_path, monkeypatch):
+    # Psi sends each basis pair to one basis pair, so the braid relation and
+    # Psi^2 = Psi are questions about r that quadset's tests answer
+    def refused(*args):
+        raise AssertionError("the default mode built or checked an operator")
+    for name in ("linearize", "check_braid", "check_matrix_ybe", "check_idempotent"):
+        monkeypatch.setattr(linr, name, refused)
+    for name, n, table, want in LINEAR_SETS:
+        path = files.get(name) or tmp_path / f"{name}.ybx"
+        if table is not None:
+            path.write_text(cli.render_solution(quadset.QuadraticSet(n, table)))
+        assert run(capsys, "linear", str(path)) == (0, want), name
+
+
+def test_default_linear_matches_the_operator_checks(capsys, tmp_path):
+    # the operator path is the oracle: braid and ybe are check_braid on Psi,
+    # idempotent is check_idempotent on Psi
+    rng = random.Random(30)
+    path, seen = tmp_path / "r.ybx", set()
+    for k in range(60):
+        n = rng.randint(1, 4)
+        pairs = [divmod(p, n) for p in range(n * n)]
+        if k % 2:
+            table = [rng.choice(pairs) for _ in pairs]
+        else:
+            # idempotent: the images are fixed points
+            fixed = rng.sample(pairs, rng.randint(1, n * n))
+            table = [p if p in fixed else rng.choice(fixed) for p in pairs]
+        qs = quadset.QuadraticSet(n, table)
+        path.write_text(cli.render_solution(qs))
+        code, out = run(capsys, "linear", str(path), "--json")
+        psi, _ = linr.linearize(qs)
+        braid = linr.check_braid(psi)
+        want = {"braid": braid, "ybe": braid, "idempotent": linr.check_idempotent(psi)}
+        assert code == 0 and json.loads(out) == want, qs
+        seen.add((want["braid"], want["idempotent"]))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_default_linear_on_the_64_cycle_stays_small(tmp_path):
+    # a child reports its own peak RSS (KiB on Linux); building Psi's lifts
+    # on V^(x)3 took about 170 MiB here
+    path = tmp_path / "cycle64.ybx"
+    path.write_text("ybx v1\nsize 64\npermutation "
+                    + " ".join(str(i % 64 + 1) for i in range(1, 65)) + "\n")
+    code = ("import resource, sys\n"
+            "from ybx import cli\n"
+            "try:\n"
+            "    cli.main(['linear', sys.argv[1]])\n"
+            "except SystemExit as exc:\n"
+            "    print('exit', exc.code or 0)\n"
+            "print('rss', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out[:4] == ["braid: True", "idempotent: True", "ybe: True", "exit 0"]
+    assert int(out[4].split()[1]) < 64 * 1024, out[4]
 
 
 @pytest.mark.parametrize("argv", [["hilbert"], ["veronese", "-d", "3"]])

@@ -74,8 +74,15 @@ def test_matrix_level_gate_needs_idempotent_psi(gate):
     MATRIX_GATES[gate](*linr.linearize(GOOD))
 
 
-def test_report_require_raises_the_first_failing_property():
-    rep = quadset.check_properties(quadset.make_named("flip", 2))
-    rep.require("anything", "braided", "left_nondegenerate")
+def test_require_properties_raises_the_first_failing_property():
+    flip = quadset.make_named("flip", 2)
+    quadset.require_properties(flip, "anything", "braided", "left_nondegenerate")
     with pytest.raises(NotIdempotent, match="^the check needs an idempotent set$"):
-        rep.require("the check", "braided", "idempotent")
+        quadset.require_properties(flip, "the check", "braided", "idempotent")
+    # the constant map to (x_1, x_2) is neither left-nondegenerate nor
+    # braided: the error is that of the first name given
+    qs = quadset.QuadraticSet(3, [(0, 1)] * 9)
+    with pytest.raises(NotLeftNondegenerate, match="^x needs a left-nondegenerate set$"):
+        quadset.require_properties(qs, "x", "left_nondegenerate", "braided")
+    with pytest.raises(NotBraided, match="^x needs a braided set$"):
+        quadset.require_properties(qs, "x", "braided", "left_nondegenerate")

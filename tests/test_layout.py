@@ -1,6 +1,7 @@
 """Module layout of src/ybx: imports sit at the top of each module, the
-package's own modules import one another without a cycle, every
-function the bench traces exists, diffcalc multiplies polynomials in one
+package's own modules import one another without a cycle, the CLI
+decides no property of a set on an operator, every function the bench
+traces exists, diffcalc multiplies polynomials in one
 place, one routine stores word normal forms, the ncgb oracle shares
 no completion or word normal-form code with the module it checks, linr
 bounds its tensor powers in one place, linr's RationalMatrix does no
@@ -88,6 +89,14 @@ def test_property_errors_come_from_one_gate():
              for module, tree in MODULES.items() for where in uses(tree, error)
              if module not in allowed or allowed[module] not in (None, where)]
     assert not stray, "property errors raised outside the gates: " + ", ".join(stray)
+
+
+def test_the_cli_decides_no_property_on_an_operator():
+    # a set's properties are quadset's tests; the operator checks are for
+    # R-matrices that come from no set
+    found = {name: uses(MODULES["cli"], name)
+             for name in ("check_braid", "check_matrix_ybe", "check_idempotent")}
+    assert not any(found.values()), found
 
 
 def test_only_ncgb_compares_against_the_degree_bound():

@@ -135,8 +135,8 @@ def test_cartesian_product_preserves_structure(cycle3, mixed3):
 def test_relabel_preserves_properties(table, sigma):
     qs = quadset.QuadraticSet(3, table)
     other = quadset.relabel(qs, list(sigma))
-    assert (quadset.check_properties(qs).as_dict()
-            == quadset.check_properties(other).as_dict())
+    assert (quadset.check_properties(qs)._asdict()
+            == quadset.check_properties(other)._asdict())
     assert quadset.canonical_form(qs) == quadset.canonical_form(other)
 
 
@@ -168,7 +168,7 @@ def test_enumerate_agrees_with_brute_force_n2():
         brute = set()
         for table in product(product(range(2), repeat=2), repeat=4):
             qs = quadset.QuadraticSet(2, table)
-            if all(quadset.check_properties(qs).as_dict()[m] for m in mask):
+            if all(quadset.check_properties(qs)._asdict()[m] for m in mask):
                 brute.add(quadset.canonical_form(qs))
         assert fancy == brute
 
@@ -312,8 +312,8 @@ def test_enumerated_tables_are_plain_quadratic_sets(n, masks):
 def test_property_report_matches_oracle_on_all_tables_n2():
     for table in product(product(range(2), repeat=2), repeat=4):
         qs = quadset.QuadraticSet(2, table)
-        assert (quadset.check_properties(qs).as_dict()
-                == quadset_oracle.check_properties(qs).as_dict()), table
+        assert (quadset.check_properties(qs)._asdict()
+                == quadset_oracle.check_properties(qs)._asdict()), table
 
 
 @settings(max_examples=80, deadline=None)
@@ -368,8 +368,8 @@ def tables_of_size(n):
 def test_property_report_matches_oracle_and_keeps_the_value(case):
     n, table = case
     checked, read = quadset.QuadraticSet(n, table), quadset.QuadraticSet(n, table)
-    assert (quadset.check_properties(checked).as_dict()
-            == quadset_oracle.check_properties(read).as_dict())
+    assert (quadset.check_properties(checked)._asdict()
+            == quadset_oracle.check_properties(read)._asdict())
     fresh = quadset.QuadraticSet(n, table)
     for used in (read, checked):
         assert fresh == used and hash(fresh) == hash(used) and repr(fresh) == repr(used)

@@ -141,8 +141,8 @@ def test_orbit_decomposition_length_is_its_orbit_count():
 
 def test_property_report_dict_follows_property_names():
     report = quadset.check_properties(BASE)
-    assert tuple(report.as_dict()) == quadset.PROPERTY_NAMES
-    assert report.as_dict() == {name: getattr(report, name)
+    assert tuple(report._asdict()) == quadset.PROPERTY_NAMES
+    assert report._asdict() == {name: getattr(report, name)
                                 for name in quadset.PROPERTY_NAMES}
 
 
