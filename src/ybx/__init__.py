@@ -1,7 +1,1 @@
 """Finite set-theoretic Yang-Baxter solutions and their quadratic algebras."""
-
-from . import (braidmon, diffcalc, growth, linr, ncgb, orbits, quadset,
-               verseg)
-
-__all__ = ["braidmon", "diffcalc", "growth", "linr", "ncgb", "orbits",
-           "quadset", "verseg"]

@@ -24,10 +24,10 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import product
 
-from .errors import CheckFailed, InvalidArgument
-from .ncgb import normal_form_word, normal_words
+from .errors import CheckFailed, InvalidArgument, SizeTooLarge
+from .ncgb import hilbert_series, normal_form_word, normal_words
 from .orbits import canonical_basis
-from .quadset import QuadraticSet, require_properties
+from .quadset import MAX_SIZE, QuadraticSet, require_properties
 
 
 class WordActions:
@@ -101,7 +101,8 @@ VeroneseSolution = namedtuple("VeroneseSolution", "d base labels")
 
 
 def veronese_solution(qs, d, wa=None):
-    """The d-Veronese solution on the normal words of length d; wa is qs's."""
+    """The d-Veronese solution on the normal words of length d; wa is qs's.
+    More than MAX_SIZE such words raise SizeTooLarge before any is listed."""
     require_properties(qs, "Veronese solutions", "braided")
     if wa is not None and wa.qs != qs:
         raise InvalidArgument("the word actions were built for another set")
@@ -115,6 +116,11 @@ def _veronese(wa, d):
     if d == 1:
         return VeroneseSolution(1, wa.qs, tuple((i,) for i in range(wa.qs.n)))
     wa.gb.require_degree(2 * d, f"the level-{d} Veronese solution")
+    # there are at most n^d normal words of length d: count them only past the bound
+    if wa.qs.n ** d > MAX_SIZE and \
+            (size := hilbert_series(wa.gb, d).coefficients[d]) > MAX_SIZE:
+        raise SizeTooLarge(f"the level-{d} Veronese solution has {size} points, "
+                           f"more than {MAX_SIZE}")
     labels = tuple(normal_words(wa.gb, d))
     index = {w: i for i, w in enumerate(labels)}
     table = []

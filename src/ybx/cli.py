@@ -21,9 +21,7 @@ from itertools import product
 
 from . import braidmon, diffcalc, growth, linr, ncgb, orbits, quadset, verseg
 from .errors import InvalidArgument, NotABijection, ParseError, YbxError
-
-# a size-n table has n^2 entries; this caps it at 65,536
-MAX_SIZE = 256
+from .quadset import MAX_SIZE
 
 
 def _decimals(words, base, message, line):

@@ -23,6 +23,9 @@ REQUIREMENTS = {"braided": (NotBraided, "a braided set"),
                 "idempotent": (NotIdempotent, "an idempotent set"),
                 "left_nondegenerate": (NotLeftNondegenerate, "a left-nondegenerate set")}
 
+# the most points a solution file or a built Veronese solution has: 65,536 table entries
+MAX_SIZE = 256
+
 
 # a solution (X, r), immutable: r_table holds the n*n pairs r(x_i, x_j) at i*n+j, 0-based
 class QuadraticSet(namedtuple("QuadraticSet", "n r_table")):

@@ -8,7 +8,8 @@ the normal form split back into a product of two length-d normal words.
 The Segre product of two algebras from left-nondegenerate idempotent
 solutions is presented on generators z_{ia} with relations rewriting
 z_{ia} z_{jb} to z_{11} z_{k l}; this coincides with the canonical
-relations of the product solution.
+relations of the product solution.  The morphism check compares r-orbit
+partitions: a set's degree-2 relations are differences of basis pairs.
 """
 
 from collections import namedtuple
@@ -16,9 +17,8 @@ from fractions import Fraction
 
 from .errors import InsufficientDegree
 from .braidmon import WordActions, _veronese
-from .linr import RationalMatrix, linearize, splus_relations, subspace_equal
 from .ncgb import complete, hilbert_series, normal_form_word, normal_words
-from .orbits import canonical_basis, canonical_relations, idempotent_structure
+from .orbits import canonical_basis, canonical_relations, idempotent_structure, r_orbits
 from .quadset import cartesian_product, require_properties
 
 
@@ -107,7 +107,11 @@ def segre_morphism_check(qsX, qsY, D):
         for 2 <= d <= D, matching the diagonal subalgebra;
     (c) the degree-2 relation space image(id - Psi) of the product
         solution equals sigma_23(R_A (x) W (x) W + V (x) V (x) R_B), R_A and
-        R_B those of the factors, by exact rank.
+        R_B those of the factors.  As (id - Psi) e_p = e_p - e_r(p), the
+        first is {x : x sums to 0 over each r-orbit}; the second is spanned
+        by moves of one factor at a time, so its classes are the pairs
+        (X-orbit of (i, j), Y-orbit of (a, b)).  A span of differences of
+        basis vectors is fixed by its partition, so (c) compares partitions.
     """
     n, m = qsX.n, qsY.n
     prod = cartesian_product(qsX, qsY)
@@ -120,29 +124,18 @@ def segre_morphism_check(qsX, qsY, D):
     dims_ok = all(c == n * m for c in hilbert_series(gbP, D).coefficients[2:])
 
     # (c) degree-2 relation spaces agree
-    mixed = _mixed_relations(_relation_space(qsX), _relation_space(qsY), n, m)
-    rel_ok = subspace_equal(_relation_space(prod), mixed)
+    rel_ok = _same_orbit_partition(qsX, qsY, prod)
 
     return {"relations_vanish": True, "dims_ok": dims_ok,
             "relation_space_ok": rel_ok, "ok": dims_ok and rel_ok}
 
 
-def _relation_space(qs):
-    """Rows spanning the degree-2 relation space image(id - Psi) of qs."""
-    return splus_relations(linearize(qs)[1])
-
-
-def _mixed_relations(relX, relY, n, m):
-    """Rows spanning sigma_23(R_A (x) W (x) W + V (x) V (x) R_B), given rows
-    spanning R_A in V (x) V and R_B in W (x) W, n = dim V and m = dim W."""
-    nm = n * m
-
-    # sigma_23 sends (i (x) a) (x) (j (x) b) to component order (i, j, a, b)
-    def s23(i, j, a, b):
-        return (i * m + a) * nm + j * m + b
-
-    vecs = [{s23(*divmod(p, n), *divmod(ab, m)): c for p, c in row.items()}
-            for row in relX.vecs for ab in range(m * m)]
-    vecs += [{s23(*divmod(ij, n), *divmod(p, m)): c for p, c in row.items()}
-             for ij in range(n * n) for row in relY.vecs]
-    return RationalMatrix(vecs, cols=nm * nm)
+def _same_orbit_partition(qsX, qsY, prod):
+    """Whether the r-orbits of prod = X x Y and the classes (X-orbit of (i, j),
+    Y-orbit of (a, b)) partition the pairs ((i, a), (j, b)) alike: exactly
+    when the joint labels are as many as the labels on either side."""
+    m = qsY.n
+    ox, oy, op = (r_orbits(qs) for qs in (qsX, qsY, prod))
+    joint = {(idx, ox.orbit_of[u // m, v // m], oy.orbit_of[u % m, v % m])
+             for (u, v), idx in op.orbit_of.items()}
+    return len(joint) == len(op) == len(ox) * len(oy)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import braidmon_oracle
 from ybx import braidmon, ncgb, quadset
-from ybx.errors import CheckFailed, InsufficientDegree, InvalidArgument, NotBraided
+from ybx.errors import (CheckFailed, InsufficientDegree, InvalidArgument, NotBraided,
+                        SizeTooLarge)
 
 # the level-2 solution of the mixed3 set: left action of the second
 # label is the 3-cycle, the third its inverse, right actions collapse
@@ -161,6 +162,28 @@ def test_veronese_solution_refuses_word_actions_of_another_set(cycle3, mixed3):
         braidmon.veronese_solution(cycle3, 2, braidmon.WordActions(mixed3, 4))
     wa = braidmon.WordActions(quadset.make_permutation_solution([1, 2, 0]), 4)
     assert braidmon.veronese_solution(cycle3, 2, wa) == braidmon.veronese_solution(cycle3, 2)
+
+
+def test_veronese_solution_past_max_size_is_refused_before_listing(monkeypatch, cycle3):
+    # under a bound of 16, the 2-point identity with its 2^d normal words of
+    # length d stops at d = 4; the count is read off the Hilbert series, and
+    # only when n^d passes the bound
+    monkeypatch.setattr(braidmon, "MAX_SIZE", 16)
+    ident2 = quadset.make_named("identity", 2)
+    counted = []
+    monkeypatch.setattr(braidmon, "hilbert_series",
+                        lambda gb, d: counted.append(d) or ncgb.hilbert_series(gb, d))
+    words = braidmon.normal_words
+    monkeypatch.setattr(braidmon, "normal_words", lambda gb, d: pytest.fail("words listed"))
+    for d in (5, 6):
+        with pytest.raises(SizeTooLarge, match=f"has {2 ** d} points, more than 16"):
+            braidmon.veronese_solution(ident2, d)
+    monkeypatch.setattr(braidmon, "normal_words", words)
+    assert braidmon.veronese_solution(ident2, 4).base.n == 16
+    # 3^2 = 9 words at most, so no count; 3^3 = 27, but the cycle has 3
+    assert braidmon.veronese_solution(cycle3, 2).base.n == 3
+    assert braidmon.veronese_solution(cycle3, 3).base.n == 3
+    assert counted == [5, 6, 3]
 
 
 def test_prolongation_periods(mixed3):

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -361,6 +362,18 @@ def test_size_above_the_cap_is_a_parse_error(capsys, tmp_path):
     assert code == 2 and err.startswith("error: line 2: size must be between 1 and")
     text = f"ybx v1\nsize {cli.MAX_SIZE}\nidentity\n"
     assert cli.parse_solution(text).n == cli.MAX_SIZE
+
+
+def test_veronese_past_max_size_is_refused_at_once(capsys, tmp_path):
+    # the level-6 solution of the 4-point identity has 4,096 points and a
+    # 16.7 M-entry table; the refusal counts the words without listing them
+    path = tmp_path / "identity4.ybx"
+    path.write_text("ybx v1\nsize 4\nidentity\n")
+    start = time.perf_counter()
+    code, err = run_error(capsys, "veronese", str(path), "-d", "6")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (2, "error: the level-6 Veronese solution has 4096 points, "
+                              "more than 256\n")
 
 
 def test_undecodable_file_is_a_usage_error(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Module layout of src/ybx: imports sit at the top of each module, the
-package's own modules import one another without a cycle, the CLI
+package's own modules import one another without a cycle, verseg
+decides its relation spaces without linr, the CLI
 decides no property of a set on an operator, every function the bench
 traces exists, diffcalc multiplies polynomials in one
 place, one routine stores word normal forms, the ncgb oracle shares
@@ -63,6 +64,15 @@ def test_package_import_graph_has_no_cycle():
     for name in sorted(graph):
         if name not in state:
             visit(name, [name])
+
+
+def test_verseg_imports_nothing_from_linr():
+    # a set's degree-2 relation spaces are spanned by pair differences, so
+    # the Segre check compares orbit partitions and builds no matrix
+    found = [node.lineno for node in ast.walk(MODULES["verseg"])
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and "linr" in imported_modules(node)]
+    assert not found, f"verseg imports linr at lines {found}"
 
 
 # the property errors and where each may be raised: module -> the one

@@ -1,10 +1,12 @@
+import random
+import sys
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 import linr_oracle
-from ybx import braidmon, linr, ncgb, orbits, quadset, verseg
+from ybx import braidmon, elim, ncgb, orbits, quadset, verseg
 from ybx.errors import InsufficientDegree, NotIdempotent
 
 
@@ -83,13 +85,6 @@ def test_segre_presentation_shape(rid2, mixed3):
         assert dst[0] == 0
 
 
-def id_minus_psi_rows(qs):
-    """The row space of id - Psi, reduced by the dense oracle and carried into linr."""
-    one = linr_oracle.RationalMatrix.identity(qs.n ** 2)
-    rows = one.sub(linr_oracle.linearize(qs)).row_space_basis()
-    return linr.RationalMatrix(rows.data, cols=rows.cols)
-
-
 def test_segre_morphism_checks(rid2, mixed3, cycle3):
     lat = quadset.enumerate_solutions(3, ["braided", "idempotent", "left_nondegenerate"])
     pairs = [(rid2, rid2), (mixed3, mixed3), (mixed3, rid2), (rid2, cycle3),
@@ -100,23 +95,54 @@ def test_segre_morphism_checks(rid2, mixed3, cycle3):
         assert result["dims_ok"]
         assert result["relation_space_ok"]
         assert result["ok"]
-        # the sparse sigma_23 rows span what the dense vectors span, given
-        # the row spaces of id - Psi that the dense oracle reads
-        rel_a, rel_b = map(id_minus_psi_rows, (a, b))
-        assert verseg._mixed_relations(rel_a, rel_b, a.n, b.n).row_space_basis().data \
-            == linr_oracle.segre_mixed_relations(a, b).data
+
+
+def random_set(rng, n):
+    pairs = [divmod(p, n) for p in range(n * n)]
+    return quadset.QuadraticSet(n, [rng.choice(pairs) for _ in pairs])
+
+
+def test_orbit_partitions_decide_what_the_ranks_decide():
+    # (c) by orbit partitions against the dense oracle's exact ranks: the
+    # rows of id - Psi on the product and the sigma_23 rows of the factors,
+    # on any tables, since the partition argument needs no property of r
+    rng = random.Random(32)
+    seen = set()
+    for _ in range(40):
+        a, b = (random_set(rng, rng.randint(1, 3)) for _ in range(2))
+        prod = quadset.cartesian_product(a, b)
+        rel = linr_oracle.RationalMatrix.identity(prod.n ** 2).sub(linr_oracle.linearize(prod))
+        want = linr_oracle.subspace_equal(rel, linr_oracle.segre_mixed_relations(a, b))
+        assert verseg._same_orbit_partition(a, b, prod) == want, (a, b)
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_segre_morphism_check_eliminates_nothing(monkeypatch):
+    # (b) completes word differences and (c) compares partitions, so no row
+    # is reduced, here on a product of 36 points
+    def refused(rows):
+        raise AssertionError("the Segre check eliminated")
+    monkeypatch.setattr(elim, "rref", refused)
+    cycle6 = quadset.make_permutation_solution([1, 2, 3, 4, 5, 0])
+    assert verseg.segre_morphism_check(cycle6, cycle6, 4)["ok"]
 
 
 def test_segre_computes_each_factor_once(monkeypatch, mixed3):
-    # (a) is the orbit test of idempotent_structure, so only the product
-    # is completed: one basis, and the orbits of each factor and the product
+    # (a) is the orbit test of idempotent_structure and (c) compares orbit
+    # partitions, so only the product is completed: one basis.  r_orbits runs
+    # on each factor for (a) and (c), and on the product for its canonical
+    # relations and (c); every name bound to either function is counted
     calls = []
-    for module, name in ((ncgb, "complete"), (orbits, "r_orbits")):
-        func = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, func=func, name=name, **k:
-                            calls.append(name) or func(*a, **k))
+    for func in (ncgb.complete, orbits.r_orbits):
+        def counted(*a, func=func, **k):
+            calls.append(func.__name__)
+            return func(*a, **k)
+        for module in [m for key, m in sys.modules.items() if key.startswith("ybx.")]:
+            for name in [name for name, value in vars(module).items() if value is func]:
+                monkeypatch.setattr(module, name, counted)
     assert verseg.segre_morphism_check(mixed3, mixed3, 4)["ok"]
-    assert sorted(calls) == ["complete"] + ["r_orbits"] * 3
+    assert sorted(calls) == ["complete"] + ["r_orbits"] * 6
 
 
 def test_segre_presentation_matches_product_relations(rid2):
