@@ -9,6 +9,9 @@ Solution file format (1-based indices, ASCII decimal digits):
 
 `#` starts a comment; a permutation, identity or flip line is the whole
 body.  Exit codes: 0 success, 1 property failure, 2 usage error.
+
+Each cmd_<name> handler imports the layers it runs as it opens, so that a
+command started cold loads no layer it never calls.
 """
 
 import argparse
@@ -16,10 +19,9 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from itertools import product
 
-from . import braidmon, diffcalc, growth, linr, ncgb, orbits, quadset, verseg
+from . import quadset
 from .errors import InvalidArgument, NotABijection, ParseError, YbxError
 from .quadset import MAX_SIZE
 
@@ -189,6 +191,7 @@ def cmd_check(args):
 
 @command()
 def cmd_orbits(args):
+    from . import orbits
     dec = orbits.r_orbits(_load(args.solution))
     return {"orbit_count": len(dec),
             "orbits": [sorted(map(_pair, orb.members)) for orb in dec.orbits],
@@ -198,6 +201,7 @@ def cmd_orbits(args):
 
 @command()
 def cmd_relations(args):
+    from . import orbits
     rels = orbits.canonical_relations(_load(args.solution)).relations
     return {"relations": [f"{_pretty_word(u)} - {_pretty_word(v)}"
                           for u, v in rels]}, 0
@@ -205,6 +209,7 @@ def cmd_relations(args):
 
 @command()
 def cmd_groebner(args):
+    from . import orbits
     gb = orbits.canonical_basis(_load(args.solution), args.max_deg)
     if not gb.complete:
         print("warning: basis truncated at the degree bound", file=sys.stderr)
@@ -215,6 +220,7 @@ def cmd_groebner(args):
 
 @command()
 def cmd_hilbert(args):
+    from . import ncgb, orbits
     gb = orbits.canonical_basis(_load(args.solution), args.max_deg)
     hp = ncgb.hilbert_series(gb, args.max_deg - 1)
     return {"coefficients": list(hp.coefficients), "exact": hp.exact}, 0
@@ -222,6 +228,7 @@ def cmd_hilbert(args):
 
 @command()
 def cmd_dims(args):
+    from . import growth, orbits
     gb = orbits.canonical_basis(_load(args.solution), args.max_deg)
     gn, gw = orbits.basis_graphs(gb)
     gk, gl = growth.gk_dimension(gn), growth.global_dimension(gw)
@@ -233,6 +240,7 @@ def cmd_dims(args):
 
 @command(tail=(arg("--basepoint", type=int, default=1),))
 def cmd_tournament(args):
+    from . import growth, orbits
     qs = _load(args.solution)
     if not 1 <= args.basepoint <= qs.n:
         raise InvalidArgument(f"--basepoint must be in 1..{qs.n}, not {args.basepoint}")
@@ -246,6 +254,7 @@ def cmd_tournament(args):
 
 @command(tail=(arg("-d", type=int, default=2),))
 def cmd_veronese(args):
+    from . import braidmon
     vs = braidmon.veronese_solution(_load(args.solution), args.d)
     return {"d": args.d, "size": vs.base.n,
             "labels": [_pretty_word(w) for w in vs.labels],
@@ -254,6 +263,7 @@ def cmd_veronese(args):
 
 @command(tail=(arg("--max-d", type=int, default=4),))
 def cmd_prolong(args):
+    from . import braidmon
     qs = _load(args.solution)
     data = braidmon.prolongation_sequence(qs, args.max_d)
     return {"period": data.period, "distinct": data.distinct_count,
@@ -263,17 +273,22 @@ def cmd_prolong(args):
 
 @command(head=(arg("solution"), arg("solution_b")))
 def cmd_segre(args):
+    from . import verseg
     a, b = _load(args.solution), _load(args.solution_b)
     result = verseg.segre_morphism_check(a, b, max(3, min(args.max_deg - 1, 4)))
     return result, 0 if result["ok"] else 1
 
 
-@command(tail=tuple(arg(f"--{flag}", **FLAG) for flag in
-                    ("frt", "bmat", "koszul", "nichols", "transpose", "ybe")))
+# the linear flags that need linr; with none of them, linear runs --ybe
+LINR_FLAGS = ("frt", "bmat", "koszul", "nichols", "transpose")
+
+
+@command(tail=tuple(arg(f"--{flag}", **FLAG) for flag in LINR_FLAGS + ("ybe",)))
 def cmd_linear(args):
+    if any(getattr(args, flag) for flag in LINR_FLAGS):
+        from . import linr
     qs = _load(args.solution)
-    ybe = args.ybe or not any((args.frt, args.bmat, args.koszul,
-                               args.nichols, args.transpose))
+    ybe = args.ybe or not any(getattr(args, flag) for flag in LINR_FLAGS)
     if args.frt or args.bmat or args.transpose:
         _, rmat = linr.linearize(qs)
     report = {}
@@ -304,6 +319,8 @@ def cmd_linear(args):
 @command(head=(arg("--params", default="1,0,1,0",
                    help="alpha,beta,lambda,mu as rationals"),))
 def cmd_calculus(args):
+    from fractions import Fraction
+    from . import diffcalc
     params = [p.strip() for p in args.params.split(",")]
     if len(params) != 4:
         raise InvalidArgument("--params needs alpha,beta,lambda,mu")
@@ -332,6 +349,7 @@ def cmd_enumerate(args):
 @command(tail=([arg("--gn", **FLAG), arg("--gw", **FLAG), arg("--orbit", **FLAG)],
                arg("--dot", **FLAG)))
 def cmd_graph(args):
+    from . import growth, orbits
     qs = _load(args.solution)
     if args.orbit:
         g = orbits.orbit_graph(qs)

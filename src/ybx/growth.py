@@ -11,8 +11,6 @@ the strongly connected components of one Tarjan pass.
 
 from collections import namedtuple
 from functools import cached_property
-from heapq import heapify, heappop, heappush
-from itertools import combinations
 
 from .errors import CheckFailed, InvalidArgument, PreconditionViolated
 
@@ -138,10 +136,6 @@ def gk_dimension(g):
     return GrowthClass.polynomial(_heaviest_path(g, comps, comp_of, weights))
 
 
-def has_cycle(g):
-    return any(cyclic for _, cyclic in _components(g)[0])
-
-
 def global_dimension(gw):
     """Infinite iff the obstruction graph has a cycle, else 1 + longest path."""
     comps, comp_of = _components(gw)
@@ -149,30 +143,6 @@ def global_dimension(gw):
         return GlDim.infinite()
     # acyclic: every component is one vertex, and a path of k vertices has k - 1 arrows
     return GlDim.finite(max(1, _heaviest_path(gw, comps, comp_of, [1] * len(comps))))
-
-
-def topological_order(g):
-    """The least topological order of an acyclic digraph (ignoring
-    self-arrows)."""
-    n = g.vertex_count
-    indeg = [0] * n
-    for u, v in g.edges:
-        if u != v:
-            indeg[v] += 1
-    ready = [u for u in range(n) if indeg[u] == 0]
-    heapify(ready)
-    order = []
-    while ready:
-        u = heappop(ready)
-        order.append(u)
-        for v in g.adjacency[u]:
-            if v != u:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    heappush(ready, v)
-    if len(order) != n:
-        raise InvalidArgument("graph is not acyclic")
-    return order
 
 
 def _reachable(adj, src):
@@ -217,21 +187,6 @@ def tournament_structure(gn, basepoint):
     if cond_growth != cond_shape:
         raise CheckFailed("growth, tournament shape and relabeling disagree")
     return {"matches": cond_shape, "relabeling": relabeling}
-
-
-def extend_to_acyclic_tournament(g):
-    """Complete an acyclic digraph to an acyclic tournament on the same
-    vertices, orienting missing edges along a topological order."""
-    order = topological_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    edges = set(g.edges)
-    for u, v in combinations(range(g.vertex_count), 2):
-        if (u, v) not in edges and (v, u) not in edges:
-            edges.add((u, v) if pos[u] < pos[v] else (v, u))
-    out = DirectedGraph(g.vertex_count, frozenset(edges))
-    if has_cycle(out):
-        raise CheckFailed("the completed tournament has a cycle")
-    return out
 
 
 def to_dot(g, name="G", labels=None):

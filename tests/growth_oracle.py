@@ -6,8 +6,10 @@ longest_path_length take longest paths with recursive memo closures;
 tournament_structure runs one full-edge-scan search per vertex to find
 what reaches the basepoint.  ybx.growth answers the same questions from
 one Tarjan pass with components in topological order.  The graph and
-result types come from ybx.growth unchanged.  topological_order raises
-InvalidArgument on a cycle, the toolkit error ybx.growth raises there.
+result types come from ybx.growth unchanged.  has_cycle,
+topological_order and extend_to_acyclic_tournament live only here:
+nothing in ybx called them.  topological_order raises InvalidArgument on
+a cycle.
 """
 
 from itertools import combinations

@@ -467,24 +467,76 @@ def test_default_linear_matches_the_operator_checks(capsys, tmp_path):
 
 
 def test_default_linear_on_the_64_cycle_stays_small(tmp_path):
-    # a child reports its own peak RSS (KiB on Linux); building Psi's lifts
-    # on V^(x)3 took about 170 MiB here
+    # a child reports its own peak RSS in KiB, as VmHWM, which exec resets:
+    # ru_maxrss keeps the high-water mark of the forked pytest process.
+    # Building Psi's lifts on V^(x)3 took about 170 MiB
     path = tmp_path / "cycle64.ybx"
     path.write_text("ybx v1\nsize 64\npermutation "
                     + " ".join(str(i % 64 + 1) for i in range(1, 65)) + "\n")
-    code = ("import resource, sys\n"
+    code = ("import sys\n"
             "from ybx import cli\n"
             "try:\n"
             "    cli.main(['linear', sys.argv[1]])\n"
             "except SystemExit as exc:\n"
             "    print('exit', exc.code or 0)\n"
-            "print('rss', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(line for line in fh if line.startswith('VmHWM:')))\n")
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src_dir)
     out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
                          capture_output=True, text=True, check=True).stdout.splitlines()
     assert out[:4] == ["braid: True", "idempotent: True", "ybe: True", "exit 0"]
     assert int(out[4].split()[1]) < 64 * 1024, out[4]
+
+
+# the layers each command loads besides cli, errors and quadset, and which
+# of dataclasses and fractions; orbits brings ncgb, elim and growth
+ORBITS = {"ybx.orbits", "ybx.ncgb", "ybx.elim", "ybx.growth", "dataclasses", "fractions"}
+BRAIDMON = ORBITS | {"ybx.braidmon"}
+COLD_LOADS = [
+    ("check {cycle3}", set()),
+    ("enumerate -n 2", set()),
+    ("linear {cycle3}", set()),
+    ("linear {cycle3} --ybe", set()),
+    ("linear {rid2} --koszul", {"ybx.linr", "ybx.elim", "fractions"}),
+    ("linear {rid2} --frt", {"ybx.linr", "ybx.elim", "fractions"}),
+    ("orbits {mixed3}", ORBITS),
+    ("relations {cycle3}", ORBITS),
+    ("groebner {mixed3}", ORBITS),
+    ("hilbert {cycle3}", ORBITS),
+    ("dims {mixed3}", ORBITS),
+    ("tournament {rid2}", ORBITS),
+    ("graph {cycle3}", ORBITS),
+    ("veronese {mixed3}", BRAIDMON),
+    ("prolong {mixed3}", BRAIDMON),
+    ("segre {rid2} {rid2}", BRAIDMON | {"ybx.verseg"}),
+    ("calculus", {"ybx.diffcalc", "ybx.ncgb", "ybx.linr", "ybx.elim",
+                  "dataclasses", "fractions"}),
+]
+
+
+@pytest.mark.parametrize("command, loads", COLD_LOADS, ids=[c for c, _ in COLD_LOADS])
+def test_a_cold_command_loads_only_the_layers_it_runs(files, command, loads):
+    # a fresh interpreter, so nothing an earlier test imported is counted
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from ybx import cli\n"
+            "try:\n"
+            "    cli.main(sys.argv[2:])\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code or 0)\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('ybx.')\n"
+            "              or m in ('dataclasses', 'fractions')))\n")
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    out = subprocess.run([sys.executable, "-I", "-c", code, src_dir,
+                          *command.format(**files).split()],
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out[-2] in ("0", "1"), out
+    assert set(out[-1].split()) == {"ybx.cli", "ybx.errors", "ybx.quadset"} | loads
+
+
+def test_the_cold_table_runs_every_command():
+    assert {c.split()[0] for c, _ in COLD_LOADS} == {name for name, _, _ in cli.COMMANDS}
 
 
 @pytest.mark.parametrize("argv", [["hilbert"], ["veronese", "-d", "3"]])

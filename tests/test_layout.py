@@ -1,4 +1,5 @@
-"""Module layout of src/ybx: imports sit at the top of each module, the
+"""Module layout of src/ybx: imports sit at the top of each module, but
+for the layers and fractions a CLI command imports as it opens, the
 package's own modules import one another without a cycle, verseg
 decides its relation spaces without linr, the CLI
 decides no property of a set on an operator, every function the bench
@@ -33,14 +34,63 @@ def imported_modules(node):
     return {alias.name for alias in node.names}      # from . import a, b
 
 
-def test_no_import_inside_a_function():
+def opening_imports(func):
+    """The imports that open a function: its leading import statements and
+    those of leading ifs that hold nothing else."""
     found = []
-    for name, tree in MODULES.items():
-        for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found += [f"{name}.py:{node.lineno}" for node in ast.walk(func)
-                          if isinstance(node, (ast.Import, ast.ImportFrom))]
-    assert not found, f"function-local imports at {sorted(set(found))}"
+    for stmt in func.body:
+        body = stmt.body if isinstance(stmt, ast.If) and not stmt.orelse else [stmt]
+        if not all(isinstance(node, (ast.Import, ast.ImportFrom)) for node in body):
+            break
+        found += body
+    return found
+
+
+def lazy_import(node):
+    """Whether node imports only ybx layers or fractions."""
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return node.module == "fractions"
+    return isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+
+
+def function_local_imports(name, tree):
+    """The lines of module `name` that import inside a function, but for the
+    imports of layers or fractions that open a CLI command: a cold command
+    then loads no layer it never calls."""
+    found = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lazy = (opening_imports(func) if name == "cli"
+                    and func.name.startswith("cmd_") else [])
+            found |= {node.lineno for node in ast.walk(func)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))
+                      and not (node in lazy and lazy_import(node))}
+    return found
+
+
+def test_no_import_inside_a_function():
+    found = [f"{name}.py:{line}" for name, tree in MODULES.items()
+             for line in sorted(function_local_imports(name, tree))]
+    assert not found, f"function-local imports at {found}"
+
+
+def test_only_a_command_may_open_with_a_layer_import():
+    tree = ast.parse(
+        "def cmd_a(args):\n"
+        "    from . import linr\n"
+        "    if args.x:\n"
+        "        from fractions import Fraction\n"
+        "    args.y = 1\n"
+        "    from . import ncgb\n"                # 6: after a statement
+        "def cmd_b(args):\n"
+        "    import json\n"                       # 8: not a layer
+        "    from .errors import YbxError\n"      # 9: a name, not a layer
+        "    def inner():\n"
+        "        from . import orbits\n"          # 11: not a command
+        "def helper():\n"
+        "    from . import orbits\n")             # 13: not a command
+    assert function_local_imports("cli", tree) == {6, 8, 9, 11, 13}
+    assert function_local_imports("orbits", tree) == {2, 4, 6, 8, 9, 11, 13}
 
 
 def test_package_import_graph_has_no_cycle():
