@@ -8,12 +8,14 @@ symbols R^a_i{}^b_j are stored as entry (output pair (a,b), input pair
 
 Operators are held and combined as sparse rows ({column: coeff} dicts of
 the nonzeros, coefficients following elim.coeff): products compose rows,
-id +- Psi adds Psi's rows to the identity's, and the flip permutes rows.
-Rank, kernel and span questions go through ybx.elim's exact elimination;
-a column space, such as image(Psi), is the row space of a transpose.
-RationalMatrix only carries a matrix into and out of linr.  Operators on
-V^(x)m are built for n^m <= MAX_TENSOR_DIM only.  Coefficients that leave
-the module are Fractions.
+Psi at tensor positions (pos, pos+1) moves the entries of the rows it is
+applied to, id +- Psi adds Psi's rows to the identity's, and the flip
+permutes rows.  A column space, such as image(Psi), is read from a
+transpose.  Rank, kernel and span questions go through ybx.elim; the
+Nichols check eliminates nothing.  RationalMatrix only carries a matrix
+into and out of linr.  Operators on V^(x)m are built for n^m <=
+MAX_TENSOR_DIM only, FRT and braided-matrix relations for n^4 <=
+MAX_QUADRUPLES.  Coefficients that leave the module are Fractions.
 """
 
 from fractions import Fraction
@@ -25,6 +27,7 @@ from .quadset import require_properties
 
 F1 = Fraction(1)
 MAX_TENSOR_DIM = 4096     # 8^4, the largest dim V^(x)m an operator is built for
+MAX_QUADRUPLES = 65536    # 16^4, the most index quadruples FRT relations run over
 
 
 class RationalMatrix:
@@ -76,8 +79,12 @@ class RationalMatrix:
         return _rank(self.vecs)
 
     def nullspace_basis(self):
-        """Basis of the right kernel, as a list of column vectors (lists)."""
-        return RationalMatrix(_kernel(self.vecs, self.cols).values(), cols=self.cols).data
+        """Basis of the right kernel as column vectors (lists): for each free
+        column c in order, the vector 1 at c and 0 at the other free columns."""
+        red, pivots = elim.rref(self.vecs)
+        free = sorted(set(range(self.cols)) - set(pivots))
+        return RationalMatrix([{c: 1, **{p: -row[c] for p, row in zip(pivots, red) if c in row}}
+                               for c in free], cols=self.cols).data
 
     def row_space_basis(self):
         """Nonzero rows of the reduced row echelon form."""
@@ -116,24 +123,9 @@ def _rank(rows):
     return len(elim.rref(rows)[1])
 
 
-def _kernel(rows, width):
-    """Basis of {v : row . v = 0 for every row}, keyed by the non-pivot
-    columns in order: vector c is 1 at c and 0 at every other free column."""
-    red, pivots = elim.rref(rows)
-    free = sorted(set(range(width)) - set(pivots))
-    return {fc: {fc: 1, **{p: -row[fc] for p, row in zip(pivots, red) if fc in row}}
-            for fc in free}
-
-
-def _same_span(a, b):
-    return _rank(a) == _rank(b) == _rank(a + b)
-
-
 def subspace_equal(a, b):
     """Row spaces of a and b coincide (exact rank comparison)."""
-    if a.cols != b.cols:
-        raise ShapeMismatch("ambient dimensions differ")
-    return _same_span(a.vecs, b.vecs)
+    return subspace_contains(a, b) and _rank(b.vecs) == _rank(a.vecs)
 
 
 def subspace_contains(a, b):
@@ -151,25 +143,34 @@ def linearize(qs):
     return psi, psi_from_r(psi)
 
 
-def _lift(rows, n, m, pos):
-    """The rows of an operator on V (x) V, given by its rows, acting at
-    tensor positions (pos, pos+1) of V^(x)m, n = dim V."""
-    nn = n * n
-    right = n ** (m - pos - 2)
+def _apply(rows, phi, n, m, pos):
+    """The rows of T Phi_pos, T on V^(x)m and Phi on V (x) V given by their
+    rows, Phi_pos acting at tensor positions (pos, pos+1), n = dim V: an entry
+    at column c moves along the row of Phi at c's digits pos, pos+1."""
+    nn, right = n * n, n ** (m - pos - 2)
+    moves = [[((kl - ij) * right, v) for kl, v in row.items()]
+             for ij, row in enumerate(phi)]
     out = []
-    for row in range(n ** m):
-        a, rest = divmod(row, nn * right)
-        ij, b = divmod(rest, right)
-        base = a * nn * right + b
-        out.append({base + kl * right: v for kl, v in rows[ij].items()})
+    for row in rows:
+        acc = {}
+        for c, x in row.items():
+            for d, v in moves[c // right % nn]:
+                y = acc.get(c + d, 0) + x * v
+                if y:
+                    acc[c + d] = y
+                else:
+                    del acc[c + d]
+        out.append(acc)
     return out
 
 
 def check_braid(psi):
     """Psi_1 Psi_2 Psi_1 = Psi_2 Psi_1 Psi_2 on V^(x)3."""
-    n = _tensor_dim(psi)
-    p1, p2 = _lift(psi.vecs, n, 3, 0), _lift(psi.vecs, n, 3, 1)
-    return _compose(p1, _compose(p2, p1)) == _compose(p2, _compose(p1, p2))
+    n = _tensor_dim(psi, 3)
+    left = right = [{c: 1} for c in range(n ** 3)]
+    for p in (0, 1, 0):
+        left, right = _apply(left, psi.vecs, n, 3, p), _apply(right, psi.vecs, n, 3, 1 - p)
+    return left == right
 
 
 def check_matrix_ybe(rmat):
@@ -190,12 +191,15 @@ def require_idempotent(psi, what):
         raise NotIdempotent(f"{what} needs an idempotent Psi")
 
 
-def _tensor_dim(mat):
+def _tensor_dim(mat, power=0):
+    """dim V for mat on V (x) V; V^(x)power is refused past MAX_TENSOR_DIM."""
     if mat.rows != mat.cols:
         raise ShapeMismatch("matrix is not square")
     n = round(mat.rows ** 0.5)
     if n * n != mat.rows:
         raise ShapeMismatch("dimension is not a perfect square")
+    if n ** power > MAX_TENSOR_DIM:
+        raise SizeTooLarge(f"V^(x){power} has dimension {n ** power} > {MAX_TENSOR_DIM}")
     return n
 
 
@@ -269,14 +273,12 @@ def koszul_dual_polynomials(qs):
 def braided_factorial(psi, m, sign=1):
     """[m, +-Psi]! = [m, +-Psi] ([m-1, +-Psi]! (x) id) with
     [m, Phi] = id + Phi_{m-1} + Phi_{m-2} Phi_{m-1} + ... + Phi_1...Phi_{m-1}."""
-    n = _tensor_dim(psi)
+    n = _tensor_dim(psi, m)
     return RationalMatrix(_factorial(psi.vecs, n, m, sign), cols=n ** m)
 
 
 def _factorial(rows, n, m, sign):
     """The rows of [m, +-Psi]!, Psi given by its rows."""
-    if n ** m > MAX_TENSOR_DIM:
-        raise SizeTooLarge(f"V^(x){m} has dimension {n ** m} > {MAX_TENSOR_DIM}")
     phi = rows if sign > 0 else [{c: -v for c, v in row.items()} for row in rows]
     fact = [{c: 1} for c in range(n)]
     for k in range(2, m + 1):
@@ -284,7 +286,7 @@ def _factorial(rows, n, m, sign):
         term = [{c * n + y: v for c, v in row.items()} for row in fact for y in range(n)]
         fact = [dict(row) for row in term]
         for pos in range(k - 2, -1, -1):
-            term = _compose(term, _lift(phi, n, k, pos))
+            term = _apply(term, phi, n, k, pos)
             for total, row in zip(fact, term):
                 elim.add_to(total, 1, row)
     return fact
@@ -299,44 +301,43 @@ def nichols_monomials(qs):
 
 def nichols_quadratic_check(psi, m):
     """ker A = I_m, the degree-m part of the ideal of image(Psi), A = [m, -Psi]!,
-    iff I_m lies in ker A: A is id plus signed nonempty products of the Psi_i,
-    each with image in I_m, so A v = 0 gives v = (id - A) v in I_m always."""
-    n = _tensor_dim(psi)
+    iff A I_m = 0: A is id plus signed nonempty products of the Psi_i, each with
+    image in I_m, so A v = 0 gives v = (id - A) v in I_m always.  A, read as
+    columns, is applied to the e_a (x) v (x) e_b spanning I_m, v a column of Psi."""
+    n = _tensor_dim(psi, m)
     require_idempotent(psi, "quadraticity")
-    kernel = _kernel(_factorial(psi.vecs, n, m, -1), n ** m)
-    # V^(x)pos (x) image(Psi) (x) V^(x)(m-pos-2): the rows of Psi^T lifted to pos
-    image = _transpose(psi.vecs, psi.cols)
-    ideal = [v for pos in range(m - 1) for v in _lift(image, n, m, pos)]
-    # v is in the kernel iff v - sum of v[c] kernel[c] over free columns c is 0
-    for v in ideal:
-        rest = dict(v)
-        for c in kernel.keys() & v.keys():
-            elim.add_to(rest, -v[c], kernel[c])
-        if rest:
-            return False
-    return True
+    cols = _transpose(_factorial(psi.vecs, n, m, -1), n ** m)
+    image = {tuple(v.items()) for v in _transpose(psi.vecs, psi.cols) if v}
+    ideal = [{(a * n * n + kl) * right + b: x for kl, x in v}
+             for pos in range(m - 1) for right in [n ** (m - pos - 2)]
+             for a, b in product(range(n ** pos), range(right)) for v in image]
+    return not any(_compose(cols, ideal))
 
 
-def _index(rmat, *slots):
-    """The nonzero R^up1_lo1{}^up2_lo2 as (up1, lo1, up2, lo2, value),
-    grouped by their indices at the given slots."""
+def _relation_index(rmat, *groupings):
+    """The index quadruples (i, j, k, l) R's relations run over, refused past
+    MAX_QUADRUPLES, and for each tuple of slots in groupings the nonzero
+    R^up1_lo1{}^up2_lo2 as (up1, lo1, up2, lo2, value) grouped at those slots."""
     n = _tensor_dim(rmat)
-    out = {}
+    if n ** 4 > MAX_QUADRUPLES:
+        raise SizeTooLarge(f"relations of R on {n} points run over {n ** 4} index "
+                           f"quadruples > {MAX_QUADRUPLES}")
+    index = [{} for _ in groupings]
     for r, row in enumerate(rmat.vecs):
         for c, v in row.items():
             e = (r // n, c // n, r % n, c % n, v)
-            out.setdefault(tuple(e[s] for s in slots), []).append(e)
-    return out
+            for slots, out in zip(groupings, index):
+                out.setdefault(tuple(e[s] for s in slots), []).append(e)
+    return product(range(n), repeat=4), index
 
 
 def frt_relations(rmat):
     """FRT bialgebra relations on generators t^i_j:
     sum_ab R^i_a{}^k_b t^a_j t^b_l - sum_ab t^k_b t^i_a R^a_j{}^b_l,
     over all (i, j, k, l); deduplicated and made monic."""
-    n = _tensor_dim(rmat)
-    by_up, by_lo = _index(rmat, 0, 2), _index(rmat, 1, 3)
+    quadruples, (by_up, by_lo) = _relation_index(rmat, (0, 2), (1, 3))
     rels = []
-    for i, j, k, l in product(range(n), repeat=4):
+    for i, j, k, l in quadruples:
         p = {}
         for _, a, _, b, c in by_up.get((i, k), ()):
             key = ((a, j), (b, l))
@@ -351,11 +352,10 @@ def frt_relations(rmat):
 def braided_matrix_relations(rmat):
     """Braided matrix algebra relations on generators u^i_j:
     sum R^k_a{}^i_b u^b_c R^c_j{}^a_d u^d_l - sum u^k_a R^a_b{}^i_c u^c_d R^d_j{}^b_l."""
-    n = _tensor_dim(rmat)
-    by_up, by_lo1_up2 = _index(rmat, 0, 2), _index(rmat, 1, 2)
-    by_up2, by_lo1_up2_lo2 = _index(rmat, 2), _index(rmat, 1, 2, 3)
+    quadruples, (by_up, by_lo1_up2, by_up2, by_lo1_up2_lo2) = _relation_index(
+        rmat, (0, 2), (1, 2), (2,), (1, 2, 3))
     rels = []
-    for i, j, k, l in product(range(n), repeat=4):
+    for i, j, k, l in quadruples:
         p = {}
         for _, a, _, b, v1 in by_up.get((k, i), ()):
             for c, _, _, d, v2 in by_lo1_up2.get((j, a), ()):

@@ -5,12 +5,14 @@ every operator on V^(x)m is built as a dense n^m x n^m matrix.  The FRT and
 braided-matrix relations loop over every index tuple.  The Segre
 relation vectors of ybx.verseg and the exterior calculus of ybx.diffcalc
 are built here as dense lists too.  Tests compare the sparse layer against
-these functions entry for entry.
+these functions entry for entry.  The sparse kernel-membership Nichols
+check that linr's column reading replaced closes the module.
 """
 
 from fractions import Fraction
 from itertools import product
 
+from ybx import elim, linr
 from ybx.errors import NotIdempotent, ShapeMismatch, SizeTooLarge
 
 F0 = Fraction(0)
@@ -417,3 +419,56 @@ def nichols_exterior(rmat):
             delta[n * b + a][col] -= c
     return {"wedge_rules": wedge, "mixed_rules": mixed,
             "dtheta_relations": RationalMatrix(delta).transpose().row_space_basis()}
+
+
+# ------------------------------ the sparse kernel-membership check linr replaced
+#
+# ybx.linr decides quadraticity by reading [m, -Psi]! as columns against
+# image(Psi).  The check below is the sparse one it replaced: it row-reduces
+# all n^m rows of the factorial to a kernel basis and reduces each generator
+# of I_m against it.  It reaches the 4,096 dimensions of linr's tensor bound,
+# past the dense oracle's 4^4.  It builds the factorial with linr._factorial,
+# whose rows tests compare with the dense braided_factorial above.
+
+
+def sparse_lift(rows, n, m, pos):
+    """The rows of an operator on V (x) V, given by its rows, acting at
+    tensor positions (pos, pos+1) of V^(x)m, n = dim V."""
+    nn = n * n
+    right = n ** (m - pos - 2)
+    out = []
+    for row in range(n ** m):
+        a, rest = divmod(row, nn * right)
+        ij, b = divmod(rest, right)
+        base = a * nn * right + b
+        out.append({base + kl * right: v for kl, v in rows[ij].items()})
+    return out
+
+
+def sparse_kernel(rows, width):
+    """Basis of {v : row . v = 0 for every row}, keyed by the non-pivot
+    columns in order: vector c is 1 at c and 0 at every other free column."""
+    red, pivots = elim.rref(rows)
+    free = sorted(set(range(width)) - set(pivots))
+    return {fc: {fc: 1, **{p: -row[fc] for p, row in zip(pivots, red) if fc in row}}
+            for fc in free}
+
+
+def kernel_nichols_quadratic_check(psi, m):
+    """ker A = I_m, the degree-m part of the ideal of image(Psi), A = [m, -Psi]!,
+    iff I_m lies in ker A: A is id plus signed nonempty products of the Psi_i,
+    each with image in I_m, so A v = 0 gives v = (id - A) v in I_m always."""
+    n = linr._tensor_dim(psi, m)
+    linr.require_idempotent(psi, "quadraticity")
+    kernel = sparse_kernel(linr._factorial(psi.vecs, n, m, -1), n ** m)
+    # V^(x)pos (x) image(Psi) (x) V^(x)(m-pos-2): the rows of Psi^T lifted to pos
+    image = linr._transpose(psi.vecs, psi.cols)
+    ideal = [v for pos in range(m - 1) for v in sparse_lift(image, n, m, pos)]
+    # v is in the kernel iff v - sum of v[c] kernel[c] over free columns c is 0
+    for v in ideal:
+        rest = dict(v)
+        for c in kernel.keys() & v.keys():
+            elim.add_to(rest, -v[c], kernel[c])
+        if rest:
+            return False
+    return True

@@ -376,6 +376,20 @@ def test_veronese_past_max_size_is_refused_at_once(capsys, tmp_path):
                               "more than 256\n")
 
 
+@pytest.mark.parametrize("flag", ["--frt", "--bmat"])
+def test_relations_past_the_quadruple_bound_exit_2(tmp_path, flag):
+    # n = 17 is the first size past linr.MAX_QUADRUPLES = 16^4
+    path = tmp_path / "flip17.ybx"
+    path.write_text("ybx v1\nsize 17\nflip\n")
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "ybx.cli", "linear", str(path), flag],
+                          env=dict(os.environ, PYTHONPATH=src_dir),
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: relations of R on 17 points run over 83521 index "
+                           "quadruples > 65536\n")
+
+
 def test_undecodable_file_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "binary.ybx"
     path.write_bytes(b"ybx v1\nsize 2\n\xff\xfe\n")

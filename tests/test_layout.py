@@ -265,16 +265,26 @@ def transposes(node):
 
 
 def test_the_braided_factorial_is_bounded_once_and_read_as_rows():
-    # one bound on n^m, where the factorial is built; the factorial and the
-    # Nichols kernel are rows, and image(Psi) is the one column space read
+    # one bound on n^m, read with n, which every builder of an operator on
+    # V^(x)m asks for, and one on the n^4 index quadruples of the FRT and
+    # braided-matrix relations; the factorial is built as rows, with Psi
+    # applied in place and never lifted, and the Nichols check eliminates
+    # nothing: it reads the factorial as columns through one transpose
     linr = MODULES["linr"]
-    assert uses(linr, "SizeTooLarge") == ["_factorial"]
+    assert uses(linr, "SizeTooLarge") == ["_tensor_dim", "_relation_index"]
     funcs = {node.name: node for node in linr.body if isinstance(node, ast.FunctionDef)}
+    for name in ("braided_factorial", "nichols_quadratic_check", "check_braid"):
+        dims = [ast.unparse(call) for call in ast.walk(funcs[name])
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_tensor_dim"]
+        assert dims in (["_tensor_dim(psi, m)"], ["_tensor_dim(psi, 3)"]), (name, dims)
+    assert "_lift" not in funcs and not uses(linr, "_lift")
     assert not transposes(funcs["braided_factorial"]) and not transposes(funcs["_factorial"])
     check = funcs["nichols_quadratic_check"]
-    kernel = next(call for call in ast.walk(check) if isinstance(call, ast.Call)
-                  and getattr(call.func, "id", None) == "_kernel")
-    assert len(transposes(check)) == 1 and not transposes(kernel)
+    names = {getattr(node, "id", None) or getattr(node, "attr", None)
+             for node in ast.walk(check)}
+    assert not names & {"_kernel", "_rank", "rref"}, names & {"_kernel", "_rank", "rref"}
+    assert [ast.unparse(call.args[0]) for call in transposes(check)
+            if "_factorial" in ast.unparse(call)] == ["_factorial(psi.vecs, n, m, -1)"]
 
 
 def test_rational_matrix_is_only_the_boundary_type():

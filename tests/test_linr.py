@@ -221,24 +221,62 @@ def test_nichols_quadratic(cycle3, mixed3, rid2):
             assert linr.nichols_quadratic_check(psi, m)
 
 
+def no_work(*args):
+    raise AssertionError("operator work before the bound was checked")
+
+
 def test_one_tensor_bound_names_the_dimension(monkeypatch):
     # 9^4 = 6561 > 4096 is refused before any operator on V^(x)4 is built
     psi, _ = linr.linearize(quadset.make_permutation_solution([*range(1, 9), 0]))
-
-    def no_work(*args):
-        raise AssertionError("factorial work before the bound was checked")
-    # every step of the factorial lifts Psi; the ideal is read after the kernel
-    monkeypatch.setattr(linr, "_lift", no_work)
+    # every step of the factorial applies Psi in place; the Nichols check
+    # reads the factorial's columns only once it is built
+    monkeypatch.setattr(linr, "_apply", no_work)
     monkeypatch.setattr(linr, "_transpose", no_work)
     for call in (linr.braided_factorial, linr.nichols_quadratic_check):
         with pytest.raises(SizeTooLarge, match="6561"):
             call(psi, 4)
 
 
+def test_braid_checks_stay_within_the_tensor_bound(monkeypatch):
+    # 16^3 = 4096 is decided; 17^3 = 4913 > 4096 is refused before any
+    # operator on V^(x)3 is built
+    psi, rmat = linr.linearize(quadset.make_permutation_solution([*range(1, 16), 0]))
+    assert linr.check_braid(psi) and linr.check_matrix_ybe(rmat)
+    psi, rmat = linr.linearize(quadset.make_permutation_solution([*range(1, 17), 0]))
+    monkeypatch.setattr(linr, "_apply", no_work)
+    for call, mat in ((linr.check_braid, psi), (linr.check_matrix_ybe, rmat)):
+        with pytest.raises(SizeTooLarge, match="4913"):
+            call(mat)
+
+
 def test_nichols_quadratic_past_the_old_cap():
     # n = 5 at m = 4 is 625 dimensions, under the 4,096 bound
     psi, _ = linr.linearize(quadset.make_permutation_solution([1, 2, 3, 4, 0]))
     assert linr.nichols_quadratic_check(psi, 4)
+
+
+def idempotent_table(n, rng):
+    """A random idempotent r: it fixes a random set of pairs, its image, and
+    sends every other pair into it."""
+    pairs = list(product(range(n), repeat=2))
+    image = rng.sample(pairs, rng.randint(1, len(pairs)))
+    return [p if p in image else rng.choice(image) for p in pairs]
+
+
+def test_nichols_check_matches_the_kernel_oracle():
+    # the oracle row-reduces [m, -Psi]! to a kernel basis; it reaches n = 6
+    # at m = 4 (1,296 dimensions), past the dense oracle's 4^4, at about
+    # 0.2 s a table there
+    rng = random.Random(5)
+    verdicts = []
+    for n in range(2, 7):
+        for _ in range(10 if n < 5 else 3):
+            psi, _ = linr.linearize(quadset.QuadraticSet(n, idempotent_table(n, rng)))
+            for m in (3, 4):
+                got = linr.nichols_quadratic_check(psi, m)
+                assert got == linr_oracle.kernel_nichols_quadratic_check(psi, m), (n, m)
+                verdicts.append(got)
+    assert set(verdicts) == {True, False}, verdicts.count(True)
 
 
 def frt_permutation_family(f):
@@ -524,9 +562,9 @@ def conjugate_idempotents(seed, count):
 
 
 def test_nichols_check_on_rational_idempotents_matches_dense_oracle():
-    # quadraticity is decided through the kernel's free columns plus one
-    # dimension; the oracle compares spans by rank.  Conjugates of a 0/1
-    # diagonal are idempotent but rarely braided, so both verdicts occur
+    # quadraticity is decided by applying [m, -Psi]! to a spanning set of
+    # I_m; the oracle compares spans by rank.  Conjugates of a 0/1 diagonal
+    # are idempotent but rarely braided, so both verdicts occur
     one = linr_oracle.RationalMatrix.identity
     verdicts = []
     for k, psi in enumerate(conjugate_idempotents(seed=26, count=30)):
