@@ -22,7 +22,8 @@ import sys
 from itertools import product
 
 from . import quadset
-from .errors import InvalidArgument, NotABijection, ParseError, YbxError
+from .errors import (InvalidArgument, NotABijection, ParseError, PreconditionViolated,
+                     YbxError)
 from .quadset import MAX_SIZE
 
 
@@ -169,6 +170,7 @@ JSON, MAX_DEG, OUTPUT = (arg("--json", **FLAG), arg("--max-deg", type=int),
                          arg("-o", "--output"))
 # (name, handler, arguments in order); a list among them is a mutually exclusive group
 COMMANDS = []
+TRUNCATED = "warning: basis truncated at the degree bound"
 
 
 def command(head=SOLUTION, tail=(), max_deg=True):
@@ -212,7 +214,7 @@ def cmd_groebner(args):
     from . import orbits
     gb = orbits.canonical_basis(_load(args.solution), args.max_deg)
     if not gb.complete:
-        print("warning: basis truncated at the degree bound", file=sys.stderr)
+        print(TRUNCATED, file=sys.stderr)
     rules = [f"{_word_str(lead)} -> {_pretty_poly(dict(rhs))}" for lead, rhs in gb.rules]
     return {"rules": rules, "complete": gb.complete, "binomial": gb.binomial,
             "max_degree": gb.max_degree}, 0
@@ -230,11 +232,14 @@ def cmd_hilbert(args):
 def cmd_dims(args):
     from . import growth, orbits
     gb = orbits.canonical_basis(_load(args.solution), args.max_deg)
-    gn, gw = orbits.basis_graphs(gb)
-    gk, gl = growth.gk_dimension(gn), growth.global_dimension(gw)
-    return {"gk": "Exponential" if gk.kind == "Exponential"
+    if not gb.complete:
+        print(TRUNCATED, file=sys.stderr)
+    gk = growth.gk_dimension(orbits.automaton_graph(gb)) if gb.complete else None
+    gl = growth.global_dimension(orbits.basis_graphs(gb)[1]) if gb.pbw else None
+    return {"gk": "Undecided" if gk is None else "Exponential" if gk.degree is None
             else f"Polynomial({gk.degree})",
-            "gldim": "Infinite" if gl.kind == "Infinite" else f"Finite({gl.value})",
+            "gldim": "Undecided" if gl is None else "Infinite" if gl.value is None
+            else f"Finite({gl.value})",
             "pbw": gb.pbw}, 0
 
 
@@ -244,8 +249,10 @@ def cmd_tournament(args):
     qs = _load(args.solution)
     if not 1 <= args.basepoint <= qs.n:
         raise InvalidArgument(f"--basepoint must be in 1..{qs.n}, not {args.basepoint}")
-    gn, _ = orbits.basis_graphs(orbits.canonical_basis(qs, args.max_deg))
-    result = growth.tournament_structure(gn, args.basepoint - 1)
+    gb = orbits.canonical_basis(qs, args.max_deg)
+    if not gb.pbw:
+        raise PreconditionViolated("the tournament structure needs a PBW basis")
+    result = growth.tournament_structure(orbits.basis_graphs(gb)[0], args.basepoint - 1)
     report = {"matches": result["matches"]}
     if result["relabeling"] is not None:
         report["relabeling"] = [v + 1 for v in result["relabeling"]]

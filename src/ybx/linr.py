@@ -13,21 +13,22 @@ applied to, id +- Psi adds Psi's rows to the identity's, and the flip
 permutes rows.  A column space, such as image(Psi), is read from a
 transpose.  Rank, kernel and span questions go through ybx.elim; the
 Nichols check eliminates nothing.  RationalMatrix only carries a matrix
-into and out of linr.  Operators on V^(x)m are built for n^m <=
-MAX_TENSOR_DIM only, FRT and braided-matrix relations for n^4 <=
-MAX_QUADRUPLES.  Coefficients that leave the module are Fractions.
+into and out of linr.  Operators on V^(x)m are built for n^m <= MAX_TENSOR_DIM
+only, FRT and braided-matrix relations for n^4 <= MAX_QUADRUPLES in at most
+MAX_RELATION_STEPS loop steps.  Coefficients that leave linr are Fractions.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from . import elim
-from .errors import NotIdempotent, ShapeMismatch, SizeTooLarge
+from .errors import InvalidArgument, NotIdempotent, ShapeMismatch, SizeTooLarge
 from .quadset import require_properties
 
 F1 = Fraction(1)
 MAX_TENSOR_DIM = 4096     # 8^4, the largest dim V^(x)m an operator is built for
 MAX_QUADRUPLES = 65536    # 16^4, the most index quadruples FRT relations run over
+MAX_RELATION_STEPS = 2 * MAX_QUADRUPLES     # a set's R takes 2 n^4 inner steps
 
 
 class RationalMatrix:
@@ -191,14 +192,16 @@ def require_idempotent(psi, what):
         raise NotIdempotent(f"{what} needs an idempotent Psi")
 
 
-def _tensor_dim(mat, power=0):
-    """dim V for mat on V (x) V; V^(x)power is refused past MAX_TENSOR_DIM."""
+def _tensor_dim(mat, power=None):
+    """dim V for mat on V (x) V; a power given must be >= 1, n^power <= MAX_TENSOR_DIM."""
     if mat.rows != mat.cols:
         raise ShapeMismatch("matrix is not square")
     n = round(mat.rows ** 0.5)
     if n * n != mat.rows:
         raise ShapeMismatch("dimension is not a perfect square")
-    if n ** power > MAX_TENSOR_DIM:
+    if power is not None and power < 1:
+        raise InvalidArgument(f"the tensor power must be at least 1, not {power}")
+    if power is not None and n ** power > MAX_TENSOR_DIM:
         raise SizeTooLarge(f"V^(x){power} has dimension {n ** power} > {MAX_TENSOR_DIM}")
     return n
 
@@ -314,20 +317,21 @@ def nichols_quadratic_check(psi, m):
     return not any(_compose(cols, ideal))
 
 
-def _relation_index(rmat, *groupings):
-    """The index quadruples (i, j, k, l) R's relations run over, refused past
-    MAX_QUADRUPLES, and for each tuple of slots in groupings the nonzero
-    R^up1_lo1{}^up2_lo2 as (up1, lo1, up2, lo2, value) grouped at those slots."""
+def _relation_index(rmat, steps, *groupings):
+    """The n^4 index quadruples and, per tuple of slots in groupings, the nonzero
+    R^up1_lo1{}^up2_lo2 as (up1, lo1, up2, lo2, value) grouped at those slots;
+    refused past MAX_QUADRUPLES or MAX_RELATION_STEPS inner steps, steps(n, groups)."""
     n = _tensor_dim(rmat)
-    if n ** 4 > MAX_QUADRUPLES:
-        raise SizeTooLarge(f"relations of R on {n} points run over {n ** 4} index "
-                           f"quadruples > {MAX_QUADRUPLES}")
     index = [{} for _ in groupings]
     for r, row in enumerate(rmat.vecs):
         for c, v in row.items():
             e = (r // n, c // n, r % n, c % n, v)
             for slots, out in zip(groupings, index):
                 out.setdefault(tuple(e[s] for s in slots), []).append(e)
+    for size, most, text in ((n ** 4, MAX_QUADRUPLES, "run over {} index quadruples > {}"),
+                             (steps(n, index), MAX_RELATION_STEPS, "take {} steps > {}")):
+        if size > most:
+            raise SizeTooLarge(f"relations of R on {n} points " + text.format(size, most))
     return product(range(n), repeat=4), index
 
 
@@ -335,7 +339,8 @@ def frt_relations(rmat):
     """FRT bialgebra relations on generators t^i_j:
     sum_ab R^i_a{}^k_b t^a_j t^b_l - sum_ab t^k_b t^i_a R^a_j{}^b_l,
     over all (i, j, k, l); deduplicated and made monic."""
-    quadruples, (by_up, by_lo) = _relation_index(rmat, (0, 2), (1, 3))
+    quadruples, (by_up, by_lo) = _relation_index(   # each half reads a nonzero n^2 times
+        rmat, lambda n, g: 2 * n * n * sum(map(len, g[0].values())), (0, 2), (1, 3))
     rels = []
     for i, j, k, l in quadruples:
         p = {}
@@ -353,7 +358,9 @@ def braided_matrix_relations(rmat):
     """Braided matrix algebra relations on generators u^i_j:
     sum R^k_a{}^i_b u^b_c R^c_j{}^a_d u^d_l - sum u^k_a R^a_b{}^i_c u^c_d R^d_j{}^b_l."""
     quadruples, (by_up, by_lo1_up2, by_up2, by_lo1_up2_lo2) = _relation_index(
-        rmat, (0, 2), (1, 2), (2,), (1, 2, 3))
+        rmat, lambda n, g: 2 * n * sum(len(g[2].get((e[1],), ())) for es in g[2].values()
+                                       for e in es),  # 2n (e, f) with up2(f) = lo1(e)
+        (0, 2), (1, 2), (2,), (1, 2, 3))
     rels = []
     for i, j, k, l in quadruples:
         p = {}

@@ -129,13 +129,13 @@ class LeadIndex:
     """Rules on codes in base n, their leads looked up by length k in tables,
     {k: (n^k, {lead: first position})}, and by proper prefix and suffix,
     {code: [(rule, lead length)]}; powers n^0, n^1, ... past every code
-    measured; memo, each word whose normal word was found, mapped to it; and
-    words, the same on the tuples normal_form_word was given."""
+    measured; memo, each word whose normal word was found, mapped to it;
+    words, the same on the tuples normal_form_word was given; and steps, step's memo."""
 
     def __init__(self, n, rules=()):
         self.n, self.powers = n, [1]
         self.rules, self.tables, self.starts, self.ends = [], {}, {}, {}
-        self.memo, self.words = {1: 1}, {}
+        self.memo, self.words, self.steps = {1: 1}, {}, {}
         for rule in rules:
             self.add(rule)
 
@@ -149,6 +149,7 @@ class LeadIndex:
         entry = rule, (k := self.length(lead))
         self.tables.setdefault(k, (powers[k], {}))[1].setdefault(lead, len(self.rules))
         self.rules.append(rule)
+        self.steps.clear()
         for j in range(1, k):
             self.starts.setdefault(lead // powers[k - j], []).append(entry)
             self.ends.setdefault(powers[j] + lead % powers[j], []).append(entry)
@@ -170,9 +171,15 @@ class LeadIndex:
                 return best
         return None
 
-    def ends_with_lead(self, word):
-        return any(word >= p and p + word % p in table
-                   for p, table in self.tables.values())
+    def step(self, state, x):
+        """The state after x, None where a lead ends: the longest suffix read that
+        is a proper prefix of a lead, which ends t = state x as a lead ending x does."""
+        steps, t = self.steps, state * self.n + x
+        if t not in steps:
+            ends = any(t >= p and p + t % p in table for p, table in self.tables.values())
+            steps[t] = None if ends else next((s for p in self.powers[self.length(t):0:-1]
+                                               if (s := p + t % p) in self.starts), 1)
+        return steps[t]
 
 
 def _freeze_rules(rules, n):
@@ -355,15 +362,14 @@ def complete(relations, max_degree, alphabet=0):
 
 def normal_words(gb, d):
     """All length-d words avoiding leading words as subwords, deg-lex sorted:
-    w + (x,) is normal iff w is and no lead is a suffix, and extending sorted
-    words in letter order keeps them sorted."""
+    w + (x,) is normal iff the automaton steps on x from w's state, and
+    extending sorted words in letter order keeps them sorted."""
     gb.require_degree(d, f"listing the words of degree {d}")
-    index, n = gb.index, gb.index.n
-    level = [1]
+    step, n, level = gb.index.step, gb.index.n, [(1, 1)]
     for _ in range(d):
-        level = [w for v in level for w in range(v * n, v * n + gb.alphabet_size)
-                 if not index.ends_with_lead(w)]
-    return [_decode(w, n) for w in level]
+        level = [(w * n + x, t) for w, s in level for x in range(gb.alphabet_size)
+                 if (t := step(s, x)) is not None]
+    return [_decode(w, n) for w, _ in level]
 
 
 # coefficients: normal-word counts of degrees 0..D; exact: whether all are final
@@ -372,22 +378,17 @@ HilbertPrefix = namedtuple("HilbertPrefix", "coefficients exact")
 
 def hilbert_series(gb, D):
     """Normal-word counts of degrees 0..D, counted without listing words:
-    whether w + (x,) is normal, and its state (its longest suffix that is a
-    proper prefix of a lead), depend only on w's state and x, so a count per
-    state is carried.  On a truncated basis exact is False once D passes
-    max_degree: leads past the bound are missing, so counts may be too large."""
-    index, n = gb.index, gb.index.n
-    prefixes = {1, *index.starts}
-    tops = index.powers[max(index.tables, default=0)::-1]    # n^k, longest suffix first
-    coeffs, counts = [], {1: 1}
+    whether w + (x,) is normal, and its state, depend only on w's state and
+    x (LeadIndex.step), so a count per state is carried.  On a truncated
+    basis exact is False once D passes max_degree: leads past the bound are
+    missing, so counts may be too large."""
+    step, coeffs, counts = gb.index.step, [], {1: 1}
     for _ in range(D + 1):
         coeffs.append(sum(counts.values()))
         nxt = {}
         for state, c in counts.items():
             for x in range(gb.alphabet_size):
-                t = state * n + x
-                if not index.ends_with_lead(t):
-                    t = next(s for p in tops if p <= t and (s := p + t % p) in prefixes)
+                if (t := step(state, x)) is not None:
                     nxt[t] = nxt.get(t, 0) + c
         counts = nxt
     return HilbertPrefix(coefficients=tuple(coeffs), exact=gb.final_through(D))

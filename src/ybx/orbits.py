@@ -100,20 +100,35 @@ def idempotent_structure(qs):
     for j in range(n):
         inv0[t[j][0]] = j
     table = [[inv0[t[i * n + j][0]] for j in range(n)] for i in range(n)]
-    # characterization: x_1 x_{k_ij} and x_i x_j share an orbit
-    dec = r_orbits(qs)
+    # r(x_1, x_k) for k = k_ij starts with the a of r(x_i, x_j), and both are fixed
+    # points (a, b), where b = sigma_a^-1(a): one image, so x_1 x_k ~ x_i x_j
     for i in range(n):
         for j in range(n):
-            if dec.orbit_of[(0, table[i][j])] != dec.orbit_of[(i, j)]:
+            if t[table[i][j]] != t[i * n + j]:
                 raise CheckFailed(f"x_1 x_{table[i][j] + 1} and x_{i + 1} x_{j + 1} "
-                                  "lie in different orbits")
+                                  "have different images")
     return tuple(tuple(row) for row in table)
 
 
 def basis_graphs(gb):
-    """The graph of normal words and the obstruction graph of a basis."""
+    """The graph of normal words of length 2 and its obstruction graph."""
     n, n2 = gb.alphabet_size, ncgb.normal_words(gb, 2)
     return growth.normal_graph(n2, n), growth.obstruction_graph(n2, n)
+
+
+def automaton_graph(gb):
+    """The digraph of gb's normal-word automaton, whose paths from vertex 0 are
+    the normal words: a vertex is a state and the letter into it, as the start
+    (1, the empty suffix) is entered by many letters."""
+    step, vertices, edges = gb.index.step, {(1, None): 0}, set()
+    todo = list(vertices)
+    for u, (state, _) in enumerate(todo):       # breadth first: todo grows as it goes
+        for x in range(gb.alphabet_size):
+            if (t := step(state, x)) is not None:
+                edges.add((u, v := vertices.setdefault((t, x), len(vertices))))
+                if v == len(todo):
+                    todo.append((t, x))
+    return growth.DirectedGraph(len(todo), frozenset(edges))
 
 
 def gldiminf_witness(gb):

@@ -115,7 +115,7 @@ def segre_morphism_check(qsX, qsY, D):
     """
     n, m = qsX.n, qsY.n
     prod = cartesian_product(qsX, qsY)
-    # (a) raises CheckFailed unless x_i x_j and x_1 x_{k_ij} share an orbit
+    # (a) raises CheckFailed unless x_i x_j and x_1 x_{k_ij} have one image
     idempotent_structure(qsX)
     idempotent_structure(qsY)
 

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +150,41 @@ def test_tournament_command(capsys, files):
     assert rep["matches"] and rep["relabeling"] == [1, 2]
     code, out = run(capsys, "tournament", files["cycle3"], "--json")
     assert code == 1 and not json.loads(out)["matches"]
+
+
+INVOLUTIVE2_TEXT = "ybx v1\nsize 2\nmap 1 1 2 2\nmap 1 2 1 2\nmap 2 1 2 1\nmap 2 2 1 1\n"
+# an involutive class whose basis is PBW under 4 of its 6 relabelings and
+# truncated at degree 6 under the other 2
+INVOLUTIVE3 = quadset.QuadraticSet(3, ((0, 0), (1, 0), (2, 1), (0, 1), (1, 1), (2, 0),
+                                       (1, 2), (0, 2), (2, 2)))
+TRUNCATED = "warning: basis truncated at the degree bound\n"
+
+
+def test_dims_and_tournament_say_only_what_the_basis_decides(capsys, tmp_path):
+    path = tmp_path / "set.ybx"
+    # one relation x2.x2 - x1.x1, not PBW: the algebra has GK dimension 2, and
+    # its quadratic graph (the quadratic leads) would read Exponential
+    path.write_text(INVOLUTIVE2_TEXT)
+    code, out = run(capsys, "dims", str(path), "--json")
+    assert (code, json.loads(out)) == (0, {"gk": "Polynomial(2)", "gldim": "Undecided",
+                                           "pbw": False})
+    assert run_error(capsys, "tournament", str(path)) == (
+        2, "error: the tournament structure needs a PBW basis\n")
+    # the free algebra: the start state is entered by both letters
+    path.write_text("ybx v1\nsize 2\nidentity\n")
+    code, out = run(capsys, "dims", str(path), "--json")
+    assert json.loads(out) == {"gk": "Exponential", "gldim": "Finite(1)", "pbw": True}
+    reports = []
+    for sigma in permutations(range(3)):
+        path.write_text(cli.render_solution(quadset.relabel(INVOLUTIVE3, sigma)))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dims", str(path), "--json", "--max-deg", "6"])
+        out = capsys.readouterr()
+        reports.append((exc.value.code, json.loads(out.out), out.err))
+    decided = {"gk": "Polynomial(3)", "gldim": "Finite(3)", "pbw": True}
+    undecided = {"gk": "Undecided", "gldim": "Undecided", "pbw": False}
+    want = [(0, undecided, TRUNCATED)] * 2 + [(0, decided, "")] * 4
+    assert sorted(reports, key=str) == sorted(want, key=str)
 
 
 @pytest.mark.parametrize("basepoint", ["0", "-1", "9"])

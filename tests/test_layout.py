@@ -4,7 +4,8 @@ package's own modules import one another without a cycle, verseg
 decides its relation spaces without linr, the CLI
 decides no property of a set on an operator, every function the bench
 traces exists, diffcalc multiplies polynomials in one
-place, one routine stores word normal forms, the ncgb oracle shares
+place, one routine stores word normal forms, one automaton lists and
+counts a finished basis's normal words, the ncgb oracle shares
 no completion or word normal-form code with the module it checks, linr
 bounds its tensor powers in one place, linr's RationalMatrix does no
 operator arithmetic, and the result records are named tuples, with
@@ -235,6 +236,18 @@ def test_one_routine_stores_word_normal_forms():
              for func in memo_stores(tree)}
     assert found == {"ncgb._grow_normal_words", "ncgb._word_step",
                      "ncgb.normal_form_word"}, sorted(found)
+
+
+def test_one_automaton_lists_and_counts_normal_words():
+    # normal_words and hilbert_series take each transition from LeadIndex.step,
+    # so no second test of whether a word is normal, or search for its state, is left
+    ncgb = MODULES["ncgb"]
+    assert not uses(ncgb, "ends_with_lead")
+    readers = {"normal_words", "hilbert_series"}
+    assert readers <= set(uses(ncgb, "step"))
+    found = {(where, name) for name in ("tables", "starts", "powers", "prefixes", "tops")
+             for where in uses(ncgb, name) if where in readers}
+    assert not found, sorted(found)
 
 
 def test_every_error_class_is_used():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import linr_oracle
 from ybx import diffcalc, elim, linr, orbits, quadset
-from ybx.errors import NotIdempotent, ShapeMismatch, SizeTooLarge
+from ybx.errors import InvalidArgument, NotIdempotent, ShapeMismatch, SizeTooLarge
 
 F1 = Fraction(1)
 
@@ -247,6 +247,30 @@ def test_braid_checks_stay_within_the_tensor_bound(monkeypatch):
     for call, mat in ((linr.check_braid, psi), (linr.check_matrix_ybe, rmat)):
         with pytest.raises(SizeTooLarge, match="4913"):
             call(mat)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_tensor_powers_below_one_are_refused(cycle3, m):
+    # m = 0 gave a factorial of n rows on a width-1 space, m = -1 a TypeError
+    psi, _ = linr.linearize(cycle3)
+    for call in (linr.braided_factorial, linr.nichols_quadratic_check):
+        with pytest.raises(InvalidArgument, match=f"at least 1, not {m}"):
+            call(psi, m)
+    assert linr._tensor_dim(psi) == 3
+
+
+def test_relation_loops_are_bounded_by_their_steps(monkeypatch):
+    # a set's R takes 2 n^4 steps in both loops; a dense R takes 2 n^6 in the
+    # FRT loop and 2 n^8 in the braided-matrix loop, refused before either runs
+    full = [linr.RationalMatrix([[1] * n ** 2 for _ in range(n ** 2)]) for n in (5, 8)]
+    assert linr.frt_relations(full[0])
+    monkeypatch.setattr(linr, "product", no_work)      # the loops' quadruples
+    with pytest.raises(SizeTooLarge, match="on 5 points take 781250 steps > 131072"):
+        linr.braided_matrix_relations(full[0])
+    with pytest.raises(SizeTooLarge, match="on 8 points take 524288 steps"):
+        linr.frt_relations(full[1])
+    with pytest.raises(SizeTooLarge, match="on 8 points take 33554432 steps"):
+        linr.braided_matrix_relations(full[1])
 
 
 def test_nichols_quadratic_past_the_old_cap():

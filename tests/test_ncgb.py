@@ -715,6 +715,43 @@ def test_lead_lookup_matches_rule_scan(leads, word):
     assert as_scan(index.find(code(word, 3))) == ncgb_oracle._reduce_once(word, rules)
 
 
+def walk(index, word):
+    """The automaton's states along word, ending at None where a lead ends."""
+    states = [1]
+    for x in word:
+        if (state := index.step(states[-1], x)) is None:
+            return states + [None]
+        states.append(state)
+    return states
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3),
+                min_size=1, max_size=6),
+       st.integers(0, 6))
+def test_steps_taken_before_a_rule_is_added_are_dropped(leads, split):
+    # a state is the longest suffix read that is a proper prefix of a lead;
+    # walking every word before the later rules come fills the steps memo,
+    # which add must clear, as completion grows its index
+    rules = [(code(lead, 3), {3: k + 1}) for k, lead in enumerate(leads)]
+    grown = ncgb.LeadIndex(3, rules[:split])
+    words = [w for d in range(5) for w in product(range(3), repeat=d)]
+    for w in words:
+        walk(grown, w)
+    for rule in rules[split:]:
+        grown.add(rule)
+    fresh = ncgb.LeadIndex(3, rules)
+    prefixes = {tuple(lead[:k]) for lead in leads for k in range(len(lead))}
+    for w in words:
+        want = [1]
+        for i in range(1, len(w) + 1):
+            if any(w[:i][-len(lead):] == tuple(lead) for lead in leads if len(lead) <= i):
+                want.append(None)
+                break
+            want.append(code(next(w[j:i] for j in range(i + 1) if w[j:i] in prefixes), 3))
+        assert walk(grown, w) == walk(fresh, w) == want, w
+
+
 def test_verdicts_survive_optimized_mode():
     # python -O strips assert statements; word normal forms and Hilbert
     # series must not depend on them

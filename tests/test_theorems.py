@@ -14,15 +14,19 @@ algebra with the theta relations of r, a Koszul dual complementary to
 ker Psi and a degenerate S_-(R); Nichols quadraticity also holds at
 tensor power 4 on 8-point products.
 All permutation-idempotent algebras r_f of one size are isomorphic, so
-their Hilbert prefixes agree whatever the cycle type of f.
+their Hilbert prefixes agree whatever the cycle type of f.  ybx dims reads
+growth off the normal-word automaton of a complete basis and global
+dimension off the obstruction graph of a PBW one, and says nothing else.
 """
 
+import json
+from collections import Counter
 from functools import cache
 from math import comb
 
 import pytest
 
-from ybx import braidmon, diffcalc, linr, ncgb, orbits, quadset, verseg
+from ybx import braidmon, cli, diffcalc, growth, linr, ncgb, orbits, quadset, verseg
 
 PAPER_CLASS = ("braided", "idempotent", "left_nondegenerate")
 INVOLUTIVE = ("braided", "involutive", "left_nondegenerate", "right_nondegenerate")
@@ -120,3 +124,48 @@ def test_permutation_algebras_of_one_size_share_hilbert_prefixes(n):
         qs = quadset.make_permutation_solution(f)
         prefixes.add(ncgb.hilbert_series(orbits.canonical_basis(qs, 6), 6))
     assert len(prefixes) == 1
+
+
+def shown(verdict):
+    """A GrowthClass or GlDim as ybx dims prints it."""
+    kind, value = verdict
+    return kind if value is None else f"{kind}({value})"
+
+
+def test_dims_print_only_what_the_basis_decides(capsys, tmp_path):
+    """Ufnarovski's criterion on the automaton of a complete basis agrees with
+    the quadratic graph, the oracle, wherever the basis is PBW.  An involutive
+    nondegenerate braided set on N points, or a product of two of them, has GK
+    dimension N (Gateva-Ivanova and Van den Bergh), which dims prints wherever
+    the basis is complete.  A truncated basis decides no growth, and a basis
+    that is not PBW no global dimension."""
+    involutive = {n: quadset.enumerate_solutions(n, INVOLUTIVE) for n in (2, 3, 4)}
+    small, paper = involutive[2] + involutive[3], paper_class(2) + paper_class(3)
+    cases = [(qs, n) for n in (2, 3, 4) for qs in involutive[n]]
+    cases += [(quadset.cartesian_product(a, b), a.n * b.n) for a in small for b in small]
+    cases += [(qs, None) for qs in paper + paper_class(4)]
+    cases += [(quadset.make_permutation_solution([(i + 1) % n for i in range(n)]), None)
+              for n in (5, 6, 7, 8)]
+    cases += [(quadset.cartesian_product(a, b), None) for a in paper for b in paper]
+    path, kinds = tmp_path / "set.ybx", Counter()
+    for qs, size in cases:
+        gb = orbits.canonical_basis(qs, 6)
+        path.write_text(cli.render_solution(qs))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dims", str(path), "--json", "--max-deg", "6"])
+        out = capsys.readouterr()
+        report = json.loads(out.out)
+        if gb.pbw:
+            kinds["pbw"] += 1
+            gn, gw = orbits.basis_graphs(gb)
+            want = {"gk": shown(growth.gk_dimension(gn)),
+                    "gldim": shown(growth.global_dimension(gw)), "pbw": True}
+        elif gb.complete:
+            kinds["complete"] += 1
+            want = {"gk": f"Polynomial({size})", "gldim": "Undecided", "pbw": False}
+        else:
+            kinds["truncated"] += 1
+            want = {"gk": "Undecided", "gldim": "Undecided", "pbw": False}
+        assert (exc.value.code, report) == (0, want), qs
+        assert out.err == ("" if gb.complete else cli.TRUNCATED + "\n"), qs
+    assert kinds == {"pbw": 8 + 9 + 22 + 4 + 64, "complete": 17 + 24, "truncated": 5 + 16}

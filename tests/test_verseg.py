@@ -129,10 +129,10 @@ def test_segre_morphism_check_eliminates_nothing(monkeypatch):
 
 
 def test_segre_computes_each_factor_once(monkeypatch, mixed3):
-    # (a) is the orbit test of idempotent_structure and (c) compares orbit
+    # (a) is the image test of idempotent_structure and (c) compares orbit
     # partitions, so only the product is completed: one basis.  r_orbits runs
-    # on each factor for (a) and (c), and on the product for its canonical
-    # relations and (c); every name bound to either function is counted
+    # on each factor for (c), and on the product for its canonical relations
+    # and (c); every name bound to either function is counted
     calls = []
     for func in (ncgb.complete, orbits.r_orbits):
         def counted(*a, func=func, **k):
@@ -142,7 +142,7 @@ def test_segre_computes_each_factor_once(monkeypatch, mixed3):
             for name in [name for name, value in vars(module).items() if value is func]:
                 monkeypatch.setattr(module, name, counted)
     assert verseg.segre_morphism_check(mixed3, mixed3, 4)["ok"]
-    assert sorted(calls) == ["complete"] + ["r_orbits"] * 6
+    assert sorted(calls) == ["complete"] + ["r_orbits"] * 4
 
 
 def test_segre_presentation_matches_product_relations(rid2):
