@@ -132,9 +132,9 @@ def _table_lines(qs, sep):
 def _pretty_tu(p, letter):
     parts = []
     for (up, lo), c in sorted(p.items()):
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        coeff = "" if mag == 1 else f"{mag}*"
+        num, den = c.numerator, c.denominator
+        sign, num = ("-", -num) if num < 0 else ("+", num)
+        coeff = "" if num == den else f"{num}*" if den == 1 else f"{num}/{den}*"
         parts.append(f"{sign} {coeff}{letter}^{up[0] + 1}_{up[1] + 1}"
                      f".{letter}^{lo[0] + 1}_{lo[1] + 1}")
     return " ".join(parts).lstrip("+ ")
@@ -362,7 +362,10 @@ def cmd_graph(args):
         g = orbits.orbit_graph(qs)
         labels = [_pair(p) for p in product(range(qs.n), repeat=2)]
     else:
-        gn, gw = orbits.basis_graphs(orbits.canonical_basis(qs, args.max_deg))
+        gb = orbits.canonical_basis(qs, args.max_deg)
+        if not gb.pbw:
+            raise PreconditionViolated("the graphs of normal words need a PBW basis")
+        gn, gw = orbits.basis_graphs(gb)
         g = gw if args.gw else gn
         labels = [f"x{i + 1}" for i in range(qs.n)]
     if args.dot:

@@ -15,7 +15,9 @@ transpose.  Rank, kernel and span questions go through ybx.elim; the
 Nichols check eliminates nothing.  RationalMatrix only carries a matrix
 into and out of linr.  Operators on V^(x)m are built for n^m <= MAX_TENSOR_DIM
 only, FRT and braided-matrix relations for n^4 <= MAX_QUADRUPLES in at most
-MAX_RELATION_STEPS loop steps.  Coefficients that leave linr are Fractions.
+MAX_RELATION_STEPS loop steps.  Those relations are built on monomial codes,
+t^a_j t^b_l as ((a n + j) n + b) n + l, and the braided-matrix loop reads R
+by column.  Coefficients that leave linr are Fractions.
 """
 
 from fractions import Fraction
@@ -318,79 +320,83 @@ def nichols_quadratic_check(psi, m):
 
 
 def _relation_index(rmat, steps, *groupings):
-    """The n^4 index quadruples and, per tuple of slots in groupings, the nonzero
-    R^up1_lo1{}^up2_lo2 as (up1, lo1, up2, lo2, value) grouped at those slots;
+    """dim V and, per pair of slots (s, t) in groupings, the nonzero entries e =
+    (up1, lo1, up2, lo2, value) of R grouped at index e[s] n + e[t] of a list;
     refused past MAX_QUADRUPLES or MAX_RELATION_STEPS inner steps, steps(n, groups)."""
     n = _tensor_dim(rmat)
-    index = [{} for _ in groupings]
+    index = [[[] for _ in range(n * n)] for _ in groupings]
     for r, row in enumerate(rmat.vecs):
         for c, v in row.items():
             e = (r // n, c // n, r % n, c % n, v)
-            for slots, out in zip(groupings, index):
-                out.setdefault(tuple(e[s] for s in slots), []).append(e)
+            for (s, t), out in zip(groupings, index):
+                out[e[s] * n + e[t]].append(e)
     for size, most, text in ((n ** 4, MAX_QUADRUPLES, "run over {} index quadruples > {}"),
                              (steps(n, index), MAX_RELATION_STEPS, "take {} steps > {}")):
         if size > most:
             raise SizeTooLarge(f"relations of R on {n} points " + text.format(size, most))
-    return product(range(n), repeat=4), index
+    return n, index
 
 
 def frt_relations(rmat):
     """FRT bialgebra relations on generators t^i_j:
     sum_ab R^i_a{}^k_b t^a_j t^b_l - sum_ab t^k_b t^i_a R^a_j{}^b_l,
     over all (i, j, k, l); deduplicated and made monic."""
-    quadruples, (by_up, by_lo) = _relation_index(   # each half reads a nonzero n^2 times
-        rmat, lambda n, g: 2 * n * n * sum(map(len, g[0].values())), (0, 2), (1, 3))
+    n, (by_up, by_lo) = _relation_index(   # each half reads a nonzero n^2 times
+        rmat, lambda n, g: 2 * n * n * sum(map(len, g[0])), (0, 2), (1, 3))
     rels = []
-    for i, j, k, l in quadruples:
+    for i, j, k, l in product(range(n), repeat=4):
         p = {}
-        for _, a, _, b, c in by_up.get((i, k), ()):
-            key = ((a, j), (b, l))
+        for _, a, _, b, c in by_up[i * n + k]:
+            key = ((a * n + j) * n + b) * n + l  # t^a_j t^b_l
             p[key] = p.get(key, 0) + c
-        for a, _, b, _, c in by_lo.get((j, l), ()):
-            key = ((k, b), (i, a))
+        for a, _, b, _, c in by_lo[j * n + l]:
+            key = ((k * n + b) * n + i) * n + a  # t^k_b t^i_a
             p[key] = p.get(key, 0) - c
         rels.append(p)
-    return _dedupe(rels)
+    return _dedupe(rels, n)
 
 
 def braided_matrix_relations(rmat):
     """Braided matrix algebra relations on generators u^i_j:
-    sum R^k_a{}^i_b u^b_c R^c_j{}^a_d u^d_l - sum u^k_a R^a_b{}^i_c u^c_d R^d_j{}^b_l."""
-    quadruples, (by_up, by_lo1_up2, by_up2, by_lo1_up2_lo2) = _relation_index(
-        rmat, lambda n, g: 2 * n * sum(len(g[2].get((e[1],), ())) for es in g[2].values()
-                                       for e in es),  # 2n (e, f) with up2(f) = lo1(e)
-        (0, 2), (1, 2), (2,), (1, 2, 3))
+    sum R^k_a{}^i_b u^b_c R^c_j{}^a_d u^d_l - sum u^k_a R^a_b{}^i_c u^c_d R^d_j{}^b_l.
+    The second sum reads R's column (j, l) first, whose R^d_j{}^b_l fix b."""
+    n, (by_up, by_lo1_up2, by_col) = _relation_index(   # 2n per e, f with up2(f) = lo1(e)
+        rmat, lambda n, g: 2 * n * sum(sum(map(len, g[1][x * n:x * n + n]))
+                                       * sum(map(len, g[1][x::n])) for x in range(n)),
+        (0, 2), (1, 2), (1, 3))
     rels = []
-    for i, j, k, l in quadruples:
+    for i, j, k, l in product(range(n), repeat=4):
         p = {}
-        for _, a, _, b, v1 in by_up.get((k, i), ()):
-            for c, _, _, d, v2 in by_lo1_up2.get((j, a), ()):
-                key = ((b, c), (d, l))
+        for _, a, _, b, v1 in by_up[k * n + i]:
+            for c, _, _, d, v2 in by_lo1_up2[j * n + a]:
+                key = ((b * n + c) * n + d) * n + l  # u^b_c u^d_l
                 p[key] = p.get(key, 0) + v1 * v2
-        for a, b, _, c, v1 in by_up2.get((i,), ()):
-            for d, _, _, _, v2 in by_lo1_up2_lo2.get((j, b, l), ()):
-                key = ((k, a), (c, d))
+        for d, _, b, _, v2 in by_col[j * n + l]:
+            for a, _, _, c, v1 in by_lo1_up2[b * n + i]:
+                key = ((k * n + a) * n + c) * n + d  # u^k_a u^c_d
                 p[key] = p.get(key, 0) - v1 * v2
         rels.append(p)
-    return _dedupe(rels)
+    return _dedupe(rels, n)
 
 
-def _dedupe(rels):
-    """Each nonzero polynomial, zero terms dropped, made monic at its deg-lex
-    leading monomial; duplicates, found on exact values, dropped in order.
-    Fraction coefficients are made only for the relations kept."""
-    seen = set()
-    out = []
+def _dedupe(rels, n):
+    """Each nonzero polynomial on monomial codes, zero terms dropped, made
+    monic at its leading code; duplicates, found on exact values, dropped in
+    order.  The relations kept are decoded to pairs of generator indices,
+    with one Fraction made per distinct value."""
+    kept = {}
     for p in rels:
-        p = {k: v for k, v in p.items() if v}
+        if 0 in p.values():
+            p = {k: v for k, v in p.items() if v}
         if not p:
             continue
         c = p[max(p)]
-        inv = c if c in (1, -1) else F1 / c
-        q = tuple(sorted((k, v * inv) for k, v in p.items()))
-        if q not in seen:
-            seen.add(q)
-            out.append({k: Fraction(v) for k, v in q})
-    return out
-
+        if c != 1:
+            inv = -1 if c == -1 else F1 / c
+            p = {k: v * inv for k, v in p.items()}
+        kept.setdefault(frozenset(p.items()), p)
+    nn = n * n
+    pairs = [divmod(x, n) for x in range(nn)]
+    fractions = {v: Fraction(v) for v in {v for p in kept.values() for v in p.values()}}
+    return [{(pairs[k // nn], pairs[k % nn]): fractions[p[k]] for k in sorted(p)}
+            for p in kept.values()]

@@ -73,18 +73,21 @@ def r_orbits(qs):
         p: idx for idx, orb in enumerate(orbits) for p in orb.members})
 
 
-def canonical_relations(qs):
-    """One binomial u - min per non-minimal pair u; n^2 - M relations."""
+def canonical_relations(qs, decomposition=None):
+    """One binomial u - min per non-minimal pair u; n^2 - M relations.
+    decomposition, if given, is r_orbits(qs), for a caller that reads it too."""
+    if decomposition is None:
+        decomposition = r_orbits(qs)
     return RelationSet(relations=tuple(sorted(
-        (p, orb.minimal) for orb in r_orbits(qs).orbits for p in orb.members
+        (p, orb.minimal) for orb in decomposition.orbits for p in orb.members
         if p != orb.minimal)))
 
 
-def canonical_basis(qs, max_degree):
+def canonical_basis(qs, max_degree, decomposition=None):
     """The Groebner basis of A(k, X, r): the canonical relations completed
-    through max_degree."""
-    return ncgb.complete(canonical_relations(qs).to_polynomials(), max_degree,
-                         alphabet=qs.n)
+    through max_degree; decomposition as for canonical_relations."""
+    relations = canonical_relations(qs, decomposition).to_polynomials()
+    return ncgb.complete(relations, max_degree, alphabet=qs.n)
 
 
 def idempotent_structure(qs):

@@ -119,23 +119,24 @@ def segre_morphism_check(qsX, qsY, D):
     idempotent_structure(qsX)
     idempotent_structure(qsY)
 
-    # (b) dimension of each graded component
-    gbP = canonical_basis(prod, max(D, 3))
+    # (b) dimension of each graded component; (c) reads the product's orbits too
+    op = r_orbits(prod)
+    gbP = canonical_basis(prod, max(D, 3), op)
     dims_ok = all(c == n * m for c in hilbert_series(gbP, D).coefficients[2:])
 
     # (c) degree-2 relation spaces agree
-    rel_ok = _same_orbit_partition(qsX, qsY, prod)
+    rel_ok = _same_orbit_partition(qsX, qsY, op)
 
     return {"relations_vanish": True, "dims_ok": dims_ok,
             "relation_space_ok": rel_ok, "ok": dims_ok and rel_ok}
 
 
-def _same_orbit_partition(qsX, qsY, prod):
-    """Whether the r-orbits of prod = X x Y and the classes (X-orbit of (i, j),
+def _same_orbit_partition(qsX, qsY, op):
+    """Whether the r-orbits op of X x Y and the classes (X-orbit of (i, j),
     Y-orbit of (a, b)) partition the pairs ((i, a), (j, b)) alike: exactly
     when the joint labels are as many as the labels on either side."""
     m = qsY.n
-    ox, oy, op = (r_orbits(qs) for qs in (qsX, qsY, prod))
+    ox, oy = r_orbits(qsX), r_orbits(qsY)
     joint = {(idx, ox.orbit_of[u // m, v // m], oy.orbit_of[u % m, v % m])
              for (u, v), idx in op.orbit_of.items()}
     return len(joint) == len(op) == len(ox) * len(oy)

@@ -6,7 +6,9 @@ braided-matrix relations loop over every index tuple.  The Segre
 relation vectors of ybx.verseg and the exterior calculus of ybx.diffcalc
 are built here as dense lists too.  Tests compare the sparse layer against
 these functions entry for entry.  The sparse kernel-membership Nichols
-check that linr's column reading replaced closes the module.
+check that linr's column reading replaced follows, and the tuple-keyed
+FRT and braided-matrix relations that linr's monomial codes replaced,
+with the Fraction rendering of the CLI's relation lines, close the module.
 """
 
 from fractions import Fraction
@@ -472,3 +474,86 @@ def kernel_nichols_quadratic_check(psi, m):
         if rest:
             return False
     return True
+
+
+# The sparse FRT and braided-matrix relations that linr's loops on monomial
+# codes replaced: tuple-keyed polynomials over the n^4 quadruples, the
+# braided-matrix loop scanning every nonzero with up2 = i in its second half.
+
+
+def _sparse_index(rmat, *groupings):
+    """Per tuple of slots in groupings, the nonzero R^up1_lo1{}^up2_lo2 as
+    (up1, lo1, up2, lo2, value) grouped at those slots."""
+    n = linr._tensor_dim(rmat)
+    index = [{} for _ in groupings]
+    for r, row in enumerate(rmat.vecs):
+        for c, v in row.items():
+            e = (r // n, c // n, r % n, c % n, v)
+            for slots, out in zip(groupings, index):
+                out.setdefault(tuple(e[s] for s in slots), []).append(e)
+    return product(range(n), repeat=4), index
+
+
+def sparse_frt_relations(rmat):
+    quadruples, (by_up, by_lo) = _sparse_index(rmat, (0, 2), (1, 3))
+    rels = []
+    for i, j, k, l in quadruples:
+        p = {}
+        for _, a, _, b, c in by_up.get((i, k), ()):
+            key = ((a, j), (b, l))
+            p[key] = p.get(key, 0) + c
+        for a, _, b, _, c in by_lo.get((j, l), ()):
+            key = ((k, b), (i, a))
+            p[key] = p.get(key, 0) - c
+        rels.append(p)
+    return sparse_dedupe(rels)
+
+
+def sparse_braided_matrix_relations(rmat):
+    quadruples, (by_up, by_lo1_up2, by_up2, by_lo1_up2_lo2) = _sparse_index(
+        rmat, (0, 2), (1, 2), (2,), (1, 2, 3))
+    rels = []
+    for i, j, k, l in quadruples:
+        p = {}
+        for _, a, _, b, v1 in by_up.get((k, i), ()):
+            for c, _, _, d, v2 in by_lo1_up2.get((j, a), ()):
+                key = ((b, c), (d, l))
+                p[key] = p.get(key, 0) + v1 * v2
+        for a, b, _, c, v1 in by_up2.get((i,), ()):
+            for d, _, _, _, v2 in by_lo1_up2_lo2.get((j, b, l), ()):
+                key = ((k, a), (c, d))
+                p[key] = p.get(key, 0) - v1 * v2
+        rels.append(p)
+    return sparse_dedupe(rels)
+
+
+def sparse_dedupe(rels):
+    """Each nonzero tuple-keyed polynomial, zero terms dropped, made monic at
+    its deg-lex leading monomial; duplicates, found on exact values, dropped
+    in order."""
+    seen = set()
+    out = []
+    for p in rels:
+        p = {k: v for k, v in p.items() if v}
+        if not p:
+            continue
+        c = p[max(p)]
+        inv = c if c in (1, -1) else F1 / c
+        q = tuple(sorted((k, v * inv) for k, v in p.items()))
+        if q not in seen:
+            seen.add(q)
+            out.append({k: Fraction(v) for k, v in q})
+    return out
+
+
+def pretty_tu(p, letter):
+    """A relation on generators letter^i_j as ybx linear prints it, read from
+    abs, comparison and str on Fractions."""
+    parts = []
+    for (up, lo), c in sorted(p.items()):
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        coeff = "" if mag == 1 else f"{mag}*"
+        parts.append(f"{sign} {coeff}{letter}^{up[0] + 1}_{up[1] + 1}"
+                     f".{letter}^{lo[0] + 1}_{lo[1] + 1}")
+    return " ".join(parts).lstrip("+ ")

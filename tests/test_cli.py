@@ -187,6 +187,19 @@ def test_dims_and_tournament_say_only_what_the_basis_decides(capsys, tmp_path):
     assert sorted(reports, key=str) == sorted(want, key=str)
 
 
+def test_graph_of_normal_words_needs_a_pbw_basis(capsys, tmp_path):
+    # x2.x2 - x1.x1 is not PBW: the graph of its quadratic leads reads
+    # Exponential where the algebra grows as Polynomial(2); the orbit graph
+    # is the set's own and is drawn for any set
+    path = tmp_path / "set.ybx"
+    path.write_text(INVOLUTIVE2_TEXT)
+    for flag in ("--gn", "--gw"):
+        assert run_error(capsys, "graph", str(path), flag) == (
+            2, "error: the graphs of normal words need a PBW basis\n")
+    code, out = run(capsys, "graph", str(path), "--orbit", "--json")
+    assert code == 0 and json.loads(out)["vertices"] == 4
+
+
 @pytest.mark.parametrize("basepoint", ["0", "-1", "9"])
 def test_tournament_basepoint_out_of_range(capsys, files, basepoint):
     code, err = run_error(capsys, "tournament", files["cycle3"],

@@ -8,8 +8,9 @@ place, one routine stores word normal forms, one automaton lists and
 counts a finished basis's normal words, the ncgb oracle shares
 no completion or word normal-form code with the module it checks, linr
 bounds its tensor powers in one place, linr's RationalMatrix does no
-operator arithmetic, and the result records are named tuples, with
-ncgb.GroebnerBasis the one dataclass."""
+operator arithmetic, linr's relation loops run on monomial codes with
+the braided-matrix loop reading R by column, and the result records are
+named tuples, with ncgb.GroebnerBasis the one dataclass."""
 
 import ast
 from functools import reduce
@@ -298,6 +299,29 @@ def test_the_braided_factorial_is_bounded_once_and_read_as_rows():
     assert not names & {"_kernel", "_rank", "rref"}, names & {"_kernel", "_rank", "rref"}
     assert [ast.unparse(call.args[0]) for call in transposes(check)
             if "_factorial" in ast.unparse(call)] == ["_factorial(psi.vecs, n, m, -1)"]
+
+
+def test_relation_loops_run_on_monomial_codes():
+    # the FRT and braided-matrix loops key their polynomials by integer codes
+    # and build no tuple; the braided-matrix loop groups R by column, slots
+    # (lo1, lo2); _dedupe alone makes Fractions, for the relations it keeps;
+    # the two bounds are raised where they were
+    linr = MODULES["linr"]
+    funcs = {node.name: node for node in linr.body if isinstance(node, ast.FunctionDef)}
+    loops = ("frt_relations", "braided_matrix_relations")
+    built = [(name, ast.unparse(node)) for name in loops
+             for loop in ast.walk(funcs[name]) if isinstance(loop, ast.For)
+             for stmt in loop.body for node in ast.walk(stmt)
+             if isinstance(node, ast.Tuple) and isinstance(node.ctx, ast.Load)]
+    assert not built, built
+    index = next(call for call in ast.walk(funcs["braided_matrix_relations"])
+                 if isinstance(call, ast.Call) and getattr(call.func, "id", None)
+                 == "_relation_index")
+    assert "(1, 3)" in [ast.unparse(arg) for arg in index.args]
+    makers = {where for name in ("Fraction", "F1") for where in uses(linr, name)}
+    assert "_dedupe" in makers
+    assert not makers & {*loops, "_relation_index"}, makers
+    assert uses(linr, "SizeTooLarge") == ["_tensor_dim", "_relation_index"]
 
 
 def test_rational_matrix_is_only_the_boundary_type():

@@ -1,14 +1,14 @@
 import pickle
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linr_oracle
-from ybx import diffcalc, elim, linr, orbits, quadset
+from ybx import cli, diffcalc, elim, linr, orbits, quadset
 from ybx.errors import InvalidArgument, NotIdempotent, ShapeMismatch, SizeTooLarge
 
 F1 = Fraction(1)
@@ -303,6 +303,57 @@ def test_nichols_check_matches_the_kernel_oracle():
     assert set(verdicts) == {True, False}, verdicts.count(True)
 
 
+def relation_inputs(rng):
+    """Set R's for the code loops: named, every permutation at n <= 4 and two
+    at n = 5, 6, the constant map and random tables, most of them not
+    left-nondegenerate, at n = 2..6; then random dense rational R at n = 2, 3."""
+    sets = []
+    for n in range(2, 7):
+        sets += [quadset.make_named(kind, n) for kind in ("identity", "flip")]
+        perms = permutations(range(n)) if n < 5 else [rng.sample(range(n), n)
+                                                      for _ in range(2)]
+        sets += [quadset.make_permutation_solution(list(f)) for f in perms]
+        tables = [[(0, 0)] * n * n] + [[(rng.randrange(n), rng.randrange(n))
+                                        for _ in range(n * n)] for _ in range(3)]
+        sets += [quadset.QuadraticSet(n, table) for table in tables]
+    dense = [linr.RationalMatrix([[rng.choice(ENTRIES) for _ in range(n * n)]
+                                  for _ in range(n * n)]) for n in (2, 3) for _ in range(3)]
+    return [linr.linearize(qs)[1] for qs in sets] + dense
+
+
+def test_relations_on_codes_match_the_tuple_keyed_oracle(monkeypatch, capsys, tmp_path):
+    # list equality, order and Fraction values included; the dense R's
+    # make some relations monic by a division
+    leads = []
+    dedupe = linr._dedupe
+
+    def spy(rels, n):
+        leads.extend(p[max(k for k in p if p[k])] for p in rels if any(p.values()))
+        return dedupe(rels, n)
+    monkeypatch.setattr(linr, "_dedupe", spy)
+    for rmat in relation_inputs(random.Random(38)):
+        frt, bmat = linr.frt_relations(rmat), linr.braided_matrix_relations(rmat)
+        assert frt == linr_oracle.sparse_frt_relations(rmat)
+        assert bmat == linr_oracle.sparse_braided_matrix_relations(rmat)
+        # the CLI's lines read numerator and denominator, the oracle's
+        # Fractions; the dense R's, at n <= 3, give the coefficients past +-1
+        if rmat.rows <= 9:
+            assert [cli._pretty_tu(p, "t") for p in frt + bmat] == \
+                [linr_oracle.pretty_tu(p, "t") for p in frt + bmat]
+    assert any(c not in (1, -1) for c in leads)
+    for kind in ("flip", "identity"):
+        path = tmp_path / f"{kind}4.ybx"
+        path.write_text(f"ybx v1\nsize 4\n{kind}\n")
+        _, rmat = linr.linearize(quadset.make_named(kind, 4))
+        want = {name: [linr_oracle.pretty_tu(p, letter) for p in rels(rmat)]
+                for name, letter, rels in (
+                    ("bmat", "u", linr_oracle.sparse_braided_matrix_relations),
+                    ("frt", "t", linr_oracle.sparse_frt_relations))}
+        with pytest.raises(SystemExit):
+            cli.main(["linear", str(path), "--frt", "--bmat"])
+        assert capsys.readouterr().out == f"bmat: {want['bmat']}\nfrt: {want['frt']}\n"
+
+
 def frt_permutation_family(f):
     # (t^k_{f(l)} - delta_{f(i),k} sum_a t^a_j) t^i_l = 0 over all i,j,k,l
     n = len(f)
@@ -316,7 +367,7 @@ def frt_permutation_family(f):
         p = {key: c for key, c in p.items() if c}
         if p:
             rels.append(p)
-    return linr._dedupe(rels)
+    return linr_oracle.sparse_dedupe(rels)
 
 
 def braided_matrix_permutation_family(n):
@@ -331,7 +382,7 @@ def braided_matrix_permutation_family(n):
         p = {key: c for key, c in p.items() if c}
         if p:
             rels.append(p)
-    return linr._dedupe(rels)
+    return linr_oracle.sparse_dedupe(rels)
 
 
 def as_set(rels):
@@ -358,7 +409,7 @@ def test_frt_relations_for_identity_pair(rid2):
                 key = ((a, oj), (i, j))
                 p[key] = p.get(key, Fraction(0)) - F1
             printed.append({k: c for k, c in p.items() if c})
-    assert as_set(linr.frt_relations(rmat)) == as_set(linr._dedupe(printed))
+    assert as_set(linr.frt_relations(rmat)) == as_set(linr_oracle.sparse_dedupe(printed))
 
 
 def test_braided_matrix_relations_match_permutation_formula():

@@ -12,7 +12,9 @@ class of both kinds at n = 2, 3 satisfies the braided-monoid axioms.
 Linearised, each paper-class set at n <= 4 has a quadratic Nichols
 algebra with the theta relations of r, a Koszul dual complementary to
 ker Psi and a degenerate S_-(R); Nichols quadraticity also holds at
-tensor power 4 on 8-point products.
+tensor power 4 on 8-point products.  Each paper-class algebra is PBW, so
+Koszul, and its Hilbert series and its Koszul dual's satisfy
+H_A(t) H_{A!}(-t) = 1 (Priddy).
 All permutation-idempotent algebras r_f of one size are isomorphic, so
 their Hilbert prefixes agree whatever the cycle type of f.  ybx dims reads
 growth off the normal-word automaton of a complete basis and global
@@ -65,6 +67,25 @@ def test_linearised_claims_on_every_paper_class_set():
         assert linr.sminus_degenerate_check(psi)
         theta = diffcalc.nichols_exterior(rmat)["theta_relations"]
         assert theta == linr.nichols_monomials(qs), qs
+
+
+def test_koszul_identity_on_every_paper_class_set():
+    # a PBW algebra is Koszul (Priddy, Trans. AMS 152, 1970), so
+    # H_A(t) H_{A!}(-t) = 1; H_A counts the normal words of the canonical
+    # basis, H_{A!} those of the completed dual relations read off r, which
+    # share no code; dim A!_2 = n^2 - rank of the row-path dual relations
+    classes = [qs for n in (2, 3, 4) for qs in paper_class(n)]
+    assert len(classes) == 22
+    for qs in classes:
+        a = ncgb.hilbert_series(orbits.canonical_basis(qs, 6), 6)
+        b = ncgb.hilbert_series(
+            ncgb.complete(linr.koszul_dual_polynomials(qs), 6, alphabet=qs.n), 6)
+        assert a.exact and b.exact, qs
+        a, b = a.coefficients, b.coefficients
+        assert [sum(a[i] * (-1) ** (d - i) * b[d - i] for i in range(d + 1))
+                for d in range(7)] == [1] + [0] * 6, qs
+        _, rmat = linr.linearize(qs)
+        assert b[2] == qs.n ** 2 - linr.koszul_dual_relations(rmat).rank(), qs
 
 
 @pytest.mark.parametrize("first", [0, 1])
