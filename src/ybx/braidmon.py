@@ -109,19 +109,26 @@ def veronese_solution(qs, d, wa=None):
     return _veronese(wa or WordActions(qs, max(2 * d, 3)), d)
 
 
+def level_words(gb, d, what, unit):
+    """The normal words of length d, which the level-d Veronese `what` reads
+    off gb as its `unit`; more than MAX_SIZE of them raise SizeTooLarge
+    before any is listed."""
+    name = f"the level-{d} Veronese {what}"
+    gb.require_degree(2 * d, name)
+    # there are at most n^d normal words of length d: count them only past the bound
+    if gb.alphabet_size ** d > MAX_SIZE and \
+            (size := hilbert_series(gb, d).coefficients[d]) > MAX_SIZE:
+        raise SizeTooLarge(f"{name} has {size} {unit}, more than {MAX_SIZE}")
+    return normal_words(gb, d)
+
+
 def _veronese(wa, d):
     # veronese_solution on the word actions of a set checked to be braided
     if d < 1:
         raise InvalidArgument(f"the Veronese level must be at least 1, not {d}")
     if d == 1:
         return VeroneseSolution(1, wa.qs, tuple((i,) for i in range(wa.qs.n)))
-    wa.gb.require_degree(2 * d, f"the level-{d} Veronese solution")
-    # there are at most n^d normal words of length d: count them only past the bound
-    if wa.qs.n ** d > MAX_SIZE and \
-            (size := hilbert_series(wa.gb, d).coefficients[d]) > MAX_SIZE:
-        raise SizeTooLarge(f"the level-{d} Veronese solution has {size} points, "
-                           f"more than {MAX_SIZE}")
-    labels = tuple(normal_words(wa.gb, d))
+    labels = tuple(level_words(wa.gb, d, "solution", "points"))
     index = {w: i for i, w in enumerate(labels)}
     table = []
     for a in labels:

@@ -15,7 +15,7 @@ from functools import cached_property
 from .errors import CheckFailed, InvalidArgument, PreconditionViolated
 
 
-# edges: a frozenset of (u, v) pairs, self-arrows allowed; __dict__ caches adjacency
+# edges: a frozenset of (u, v) pairs, self-arrows allowed; adjacency, components cached
 class DirectedGraph(namedtuple("DirectedGraph", "vertex_count edges")):
     def __new__(cls, vertex_count, edges):
         for u, v in edges:
@@ -30,6 +30,50 @@ class DirectedGraph(namedtuple("DirectedGraph", "vertex_count edges")):
         for u, v in sorted(self.edges):
             adj[u].append(v)
         return adj
+
+    @cached_property
+    def components(self):
+        """Strongly connected components, by one iterative Tarjan pass.
+
+        Returns (comps, comp_of): comps in topological order, each a pair
+        (sorted members, whether it holds a cycle); comp_of[v] indexes comps.
+        """
+        n = self.vertex_count
+        # a virtual vertex n with an arrow to every vertex roots one search
+        adj = self.adjacency + [range(n)]
+        index = [None] * n + [0]
+        low = [0] * (n + 1)
+        comp_of = [None] * n      # set when a vertex leaves the stack
+        stack, comps, count = [], [], 1
+        work = [(n, iter(adj[n]))]
+        while work:
+            u, succ = work[-1]
+            for v in succ:
+                if index[v] is None:
+                    index[v] = low[v] = count
+                    count += 1
+                    stack.append(v)
+                    work.append((v, iter(adj[v])))
+                    break
+                if comp_of[v] is None:
+                    low[u] = min(low[u], index[v])
+            else:
+                work.pop()
+                if not work:
+                    break
+                p = work[-1][0]
+                low[p] = min(low[p], low[u])
+                if low[u] == index[u]:
+                    members = []
+                    while comp_of[u] is None:
+                        v = stack.pop()
+                        comp_of[v] = len(comps)
+                        members.append(v)
+                    cyclic = len(members) > 1 or (u, u) in self.edges
+                    comps.append((sorted(members), cyclic))
+        # Tarjan closes a component after every component it reaches
+        last = len(comps) - 1
+        return comps[::-1], [last - c for c in comp_of]
 
 
 # kind: "Exponential" or "Polynomial"; degree: set for Polynomial
@@ -70,49 +114,6 @@ def obstruction_graph(N2, n):
         (x, y) for x in range(n) for y in range(n) if (x, y) not in normal))
 
 
-def _components(g):
-    """Strongly connected components, by one iterative Tarjan pass.
-
-    Returns (comps, comp_of): comps in topological order, each a pair
-    (sorted members, whether it holds a cycle); comp_of[v] indexes comps.
-    """
-    n = g.vertex_count
-    # a virtual vertex n with an arrow to every vertex roots one search
-    adj = g.adjacency + [range(n)]
-    index = [None] * n + [0]
-    low = [0] * (n + 1)
-    comp_of = [None] * n      # set when a vertex leaves the stack
-    stack, comps, count = [], [], 1
-    work = [(n, iter(adj[n]))]
-    while work:
-        u, succ = work[-1]
-        for v in succ:
-            if index[v] is None:
-                index[v] = low[v] = count
-                count += 1
-                stack.append(v)
-                work.append((v, iter(adj[v])))
-                break
-            if comp_of[v] is None:
-                low[u] = min(low[u], index[v])
-        else:
-            work.pop()
-            if not work:
-                break
-            p = work[-1][0]
-            low[p] = min(low[p], low[u])
-            if low[u] == index[u]:
-                members = []
-                while comp_of[u] is None:
-                    v = stack.pop()
-                    comp_of[v] = len(comps)
-                    members.append(v)
-                comps.append((sorted(members), len(members) > 1 or (u, u) in g.edges))
-    # Tarjan closes a component after every component it reaches
-    last = len(comps) - 1
-    return comps[::-1], [last - c for c in comp_of]
-
-
 def _heaviest_path(g, comps, comp_of, weights):
     """Largest total weight of the components met along a directed path."""
     best = [0] * len(comps)
@@ -126,7 +127,7 @@ def _heaviest_path(g, comps, comp_of, weights):
 def gk_dimension(g):
     """Exponential iff two distinct cycles share a vertex, else the max
     number of cycles met along a directed path."""
-    comps, comp_of = _components(g)
+    comps, comp_of = g.components
     for members, cyclic in comps:
         # a component is one cycle iff each member has one arrow inside it
         if cyclic and any(sum(comp_of[v] == comp_of[u] for v in g.adjacency[u]) != 1
@@ -138,7 +139,7 @@ def gk_dimension(g):
 
 def global_dimension(gw):
     """Infinite iff the obstruction graph has a cycle, else 1 + longest path."""
-    comps, comp_of = _components(gw)
+    comps, comp_of = gw.components
     if any(cyclic for _, cyclic in comps):
         return GlDim.infinite()
     # acyclic: every component is one vertex, and a path of k vertices has k - 1 arrows
@@ -178,11 +179,12 @@ def tournament_structure(gn, basepoint):
     pairs = n * (n - 1) // 2
     cond_growth = (gk_dimension(gn) == GrowthClass.polynomial(1)
                    and len(gn.edges) == pairs + 1)
-    # an acyclic graph with one arrow per pair of vertices is a tournament; such a
-    # graph is acyclic iff it has n components, which then list its one topological order
-    plain = DirectedGraph(n, frozenset((u, v) for u, v in gn.edges if u != v))
-    comps = _components(plain)[0] if len(plain.edges) == pairs else ()
-    cond_shape = gn.edges - plain.edges == {(basepoint, basepoint)} and len(comps) == n
+    # an acyclic graph with one arrow per pair of vertices is a tournament.  gn less
+    # its self-arrows has gn's components, which the one pass emits in the same order:
+    # it is acyclic iff they are n, and then they list its one topological order
+    comps = gn.components[0]
+    cond_shape = ({(u, v) for u, v in gn.edges if u == v} == {(basepoint, basepoint)}
+                  and len(gn.edges) == pairs + 1 and len(comps) == n)
     relabeling = [members[0] for members, _ in comps] if cond_shape else None
     if cond_growth != cond_shape:
         raise CheckFailed("growth, tournament shape and relabeling disagree")

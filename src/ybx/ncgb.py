@@ -27,13 +27,14 @@ will do.  Other input runs on polynomials: the reduced S-polynomials go
 through one exact echelon pass (ybx.elim) on negated codes, so the largest
 word pivots first.
 
-One lead index, grown in place, serves every lookup.  A word's normal word
-grows from its prefix's, kept in the index: the last letter is appended,
-and only a lead that ends the word is rewritten.  That is leftmost
-rewriting, past the bound too: no lead of a returned basis lies in another,
-so while z[:-1] is not normal z's leftmost lead lies in it, and then at
-most one lead ends z.  Coefficients follow elim.coeff, but are Fractions
-in the rules of a GroebnerBasis."""
+One lead index, grown in place, serves every lookup, and no lead in it lies
+in another, so the first lead to end in a word is the leftmost: reduction
+walks the normal-word automaton (LeadIndex.step) to it.  A word's normal
+word grows from its prefix's, kept in the index: the last letter is
+appended, and only a lead that ends the word is rewritten, which is
+leftmost rewriting past the bound too, as z's leftmost lead lies in z[:-1]
+while that is not normal.  Coefficients follow elim.coeff, but are
+Fractions in the rules of a GroebnerBasis."""
 
 from bisect import bisect_right
 from collections import namedtuple
@@ -155,30 +156,16 @@ class LeadIndex:
             self.ends.setdefault(powers[j] + lead % powers[j], []).append(entry)
         return k
 
-    def find(self, word):
-        """(q, i) for the leftmost lead occurrence in word, q = n^j for the j
-        letters after it and i the lowest stored index there; None if none."""
-        powers = self.powers
-        for r in range(self.length(word), 0, -1):    # r letters from the start on
-            best = None
-            for k, (p, table) in self.tables.items():
-                if k <= r:
-                    q = powers[r - k]
-                    i = table.get(p + word // q % p)
-                    if i is not None and (best is None or i < best[1]):
-                        best = q, i
-            if best is not None:
-                return best
-        return None
-
     def step(self, state, x):
-        """The state after x, None where a lead ends: the longest suffix read that
-        is a proper prefix of a lead, which ends t = state x as a lead ending x does."""
-        steps, t = self.steps, state * self.n + x
+        """The state after x, the longest suffix read that is a proper prefix of a
+        lead (1 at the start, so states are >= 1), or ~i where leads end t = state x,
+        i the lowest stored index of one, whose ~i is largest.  Only t's suffixes count."""
+        steps, t, powers = self.steps, state * self.n + x, self.powers
         if t not in steps:
-            ends = any(t >= p and p + t % p in table for p, table in self.tables.values())
-            steps[t] = None if ends else next((s for p in self.powers[self.length(t):0:-1]
-                                               if (s := p + t % p) in self.starts), 1)
+            ends = [~table[s] for p, table in self.tables.values()
+                    if t >= p and (s := p + t % p) in table]
+            steps[t] = max(ends) if ends else next((s for p in powers[self.length(t):0:-1]
+                                                    if (s := p + t % p) in self.starts), 1)
         return steps[t]
 
 
@@ -190,18 +177,21 @@ def _freeze_rules(rules, n):
 
 def _normal_form_dict(p, index):
     """Leftmost reduction of the largest word left, which makes only smaller
-    words: a word found normal is met no more."""
-    out, work = {}, dict(p)
+    words: a word found normal is met no more.  A walk finds the first lead end."""
+    out, work, step, powers, n = {}, dict(p), index.step, index.powers, index.n
     while work:
         c = work.pop(w := max(work))
-        if (hit := index.find(w)) is None:
+        s, j = 1, index.length(w)
+        while j and s > 0:              # j letters are left after the one read
+            j -= 1
+            s = step(s, w // powers[j] % n)
+        if s > 0:
             if c:
                 out[w] = c
             continue
-        q, i = hit
-        lead, rhs = index.rules[i]
+        lead, rhs = index.rules[~s]
         for u, cu in rhs.items():
-            nw = w + (u - lead) * q
+            nw = w + (u - lead) * powers[j]
             if nc := work.get(nw, 0) + c * cu:
                 work[nw] = nc
             else:
@@ -368,7 +358,7 @@ def normal_words(gb, d):
     step, n, level = gb.index.step, gb.index.n, [(1, 1)]
     for _ in range(d):
         level = [(w * n + x, t) for w, s in level for x in range(gb.alphabet_size)
-                 if (t := step(s, x)) is not None]
+                 if (t := step(s, x)) > 0]
     return [_decode(w, n) for w, _ in level]
 
 
@@ -388,7 +378,7 @@ def hilbert_series(gb, D):
         nxt = {}
         for state, c in counts.items():
             for x in range(gb.alphabet_size):
-                if (t := step(state, x)) is not None:
+                if (t := step(state, x)) > 0:
                     nxt[t] = nxt.get(t, 0) + c
         counts = nxt
     return HilbertPrefix(coefficients=tuple(coeffs), exact=gb.final_through(D))

@@ -127,7 +127,7 @@ def automaton_graph(gb):
     todo = list(vertices)
     for u, (state, _) in enumerate(todo):       # breadth first: todo grows as it goes
         for x in range(gb.alphabet_size):
-            if (t := step(state, x)) is not None:
+            if (t := step(state, x)) > 0:
                 edges.add((u, v := vertices.setdefault((t, x), len(vertices))))
                 if v == len(todo):
                     todo.append((t, x))

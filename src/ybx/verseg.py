@@ -16,8 +16,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InsufficientDegree
-from .braidmon import WordActions, _veronese
-from .ncgb import complete, hilbert_series, normal_form_word, normal_words
+from .braidmon import WordActions, _veronese, level_words
+from .ncgb import complete, hilbert_series, normal_form_word
 from .orbits import canonical_basis, canonical_relations, idempotent_structure, r_orbits
 from .quadset import cartesian_product, require_properties
 
@@ -42,8 +42,7 @@ def veronese_presentation(relations, d, max_degree=None, alphabet=0):
 
 def _veronese_relations(gb, d):
     """The d-Veronese presentation read from the basis gb."""
-    gb.require_degree(2 * d, f"the level-{d} Veronese presentation")
-    gens = normal_words(gb, d)
+    gens = level_words(gb, d, "presentation", "generators")
     index = {w: i for i, w in enumerate(gens)}
     rels = []
     for i, u in enumerate(gens):

@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ybx import cli, linr, ncgb, quadset
@@ -619,3 +619,77 @@ def test_one_lead_index_per_basis(capsys, files, monkeypatch, argv):
     monkeypatch.setattr(ncgb.GroebnerBasis.index, "func", refused)
     code, _ = run(capsys, argv[0], files["cycle3"], *argv[1:])
     assert code == 0 and len(built) == 1
+
+
+def run_quiet(*argv):
+    """Exit code and stdout of a command run in process; stderr is dropped."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+    return exc.value.code or 0, json.loads(out.getvalue() or "null")
+
+
+def relabeling_readings(path):
+    """Per command, its exit code and what of its output a relabeling keeps;
+    None stands for a reading the basis does not decide (a truncated Hilbert
+    count, an undecided dimension), which may change with the labels."""
+    code, rep = run_quiet("check", path, "--json")
+    readings = {"check": (code, rep)}
+    code, rep = run_quiet("orbits", path, "--json")
+    readings["orbits"] = code, sorted(map(len, rep["orbits"]))
+    code, rep = run_quiet("relations", path, "--json")
+    readings["relations"] = code, len(rep["relations"])
+    code, rep = run_quiet("hilbert", path, "--json", "--max-deg", "5")
+    readings["hilbert"] = code, rep["coefficients"] if rep["exact"] else None
+    code, rep = run_quiet("dims", path, "--json", "--max-deg", "5")
+    for key in ("gk", "gldim"):
+        readings[f"dims {key}"] = code, None if rep[key] == "Undecided" else rep[key]
+    code, rep = run_quiet("veronese", path, "--json", "-d", "2")
+    readings["veronese"] = code, rep and rep["size"]
+    readings["linear"] = run_quiet("linear", path, "--json")
+    code, rep = run_quiet("segre", path, path, "--json")
+    readings["segre"] = code, rep and rep["ok"]
+    return readings
+
+
+# tables whose commands get past their gates: braided, idempotent,
+# left-nondegenerate or involutive, and the 3-point involutive class whose
+# basis is PBW under 4 of its 6 labelings
+NAMED_TABLES = [quadset.make_permutation_solution([1, 2, 0]),
+                quadset.QuadraticSet(3, [MIXED3_TABLE[i, j] for i in range(3)
+                                         for j in range(3)]),
+                cli.parse_solution(INVOLUTIVE2_TEXT), INVOLUTIVE3,
+                quadset.make_named("flip", 3), quadset.make_named("identity", 2)]
+
+
+@st.composite
+def relabeled_tables(draw):
+    """A named or any r-table on n <= 3 points, and a relabeling of it."""
+    if draw(st.booleans()):
+        qs = draw(st.sampled_from(NAMED_TABLES))
+    else:
+        n = draw(st.integers(1, 3))
+        letter = st.integers(0, n - 1)
+        qs = quadset.QuadraticSet(n, draw(st.lists(st.tuples(letter, letter),
+                                                   min_size=n * n, max_size=n * n)))
+    return qs, quadset.relabel(qs, draw(st.permutations(range(qs.n))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(relabeled_tables())
+# PBW in the first labeling and not in the second
+@example((INVOLUTIVE3, quadset.relabel(INVOLUTIVE3, (0, 2, 1))))
+def test_relabeled_tables_read_alike(case):
+    # isomorphic inputs give isomorphic answers, exit codes included; a
+    # reading one labeling leaves undecided is not compared
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"{name}.ybx") for name in ("table", "relabeled")]
+        for path, qs in zip(paths, case):
+            with open(path, "w") as fh:
+                fh.write(cli.render_solution(qs))
+        first, second = map(relabeling_readings, paths)
+    for key, (code, value) in first.items():
+        other_code, other = second[key]
+        assert code == other_code, (key, code, other_code)
+        assert value is None or other is None or value == other, (key, value, other)

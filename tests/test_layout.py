@@ -5,7 +5,8 @@ decides its relation spaces without linr, the CLI
 decides no property of a set on an operator, every function the bench
 traces exists, diffcalc multiplies polynomials in one
 place, one routine stores word normal forms, one automaton lists and
-counts a finished basis's normal words, the ncgb oracle shares
+counts a finished basis's normal words and leads reduction to the leftmost
+lead, the ncgb oracle shares
 no completion or word normal-form code with the module it checks, linr
 bounds its tensor powers in one place, linr's RationalMatrix does no
 operator arithmetic, linr's relation loops run on monomial codes with
@@ -249,6 +250,22 @@ def test_one_automaton_lists_and_counts_normal_words():
     found = {(where, name) for name in ("tables", "starts", "powers", "prefixes", "tops")
              for where in uses(ncgb, name) if where in readers}
     assert not found, sorted(found)
+
+
+def test_reduction_walks_the_automaton_to_its_leads():
+    # no lead lies in another, so the first lead the automaton reaches is the
+    # leftmost: LeadIndex keeps no second lead search, and only its own add
+    # and step, and the word growth that completion times, read its tables
+    ncgb = MODULES["ncgb"]
+    funcs = [(node.name, node) for node in ncgb.body if isinstance(node, ast.FunctionDef)]
+    funcs += [(f"{cls.name}.{node.name}", node) for cls in ncgb.body
+              if isinstance(cls, ast.ClassDef)
+              for node in cls.body if isinstance(node, ast.FunctionDef)]
+    assert "LeadIndex.find" not in dict(funcs) and "LeadIndex.step" in dict(funcs)
+    readers = {name for name, func in funcs for node in ast.walk(func)
+               if isinstance(node, ast.Attribute) and node.attr == "tables"
+               and isinstance(node.ctx, ast.Load)}
+    assert readers == {"LeadIndex.add", "LeadIndex.step", "_grow_normal_words"}, readers
 
 
 def test_every_error_class_is_used():

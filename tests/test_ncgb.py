@@ -694,35 +694,76 @@ def test_word_memo_lives_on_its_basis(monkeypatch, mixed3):
     assert ref() is None
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3),
-                min_size=1, max_size=6),
-       st.lists(st.integers(0, 2), max_size=8))
-def test_lead_lookup_matches_rule_scan(leads, word):
-    # repeated leads are kept: completion input may repeat a leading word
-    rules = [(tuple(lead), {(k,): Fraction(k + 1)}) for k, lead in enumerate(leads)]
-    word = tuple(word)
-    index = ncgb.LeadIndex(3, [(code(lead, 3), rhs) for lead, rhs in rules])
-    after = {3 ** j: j for j in range(len(word) + 1)}
-
-    def as_scan(hit):
-        # the lead at index i, with q = 3^j for the j letters after it
-        if hit is None:
-            return None
-        q, i = hit
-        lead, rhs = rules[i]
-        return len(word) - len(lead) - after[q], lead, rhs
-    assert as_scan(index.find(code(word, 3))) == ncgb_oracle._reduce_once(word, rules)
-
-
 def walk(index, word):
-    """The automaton's states along word, ending at None where a lead ends."""
+    """The automaton's states along word, ending at ~i where a lead ends."""
     states = [1]
     for x in word:
-        if (state := index.step(states[-1], x)) is None:
-            return states + [None]
-        states.append(state)
+        states.append(index.step(states[-1], x))
+        if states[-1] < 0:
+            break
     return states
+
+
+def inside(a, b):
+    """Whether the word a lies in the word b as a proper subword."""
+    return a != b and any(b[i:i + len(a)] == a for i in range(len(b) - len(a) + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple),
+                min_size=1, max_size=6)
+       .filter(lambda leads: not any(inside(a, b) for a in leads for b in leads)),
+       st.lists(st.integers(0, 2), max_size=8).map(tuple))
+def test_first_lead_end_is_the_leftmost_lead(leads, word):
+    # no lead lies in another, as in every index ybx builds: then the first
+    # lead the walk reaches is the leftmost, and of a repeated lead (completion
+    # input may repeat a leading word) the rule stored first
+    rules = [(lead, {(k,): Fraction(k + 1)}) for k, lead in enumerate(leads)]
+    index = ncgb.LeadIndex(3, [(code(lead, 3), rhs) for lead, rhs in rules])
+    states = walk(index, word)
+    hit = None
+    if states[-1] < 0:
+        lead, rhs = rules[~states[-1]]
+        hit = len(states) - 1 - len(lead), lead, rhs
+    assert hit == ncgb_oracle._reduce_once(word, rules)
+
+
+def random_relations(rng, n, bound, differences):
+    """Homogeneous relations of degrees 2-4, one now and then above the bound:
+    word differences c(u - v), or 1-3 words with any coefficients."""
+    rels = []
+    for _ in range(rng.randint(1, 5)):
+        degree = rng.choice([2, 2, 3, 3, 4, bound + 1])
+        words = list({tuple(rng.randrange(n) for _ in range(degree)) for _ in range(3)})
+        if differences and len(words) > 1:
+            c = rng.choice(SCALES)
+            rels.append({words[0]: c, words[1]: -c})
+        elif not differences:
+            rels.append({w: rng.choice(COEFFS) for w in words[:rng.randint(1, 3)]})
+    return rels
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_normal_forms_match_the_leftmost_rule_scan(seed):
+    # reduction walks the automaton to the first lead end; the oracle scans
+    # every rule at every position.  Past the bound of a truncated basis a
+    # polynomial may have several normal forms, and both must pick leftmost's
+    rng, kinds = random.Random(seed), set()
+    for _ in range(40):
+        n, bound = rng.randint(2, 3), rng.randint(3, 5)
+        rels = random_relations(rng, n, bound, rng.random() < 0.5)
+        gb = ncgb.complete(rels, bound, alphabet=n)
+        # complete runs on words when every relation is a word difference
+        kinds.add((all(len(p) == 2 and sum(p.values()) == 0 for p in rels), gb.complete))
+        rules = [(lead, dict(rhs)) for lead, rhs in gb.rules]
+        for _ in range(6):
+            p = {tuple(rng.randrange(n) for _ in range(rng.randint(0, bound + 3))):
+                 rng.choice(COEFFS) for _ in range(rng.randint(1, 6))}
+            got, want = ncgb.normal_form(p, gb), ncgb_oracle._normal_form_dict(p, rules)
+            assert got == want and repr(got) == repr(want), (gb, p)
+    # both completion paths ran, and bases both complete and truncated
+    assert kinds == {(words, done) for words in (False, True)
+                     for done in (False, True)}, kinds
 
 
 @settings(max_examples=200, deadline=None)
@@ -745,8 +786,10 @@ def test_steps_taken_before_a_rule_is_added_are_dropped(leads, split):
     for w in words:
         want = [1]
         for i in range(1, len(w) + 1):
-            if any(w[:i][-len(lead):] == tuple(lead) for lead in leads if len(lead) <= i):
-                want.append(None)
+            # where leads end, the lowest index i of one, as ~i
+            if ends := [k for k, lead in enumerate(leads)
+                        if len(lead) <= i and w[:i][-len(lead):] == tuple(lead)]:
+                want.append(~min(ends))
                 break
             want.append(code(next(w[j:i] for j in range(i + 1) if w[j:i] in prefixes), 3))
         assert walk(grown, w) == walk(fresh, w) == want, w

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -7,7 +8,7 @@ import pytest
 
 import linr_oracle
 from ybx import braidmon, elim, ncgb, orbits, quadset, verseg
-from ybx.errors import InsufficientDegree, NotIdempotent
+from ybx.errors import InsufficientDegree, NotIdempotent, SizeTooLarge
 
 
 def test_veronese_presentation_of_mixed3(mixed3):
@@ -37,12 +38,25 @@ def test_veronese_presentation_lists_only_its_generators(monkeypatch, mixed3):
     # form, so no word of degree 2d is listed
     degrees = []
     words = ncgb.normal_words
-    monkeypatch.setattr(verseg, "normal_words",
+    monkeypatch.setattr(braidmon, "normal_words",
                         lambda gb, d: degrees.append(d) or words(gb, d))
     rels = orbits.canonical_relations(mixed3).to_polynomials()
     for d in (2, 3):
         verseg.veronese_presentation(rels, d, alphabet=3)
     assert degrees == [2, 3]
+
+
+def test_veronese_presentation_past_max_size_is_refused_at_once():
+    # the free algebra on 4 letters has 4^5 = 1,024 normal words of length 5;
+    # listing them would normal-form about 10^6 products.  The refusal counts
+    # them without listing any, as the level-5 Veronese solution's does
+    start = time.perf_counter()
+    with pytest.raises(SizeTooLarge, match="^the level-5 Veronese presentation has "
+                                           "1024 generators, more than 256$"):
+        verseg.veronese_presentation([], 5, alphabet=4)
+    assert time.perf_counter() - start < 1
+    # at 4^4 = 256 words the level is listed
+    assert len(verseg.veronese_presentation([], 4, alphabet=4).generators) == 256
 
 
 def test_veronese_isomorphism(mixed3, cycle3):
